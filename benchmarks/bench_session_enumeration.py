@@ -27,50 +27,21 @@ It prints a throughput table (pattern instances/second) for
   instance;
 * ``batched`` — one ``Session.solutions_many`` call over the whole list;
 
-plus a **warm-parent parallel** case comparing
-
-* ``cold workers`` — parallel ``solutions_many`` with ``warm_on_fork=False``:
-  every enumeration worker rebuilds its cache (index, searches) from
-  scratch;
-* ``warm parent``  — the same parallel call on a steady-state session whose
-  cache holds every cell's recorded answer list: the cells replay
-  parent-side and **never reach the pool** (the PR 5 replay
-  short-circuit), which is the intended steady state of parallel serving;
-
-plus a **return-channel** case ("second parallel batch, warm parent")
-comparing, on one session,
-
-* ``first batch``  — a parallel ``solutions_many`` over a cold parent: this
-  is the run that actually exercises the warm-**fork** pool (the parent
-  warms µ-independent state and the workers inherit the live session),
-  and the workers ship their learned state back as ``CacheDelta``\\ s the
-  parent absorbs;
-* ``second batch`` — the identical parallel call again: every cell now
-  replays from the parent cache (nonzero ``enum_hits``) without
-  recomputing;
-
-**asserts** the acceptance criteria — batched throughput at least 2x the
-looped throughput across >= 10 pattern instances, warm-parent parallel
-enumeration at least 1.5x the cold-worker baseline, and the second
-(warm-parent) batch at least 2x the first — each with identical answer
+It then **asserts** the acceptance criterion — batched throughput at least 2x the
+looped throughput across >= 10 pattern instances, with identical answer
 sets — and writes a machine-readable perf record to
-``BENCH_session_enumeration.json``.  (The warm-parent assertion needs the
-``fork`` start method for its cold-worker baseline and is
-reported-but-skipped elsewhere; the return-channel case runs on every
-start method.)
+``BENCH_session_enumeration.json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import pickle
 import time
 from typing import List, Tuple
 
 from repro.evaluation import Engine, Session
-from repro.experiments.harness import time_batched_enumeration
 from repro.patterns import WDPatternForest
 from repro.rdf.generators import random_graph
 from repro.workloads.random_patterns import random_wd_tree
@@ -79,10 +50,6 @@ from repro.workloads.random_patterns import random_wd_tree
 REQUIRED_SPEEDUP = 2.0
 #: Minimum workload size the requirement is stated for.
 REQUIRED_PATTERNS = 10
-#: Minimum warm-parent-over-cold-worker speedup for parallel enumeration.
-PARALLEL_REQUIRED_SPEEDUP = 1.5
-#: Minimum second-batch-over-first speedup for the CacheDelta return channel.
-RETURN_CHANNEL_REQUIRED_SPEEDUP = 2.0
 
 
 def query_log_workload(
@@ -161,116 +128,6 @@ def run_benchmark(
     }
 
 
-def run_parallel_benchmark(
-    distinct: int = 8,
-    repeats: int = 3,
-    num_nodes: int = 5,
-    graph_nodes: int = 18,
-    graph_triples: int = 140,
-    seed: int = 31,
-    processes: int = 2,
-    repeat: int = 1,
-) -> dict:
-    """The warm-parent case: parallel enumeration, cold workers vs replay.
-
-    Both sides make the identical parallel call over the identical distinct
-    cells.  The cold side (``warm_on_fork=False``) forks workers that
-    rebuild their caches from scratch; the warm side runs on a steady-state
-    session whose cache holds every cell's recorded answer list, so the
-    cells replay parent-side and the pool is never created — the intended
-    steady state of parallel serving.  (The warm-*fork* pool path itself —
-    workers inheriting a live parent session — is what the return-channel
-    case's first batch runs and times.)  Answer sets are asserted identical
-    to a serial run.
-    """
-    workload, graph = query_log_workload(
-        distinct, repeats, num_nodes, graph_nodes, graph_triples, seed
-    )
-    serial = Session().solutions_many(workload, graph, method="natural")
-
-    t_cold, cold = time_batched_enumeration(
-        workload, graph, method="natural", processes=processes,
-        warm=False, warm_on_fork=False, repeat=repeat,
-    )
-    t_warm, warm = time_batched_enumeration(
-        workload, graph, method="natural", processes=processes,
-        warm=True, repeat=repeat,
-    )
-
-    assert _canonical(cold) == _canonical(serial), "cold-worker answer sets differ"
-    assert _canonical(warm) == _canonical(serial), "warm-parent answer sets differ"
-    n = len(workload)
-    return {
-        "patterns": n,
-        "distinct": distinct,
-        "|G|": len(graph),
-        "processes": processes,
-        "solutions": sum(len(answers) for answers in serial),
-        "cold workers (patterns/s)": n / t_cold,
-        "warm parent (patterns/s)": n / t_warm,
-        "cold_seconds": t_cold,
-        "warm_seconds": t_warm,
-        "speedup (warm/cold)": t_cold / t_warm,
-    }
-
-
-def run_return_channel_benchmark(
-    distinct: int = 8,
-    repeats: int = 3,
-    num_nodes: int = 5,
-    graph_nodes: int = 18,
-    graph_triples: int = 140,
-    seed: int = 31,
-    processes: int = 2,
-) -> dict:
-    """The return-channel case: second parallel batch over a warm parent.
-
-    One session runs the identical parallel ``solutions_many`` twice.  The
-    first batch's workers ship their learned state (homomorphism lists,
-    complete per-tree answer lists) back as ``CacheDelta``\\ s; the parent
-    absorbs them, so the second batch replays every cell from the parent
-    cache (``enum_hits`` > 0) instead of recomputing — before this channel
-    existed, the workers' caches died with the pool and the second batch
-    repeated all the work.  Answer sets are asserted bitwise-identical
-    between the two batches and against a serial run.
-    """
-    workload, graph = query_log_workload(
-        distinct, repeats, num_nodes, graph_nodes, graph_triples, seed
-    )
-    serial = Session().solutions_many(workload, graph, method="natural")
-
-    session = Session()
-    start = time.perf_counter()
-    first = session.solutions_many(workload, graph, method="natural", processes=processes)
-    t_first = time.perf_counter() - start
-    absorbed = session.cache.statistics.delta_entries
-    hits_before = session.cache.statistics.enum_hits
-    start = time.perf_counter()
-    second = session.solutions_many(workload, graph, method="natural", processes=processes)
-    t_second = time.perf_counter() - start
-    enum_hits = session.cache.statistics.enum_hits - hits_before
-
-    assert _canonical(first) == _canonical(serial), "first-batch answer sets differ"
-    assert _canonical(second) == _canonical(first), "second-batch answer sets differ"
-    assert absorbed > 0, "no CacheDelta entries flowed back from the workers"
-    assert enum_hits > 0, "second parallel batch did not hit the parent cache"
-    n = len(workload)
-    return {
-        "patterns": n,
-        "distinct": distinct,
-        "|G|": len(graph),
-        "processes": processes,
-        "solutions": sum(len(answers) for answers in serial),
-        "absorbed delta entries": absorbed,
-        "second-batch enum hits": enum_hits,
-        "first batch (patterns/s)": n / t_first,
-        "second batch (patterns/s)": n / t_second,
-        "first_seconds": t_first,
-        "second_seconds": t_second,
-        "speedup (second/first)": t_first / t_second,
-    }
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.2f}"
@@ -295,9 +152,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=23)
     parser.add_argument("--repeat", type=int, default=1, help="timing repetitions (best-of)")
     parser.add_argument(
-        "--processes", type=int, default=2, help="pool size for the parallel cases"
-    )
-    parser.add_argument(
         "--smoke", action="store_true", help="smaller workload for CI smoke runs"
     )
     parser.add_argument(
@@ -306,16 +160,6 @@ def main(argv=None) -> int:
         help="where to write the JSON perf record",
     )
     args = parser.parse_args(argv)
-
-    # Workload flags the user explicitly changed also apply to the parallel
-    # case (which has its own heavier defaults); record them before the
-    # smoke tuning rewrites args.
-    workload_flags = ("distinct", "repeats", "num_nodes", "graph_nodes", "graph_triples", "seed")
-    user_overrides = {
-        name: getattr(args, name)
-        for name in workload_flags
-        if getattr(args, name) != parser.get_default(name)
-    }
 
     if args.smoke:
         args.distinct = 4
@@ -334,35 +178,12 @@ def main(argv=None) -> int:
     )
     _print_table(row)
 
-    fork_available = multiprocessing.get_start_method(allow_none=False) == "fork"
-    parallel_row = None
-    parallel_workload = dict(processes=args.processes)
-    if args.smoke:
-        parallel_workload.update(distinct=6, repeats=3, graph_nodes=16, graph_triples=110)
-    parallel_workload.update(user_overrides)
-    if fork_available:
-        parallel_row = run_parallel_benchmark(repeat=args.repeat, **parallel_workload)
-        print()
-        _print_table(parallel_row)
-    else:
-        print("\n(parallel warm-parent case skipped: 'fork' start method unavailable)")
-
-    # The return channel works on every start method (deltas are pickled
-    # back); no fork gate.
-    return_channel_row = run_return_channel_benchmark(**parallel_workload)
-    print()
-    _print_table(return_channel_row)
-
     record = {
         "benchmark": "session_enumeration",
         "smoke": bool(args.smoke),
         "required_speedup": REQUIRED_SPEEDUP,
         "required_patterns": REQUIRED_PATTERNS,
-        "parallel_required_speedup": PARALLEL_REQUIRED_SPEEDUP,
-        "return_channel_required_speedup": RETURN_CHANNEL_REQUIRED_SPEEDUP,
         **row,
-        "parallel": parallel_row,
-        "return_channel": return_channel_row,
     }
     with open(args.record, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2)
@@ -381,33 +202,6 @@ def main(argv=None) -> int:
     print(
         f"OK: batched enumeration is {speedup:.1f}x looped on {row['patterns']} "
         f"pattern instances (>= {REQUIRED_SPEEDUP}x required), answer sets identical."
-    )
-    if parallel_row is not None:
-        parallel_speedup = parallel_row["speedup (warm/cold)"]
-        assert parallel_speedup >= PARALLEL_REQUIRED_SPEEDUP, (
-            f"warm-parent parallel enumeration is only {parallel_speedup:.2f}x the "
-            f"cold-worker baseline (required: >= {PARALLEL_REQUIRED_SPEEDUP}x)"
-        )
-        print(
-            f"OK: warm-parent parallel enumeration (cells replay parent-side, "
-            f"pool-free) is {parallel_speedup:.1f}x the "
-            f"cold-worker baseline on {parallel_row['patterns']} pattern instances "
-            f"x {parallel_row['processes']} workers "
-            f"(>= {PARALLEL_REQUIRED_SPEEDUP}x required), answer sets identical."
-        )
-    return_channel_speedup = return_channel_row["speedup (second/first)"]
-    assert return_channel_speedup >= RETURN_CHANNEL_REQUIRED_SPEEDUP, (
-        f"the second (warm-parent) parallel batch is only "
-        f"{return_channel_speedup:.2f}x the first "
-        f"(required: >= {RETURN_CHANNEL_REQUIRED_SPEEDUP}x)"
-    )
-    print(
-        f"OK: the second parallel batch over a warm parent is "
-        f"{return_channel_speedup:.1f}x the first on "
-        f"{return_channel_row['patterns']} pattern instances "
-        f"({return_channel_row['absorbed delta entries']} delta entries absorbed, "
-        f"{return_channel_row['second-batch enum hits']} cache hits; "
-        f">= {RETURN_CHANNEL_REQUIRED_SPEEDUP}x required), answer sets identical."
     )
     return 0
 

@@ -7,7 +7,6 @@ from typing import List
 from ..framework import Rule
 from .blocking import HoldWhileBlockingRule
 from .budgets import MonotonicRule, TickRule
-from .caching import IdKeyRule
 from .exceptions_rule import ExceptionTaxonomyRule
 from .forkstate import ForkStateRule
 from .guards import GuardedByRule
@@ -24,7 +23,6 @@ def default_rules() -> List[Rule]:
     return [
         VersionBumpRule(),
         PoolPayloadRule(),
-        IdKeyRule(),
         TickRule(),
         MonotonicRule(),
         ExceptionTaxonomyRule(),

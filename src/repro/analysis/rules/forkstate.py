@@ -1,8 +1,8 @@
 """RP-FORKSTATE: worker-side mutation of module globals needs a guard.
 
-The pool workers in ``evaluation/session.py`` communicate with their task
-functions through module-level dicts (``_WORKER_STATE`` / ``_ENUM_STATE``)
-that the pool initializer rebinds in each worker process.  That pattern is
+The membership-pool workers in ``evaluation/session.py`` communicate with
+their task function through a module-level dict (``_WORKER_STATE``) that
+the pool initializer rebinds in each worker process.  That pattern is
 fork-safe only under discipline: the parent must never read what a worker
 wrote, and the initializer must fully overwrite whatever a fork inherited.
 Because the discipline is invisible at the mutation site, this rule makes
@@ -11,16 +11,16 @@ constructor, ``defaultdict(...)``) that a worker-side function mutates must
 carry a ``# fork-safe:`` comment at its definition explaining why the
 mutation cannot leak between parent and workers.
 
-Worker-side functions are matched by the same naming convention the pool
-boundary uses (``_init_*worker``, ``_worker_*``, ``_enum_*``,
-``_export_*delta``); mutation means subscript/attribute stores, mutator
-method calls, or a ``global`` rebind inside such a function.
+Worker-side functions are matched by the same names the pool boundary
+uses (``_init_worker``, ``_worker_contains_chunk``); mutation means
+subscript/attribute stores, mutator method calls, or a ``global`` rebind
+inside such a function.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator
 
 from ..framework import Finding, Project, Rule, SourceFile, attribute_root
 from .pickling import WORKER_NAME

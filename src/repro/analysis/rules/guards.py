@@ -54,7 +54,6 @@ __all__ = ["GuardedByRule", "GUARDED_BY"]
 GUARDED_BY: Tuple[Tuple[str, str, str, str], ...] = (
     ("evaluation/cache.py", "EvaluationCache", "_graphs", "_lock"),
     ("evaluation/cache.py", "EvaluationCache", "_trees", "_lock"),
-    ("evaluation/cache.py", "EvaluationCache", "_journal", "_lock"),
     ("evaluation/session.py", "Session", "_engines", "_memo_lock"),
     ("evaluation/session.py", "Session", "_statistics", "_memo_lock"),
     ("service/core.py", "QueryService", "_backlog", "_lock"),

@@ -1,8 +1,9 @@
 """RP-PICKLE: pool payload classes must be explicitly picklable (PR 3/5).
 
-The worker functions in ``evaluation/session.py`` / ``evaluation/batch.py``
-are the process-pool boundary: everything their signatures name travels
-through ``multiprocessing`` pickling on the spawn paths.  A payload class
+The membership-pool worker functions in ``evaluation/session.py``
+(``_init_worker`` and ``_worker_contains_chunk``) are the process-pool
+boundary: everything their signatures name travels through
+``multiprocessing`` pickling on the spawn paths.  A payload class
 must therefore define ``__reduce__`` / ``__reduce_ex__`` / ``__getstate__``
 (or be a dataclass / NamedTuple, whose default pickling is structural), or
 be registered below with a rationale for why pickling never happens.
@@ -24,10 +25,10 @@ from ..framework import Finding, Project, Rule, SourceFile
 __all__ = ["PoolPayloadRule", "WORKER_NAME"]
 
 #: Module-level functions that run on (or initialize) pool workers.
-WORKER_NAME = re.compile(r"^(_init_\w*worker|_worker_\w+|_enum_\w+|_export_\w*delta)$")
+WORKER_NAME = re.compile(r"^(_init_worker|_worker_contains_chunk)$")
 
 #: Files whose worker signatures define the pool boundary.
-_BOUNDARY_FILES = ("evaluation/session.py", "evaluation/batch.py")
+_BOUNDARY_FILES = ("evaluation/session.py",)
 
 #: Annotation names that are not payload classes.
 _NON_PAYLOAD = {
@@ -54,11 +55,8 @@ _NON_PAYLOAD = {
 }
 
 #: Classes allowed across the boundary without pickle hooks, with the
-#: reason they never actually pickle.
-PICKLE_SAFE: Dict[str, str] = {
-    "Session": "fork-only warm initarg passed by address; spawn and "
-    "forkserver paths pass None and the worker rebuilds its own session",
-}
+#: reason they never actually pickle (none today).
+PICKLE_SAFE: Dict[str, str] = {}
 
 _PICKLE_HOOKS = {"__reduce__", "__reduce_ex__", "__getstate__"}
 

@@ -45,7 +45,6 @@ import sys
 from typing import Dict, List, Optional
 
 from .evaluation import Engine, Session, method_names
-from .rdf.graph import RDFGraph
 from .rdf.io import load_graph
 from .rdf.terms import IRI, Variable
 from .sparql.mappings import Mapping
@@ -230,12 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default per-request deadline in seconds (requests may override)",
     )
     serve.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="worker processes of the shared session's pool (default: serial)",
-    )
-    serve.add_argument(
         "--max-requests",
         type=int,
         default=None,
@@ -251,7 +244,10 @@ def _parse_bindings(raw_bindings: List[str]) -> Mapping:
         if "=" not in raw:
             raise ReproError(f"invalid --binding {raw!r}: expected VAR=IRI")
         name, value = raw.split("=", 1)
-        bindings[Variable(name)] = IRI(value)
+        try:
+            bindings[Variable(name)] = IRI(value)
+        except ValueError as error:  # empty variable name or IRI
+            raise ReproError(f"invalid --binding {raw!r}: {error}") from None
     return Mapping(bindings)
 
 
@@ -447,10 +443,8 @@ def _command_serve(args: argparse.Namespace) -> int:
     from .service import QueryService, ServiceServer
 
     graph = load_graph(args.graph)
-    session = Session(processes=args.processes)
     service = QueryService(
         graph,
-        session=session,
         max_inflight=args.max_inflight,
         max_pending=args.max_pending,
         default_deadline=args.timeout,

@@ -26,7 +26,7 @@ from .pebble_eval import (
     forest_contains_pebble_ctx,
 )
 from .extended import evaluate_extended, extended_pattern_contains
-from .cache import CacheDelta, CacheStatistics, EvaluationCache
+from .cache import CacheStatistics, EvaluationCache
 from .plan import (
     CostEstimate,
     CostModel,
@@ -68,7 +68,6 @@ __all__ = [
     "forest_contains_pebble_ctx",
     "evaluate_extended",
     "extended_pattern_contains",
-    "CacheDelta",
     "CacheStatistics",
     "EvaluationCache",
     "CostEstimate",

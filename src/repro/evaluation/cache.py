@@ -14,11 +14,11 @@ tree.  :class:`EvaluationCache` memoizes all of it:
   mappings that induce the same sub-instance share one search;
 * **homomorphism lists** — the full (µ-independent) answer list of one
   subtree pattern against the graph, which is what solution enumeration
-  iterates; repeated or forked enumerations replay from memory;
+  iterates; repeated enumerations replay from memory;
 * **tree solution lists** — the complete enumerated answer list ``⟦T⟧G`` of
   one pattern tree, recorded when an enumeration runs to completion, so
-  steady-state sessions (and warm-forked enumeration workers) replay whole
-  answer sets instead of re-deriving them;
+  steady-state sessions replay whole answer sets instead of re-deriving
+  them;
 * **pebble-game verdicts** — keyed the same way plus the distinguished set
   and the number of pebbles;
 * **consistency kernels** — one precomputed
@@ -55,25 +55,13 @@ A cache is shared safely between any number of :class:`Engine` /
 sub-instances, not on the owning engine, so patterns with common structure
 benefit from each other's work.
 
-**The worker return channel.**  Parallel sessions run their enumeration and
-membership workers in separate processes; whatever those workers learn
-would normally die with the pool.  :meth:`EvaluationCache.collect_deltas`
-turns on a journal of newly memoized entries, :meth:`export_delta` drains
-the journal into a picklable, version-stamped :class:`CacheDelta` (portable
-keys only: sub-instance content plus tree/graph *slots* instead of
-process-local ``id()``\\ s), and the parent merges a received delta through
-:meth:`absorb` — which re-checks every version stamp against the live graph
-(a delta recorded before a mutation is dropped, never merged) and charges
-the regular LRU costs.  Steady-state parallel serving therefore replays
-from the parent cache instead of recomputing per batch.
-
 **Thread safety.**  One cache may be hit concurrently from multiple
 threads (the query service evaluates requests on a thread pool over one
 shared session).  An internal re-entrant lock serializes every
 *structural* operation — store lookup (an LRU hit reorders the recency
-list), insertion, eviction, tree-table management, journal draining and
-delta absorption — while the *computations* (homomorphism searches,
-kernel construction) deliberately run outside the lock: two threads
+list), insertion, eviction and tree-table management — while the
+*computations* (homomorphism searches, kernel construction) deliberately
+run outside the lock: two threads
 missing on the same key may duplicate a computation, but the values are
 deterministic, so whichever insert lands last is identical and no caller
 ever observes a torn entry.  The contract is **safe for concurrent
@@ -87,8 +75,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from ..hom.homomorphism import TargetIndex, find_homomorphism, target_index
 from ..hom.tgraph import GeneralizedTGraph, TGraph
@@ -98,43 +85,10 @@ from ..rdf.graph import RDFGraph
 from ..rdf.terms import Term, Variable
 from ..sparql.mappings import Mapping
 
-__all__ = ["CacheDelta", "CacheStatistics", "EvaluationCache"]
+__all__ = ["CacheStatistics", "EvaluationCache"]
 
 #: Sentinel distinguishing "absent" from memoized ``None``/``False`` values.
 _MISSING = object()
-
-#: Entry kinds that travel in a :class:`CacheDelta`.  All are deterministic,
-#: content-keyed memo entries; consistency kernels are excluded (they hold a
-#: graph weakref and are cheap to rebuild from an absorbed warm cache).
-_DELTA_KINDS = frozenset({"hom", "homlist", "pebble", "subtree", "treesol"})
-
-#: Delta kinds whose key leads with a process-local ``id(tree)`` that must be
-#: translated to a tree *slot* before crossing a process boundary.
-_TREE_KEYED_KINDS = frozenset({"subtree", "treesol"})
-
-
-@dataclass
-class CacheDelta:
-    """A picklable bundle of cache entries learned by one worker process.
-
-    Produced by :meth:`EvaluationCache.export_delta` and merged by
-    :meth:`EvaluationCache.absorb`.  Entries are stored under **portable**
-    keys: graph and tree objects are replaced by their positions (*slots*)
-    in the graph/tree lists both sides agree on, and every graph slot
-    carries the version stamp of the parent's graph at the time the work
-    was farmed out — :meth:`~EvaluationCache.absorb` drops a slot whose
-    stamp no longer matches the live graph, so a delta recorded against a
-    since-mutated graph can never poison the receiving cache.
-    """
-
-    #: Graph slot -> the parent-side ``RDFGraph.version`` stamp.
-    versions: Dict[int, int] = field(default_factory=dict)
-    #: ``(graph_slot, kind, portable_key, value, cost)`` records.
-    entries: List[Tuple[int, str, Tuple, object, int]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 class CacheStatistics:
     """Hit/miss counters of one :class:`EvaluationCache` (for diagnostics)."""
@@ -152,9 +106,6 @@ class CacheStatistics:
         "subtree_misses",
         "invalidations",
         "evictions",
-        "deltas_absorbed",
-        "delta_entries",
-        "delta_entries_stale",
     )
 
     def __init__(self) -> None:
@@ -170,9 +121,6 @@ class CacheStatistics:
         self.subtree_misses = 0
         self.invalidations = 0
         self.evictions = 0
-        self.deltas_absorbed = 0
-        self.delta_entries = 0
-        self.delta_entries_stale = 0
 
     @property
     def hits(self) -> int:
@@ -317,9 +265,6 @@ class EvaluationCache:
         # pool; re-entrant because primitives call each other (for instance
         # pebble_winner -> pebble_kernel).  See the module docs.
         self._lock = threading.RLock()
-        # Delta journal: id(graph) -> [(kind, key), ...] of entries memoized
-        # since the last export; None until collect_deltas() turns it on.
-        self._journal: Optional[Dict[int, List[Tuple[str, Tuple]]]] = None
 
     # --- introspection -----------------------------------------------------
     @property
@@ -352,135 +297,6 @@ class EvaluationCache:
             else:
                 self._graphs.pop(id(graph), None)
             self._statistics.invalidations += 1
-
-    # --- the worker return channel ------------------------------------------
-    def collect_deltas(self) -> None:
-        """Start journaling newly memoized entries for :meth:`export_delta`.
-
-        Worker processes call this once in their pool initializer; under the
-        ``fork`` start method the flag flips only in the worker's
-        copy-on-write copy of an inherited parent cache, so inherited
-        entries are never re-shipped — only what the worker itself learns.
-        """
-        with self._lock:
-            if self._journal is None:
-                self._journal = {}
-
-    @property
-    def collecting_deltas(self) -> bool:
-        """Whether the delta journal is on (see :meth:`collect_deltas`)."""
-        with self._lock:
-            return self._journal is not None
-
-    def export_delta(
-        self,
-        graphs: Sequence[RDFGraph],
-        trees: Sequence[WDPatternTree],
-        stamps: Sequence[Optional[int]],
-    ) -> Optional[CacheDelta]:
-        """Drain the journal into a picklable :class:`CacheDelta` (or ``None``).
-
-        *graphs* and *trees* define the slot vocabulary shared with the
-        absorbing side; ``stamps[i]`` is the **parent-side** version of
-        ``graphs[i]`` at pool creation (``None`` withholds that graph's
-        entries — the caller passes ``None`` when its own copy of the graph
-        mutated after the pool was set up, so the stamp no longer describes
-        the entries).  Only entries whose store still matches the worker's
-        current graph version are exported; everything else is silently
-        dropped.  Returns ``None`` when nothing new was learned, so callers
-        can skip pickling empty deltas.
-        """
-        with self._lock:
-            if self._journal is None:
-                return None
-            journal, self._journal = self._journal, {}
-            tree_slots = {id(tree): slot for slot, tree in enumerate(trees)}
-            delta = CacheDelta()
-            for slot, (graph, stamp) in enumerate(zip(graphs, stamps)):
-                keys = journal.get(id(graph))
-                if not keys or stamp is None:
-                    continue
-                store = self._graphs.get(id(graph))
-                if store is None or store.version != graph.version:
-                    continue
-                exported = False
-                for full_key in dict.fromkeys(keys):  # dedupe, keep journal order
-                    value = store.entries.get(full_key, _MISSING)
-                    if value is _MISSING:  # evicted since it was journaled
-                        continue
-                    kind, key = full_key
-                    if kind in _TREE_KEYED_KINDS:
-                        tree_slot = tree_slots.get(key[0])
-                        if tree_slot is None:  # tree outside the shared vocabulary
-                            continue
-                        key = (tree_slot,) + key[1:]
-                    delta.entries.append(
-                        (slot, kind, key, value, store.costs[full_key])
-                    )
-                    exported = True
-                if exported:
-                    delta.versions[slot] = stamp
-            return delta if delta.entries else None
-
-    def absorb(
-        self,
-        delta: CacheDelta,
-        graphs: Sequence[RDFGraph],
-        trees: Sequence[WDPatternTree] = (),
-    ) -> int:
-        """Merge a worker's :class:`CacheDelta` into this cache.
-
-        *graphs*/*trees* supply the same slot vocabulary the exporting side
-        used.  Every entry is guarded by its graph slot's version stamp: a
-        stamp that no longer matches the live ``graph.version`` (the parent
-        mutated the graph while the worker ran) is dropped and counted in
-        ``statistics.delta_entries_stale`` — a stale delta can never poison
-        the cache.  Malformed entries (unknown kind, out-of-range slot or
-        tree index, wrong shape — for instance a delta corrupted in
-        transit) are likewise dropped and counted, never raised: a bad
-        delta costs its entries, not the batch.  Accepted entries are
-        inserted with their original costs through the regular LRU bound.
-        Returns the number of entries absorbed (already-present entries
-        are skipped, preserving the parent's own recency order).
-        """
-        with self._lock:
-            return self._absorb_locked(delta, graphs, trees)
-
-    def _absorb_locked(
-        self,
-        delta: CacheDelta,
-        graphs: Sequence[RDFGraph],
-        trees: Sequence[WDPatternTree],
-    ) -> int:
-        tree_list = list(trees)
-        absorbed = 0
-        for entry in delta.entries:
-            try:
-                slot, kind, key, value, cost = entry
-                if kind not in _DELTA_KINDS:
-                    raise ValueError(f"unknown delta kind {kind!r}")
-                stamp = delta.versions.get(slot)
-                if not 0 <= slot < len(graphs):
-                    raise IndexError(f"graph slot {slot!r} out of range")
-                graph = graphs[slot]
-                if stamp is None or stamp != graph.version:
-                    self._statistics.delta_entries_stale += 1
-                    continue
-                if kind in _TREE_KEYED_KINDS:
-                    tree = tree_list[key[0]]
-                    self._tree_table(tree)  # pin the tree: the id() key stays valid
-                    key = (id(tree),) + key[1:]
-            except (TypeError, ValueError, IndexError, KeyError):
-                self._statistics.delta_entries_stale += 1
-                continue
-            store = self._store(graph)
-            if (kind, key) in store.entries:
-                continue
-            self._bounded_insert(graph, store, kind, key, value, cost)
-            absorbed += 1
-        self._statistics.deltas_absorbed += 1
-        self._statistics.delta_entries += absorbed
-        return absorbed
 
     # --- stores ------------------------------------------------------------
     def _store(self, graph: RDFGraph) -> _GraphStore:
@@ -528,7 +344,6 @@ class EvaluationCache:
 
     def _bounded_insert(
         self,
-        graph: RDFGraph,
         store: _GraphStore,
         kind: str,
         key: Tuple,
@@ -541,8 +356,6 @@ class EvaluationCache:
                     store.evict_one()
                     self._statistics.evictions += 1
             store.put(kind, key, value, cost)
-            if self._journal is not None and kind in _DELTA_KINDS:
-                self._journal.setdefault(id(graph), []).append((kind, key))
 
     # --- memoized primitives ----------------------------------------------
     def target_index(self, graph: RDFGraph) -> TargetIndex:
@@ -584,7 +397,7 @@ class EvaluationCache:
             find_homomorphism(triples, graph, fixed, self.target_index(graph), budget)
             is not None
         )
-        self._bounded_insert(graph, self._store(graph), "hom", key, result)
+        self._bounded_insert(self._store(graph), "hom", key, result)
         return result
 
     def homomorphisms_stream(
@@ -600,8 +413,7 @@ class EvaluationCache:
         is recorded only when the consumer exhausts the generator without
         the graph mutating mid-stream.  Entries are charged roughly one
         cost unit per stored homomorphism, so bounded caches evict large
-        answer lists first.  Warmed/forked workers inherit recorded lists
-        and replay enumeration instead of re-running the search.
+        answer lists first.
         """
         from ..hom.homomorphism import all_homomorphisms
 
@@ -631,7 +443,7 @@ class EvaluationCache:
                 yield hom
             if graph.version == version:
                 self._bounded_insert(
-                    graph, self._store(graph), "homlist", key, tuple(recorded),
+                    self._store(graph), "homlist", key, tuple(recorded),
                     cost=1 + len(recorded),
                 )
 
@@ -667,7 +479,7 @@ class EvaluationCache:
             extended, graph, pebbles, index=self.target_index(graph)
         ).prepare()
         self._bounded_insert(
-            graph, self._store(graph), "kernel", key, kernel, cost=kernel.cost()
+            self._store(graph), "kernel", key, kernel, cost=kernel.cost()
         )
         return kernel
 
@@ -696,7 +508,7 @@ class EvaluationCache:
         # Re-fetch the store: building the kernel may have reset it if the
         # graph was mutated concurrently (defensive; same-version re-fetch is
         # a dict lookup).
-        self._bounded_insert(graph, self._store(graph), "pebble", key, result)
+        self._bounded_insert(self._store(graph), "pebble", key, result)
         return result
 
     def mu_subtree(
@@ -717,7 +529,7 @@ class EvaluationCache:
             self._statistics.subtree_misses += 1
             subtree = find_mu_subtree(tree, graph, mu)
             nodes = subtree.nodes if subtree is not None else None
-            self._bounded_insert(graph, self._store(graph), "subtree", key, nodes)
+            self._bounded_insert(self._store(graph), "subtree", key, nodes)
         if nodes is None:
             return None
         return Subtree(tree, nodes)
@@ -751,7 +563,7 @@ class EvaluationCache:
             store = self._store(graph)
             self._tree_table(tree)
             self._bounded_insert(
-                graph, store, "treesol", (id(tree),), solutions,
+                store, "treesol", (id(tree),), solutions,
                 cost=1 + len(solutions),
             )
 

@@ -1,4 +1,4 @@
-"""The evaluation context: one bundle for cache, statistics and pool settings.
+"""The evaluation context: one bundle for cache, statistics and pool size.
 
 Before this module existed, every function in the evaluation layer threaded
 ``(statistics, cache)`` as optional positional arguments — and each of them
@@ -9,9 +9,9 @@ environment:
 * ``cache`` — an optional :class:`~repro.evaluation.cache.EvaluationCache`;
 * ``statistics`` — an optional
   :class:`~repro.evaluation.wdeval.EvaluationStatistics` accumulator;
-* ``processes`` / ``warm_on_fork`` / ``stream_chunk_size`` — the worker-pool
-  settings of the batched entry points
-  (:class:`~repro.evaluation.session.Session`).
+* ``processes`` — the default worker-pool size of the batched membership
+  entry points (:class:`~repro.evaluation.session.Session`);
+* ``budget`` — an optional :class:`~repro.evaluation.budget.Budget`.
 
 The context also owns the cache-or-direct helpers (`mu_subtree`,
 `children_of`, `extension_exists`, `pebble_winner`, `homomorphisms`,
@@ -60,35 +60,19 @@ class EvalContext:
         Optional per-run counter accumulator; the ``note_*`` helpers are
         no-ops when it is ``None``.
     processes:
-        Default worker-pool size for the batched entry points (``None`` or
-        ``1`` = serial).
-    warm_on_fork:
-        Whether batched parallel runs warm the µ-independent cache state in
-        the parent before forking workers (see
-        :meth:`~repro.evaluation.session.Session.warm`).
-    stream_chunk_size:
-        Solutions per IPC message when parallel
-        :meth:`~repro.evaluation.session.Session.solutions_iter` streams a
-        cell's results across the process boundary.
+        Default worker-pool size of the batched membership entry points
+        (``None`` or ``1`` = serial).
     budget:
         Optional :class:`~repro.evaluation.budget.Budget` bounding the
         evaluation; the hot loops tick it through the cache-or-direct
         helpers below and raise
         :class:`~repro.exceptions.DeadlineExceeded` when it expires.
-    faults:
-        Test-only :class:`~repro.evaluation.faults.FaultPlan` hook; ``None``
-        in production.  Installed by the fault-injection harness so crash
-        paths can be driven deterministically (see
-        :mod:`repro.evaluation.faults`).
     """
 
     cache: Optional[EvaluationCache] = None
     statistics: Optional["EvaluationStatistics"] = None
     processes: Optional[int] = None
-    warm_on_fork: bool = True
-    stream_chunk_size: int = 16
     budget: Optional[Budget] = None
-    faults: Optional[object] = None
 
     # --- construction --------------------------------------------------------
     @classmethod
@@ -219,10 +203,9 @@ class EvalContext:
         graph version on exhaustion
         (:meth:`EvaluationCache.homomorphisms_stream
         <repro.evaluation.cache.EvaluationCache.homomorphisms_stream>`) —
-        the search runs at most once and later enumerations (including
-        forked workers that inherit the cache) replay it from memory, while
-        the first results of a fresh search arrive as cheaply as the direct
-        generator.
+        the search runs at most once and later enumerations replay it from
+        memory, while the first results of a fresh search arrive as cheaply
+        as the direct generator.
         """
         if self.cache is not None:
             return self.cache.homomorphisms_stream(source, graph, self.budget)

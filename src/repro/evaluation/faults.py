@@ -1,20 +1,18 @@
-"""Deterministic fault injection for the evaluation pool paths.
+"""Deterministic fault injection for the membership pool and the service.
 
-A :class:`FaultPlan` describes, by **task position**, real faults to inject
-into a parallel evaluation: SIGKILL the worker that picks up a given task,
-stall the streaming result queue, raise inside a strategy hook, ship a
-stale or corrupted :class:`~repro.evaluation.cache.CacheDelta`, mutate the
-worker's graph copy mid-run, or swallow a streaming cell's terminal event.
-The faults are *real* — an injected kill is ``os.kill(os.getpid(),
-SIGKILL)`` inside the worker, a stall is a real ``time.sleep`` holding the
-bounded IPC queue open — so the recovery paths in
-:mod:`~repro.evaluation.session` are exercised exactly as a production
-crash would exercise them, not through mocks.
+A :class:`FaultPlan` describes, by **task position**, real faults to inject:
+SIGKILL the worker that picks up a given chunk, stall before evaluating,
+raise inside the task, or mutate the graph mid-run.  The faults are *real*
+— an injected kill is ``os.kill(os.getpid(), SIGKILL)`` inside the worker,
+a stall is a real ``time.sleep`` — so the recovery paths in
+:mod:`~repro.evaluation.session` and :mod:`repro.service` are exercised
+exactly as a production fault would exercise them, not through mocks.
 
-A plan is installed through the test-only ``Session(faults=...)`` hook and
-travels to the workers inside the pool initializer arguments.  Positions
-make plans deterministic: task ``position`` is the submission index of the
-chunk / mapping / cell, fixed by the caller's input order.
+A plan is installed through the test-only ``Session(faults=...)`` hook,
+where it travels to the workers inside the pool initializer arguments, or
+through ``QueryService(faults=...)``, which fires it per request.
+Positions make plans deterministic: task ``position`` is the submission
+index of the chunk (or of the request), fixed by the caller's input order.
 
 Once-guards (``kill_once=True`` et al.) are shared
 :class:`multiprocessing.Value` flags **armed in the parent before the pool
@@ -30,7 +28,6 @@ import signal
 import time
 from typing import Optional
 
-from .cache import CacheDelta
 from ..exceptions import EvaluationError
 
 __all__ = ["FaultPlan", "FaultInjected"]
@@ -94,29 +91,15 @@ class FaultPlan:
         dies — the retried task succeeds on a fresh worker; with ``False``
         every retry dies too, forcing the serial-degradation path.
     stall_at / stall_seconds:
-        The worker picking up this task sleeps *stall_seconds* before
-        evaluating — a real streaming-queue stall (``stall_once`` bounds it
-        to the first pickup).
+        The task at this position sleeps *stall_seconds* before evaluating
+        (``stall_once`` bounds it to the first pickup).
     raise_at:
-        The worker picking up this task raises :class:`FaultInjected`
-        (inside the strategy hook, after any kill/stall checks).
-    stale_delta:
-        Every exported :class:`~repro.evaluation.cache.CacheDelta` has its
-        version stamps perturbed, so the parent's
-        :meth:`~repro.evaluation.cache.EvaluationCache.absorb` must drop
-        every entry as stale.
-    corrupt_delta:
-        Every exported delta gets structurally mangled entries (unknown
-        kinds, wrong shapes); ``absorb`` must skip them without raising.
+        The task at this position raises :class:`FaultInjected` (after any
+        stall or mutation, before a kill).
     mutate_graph_at:
-        The worker picking up this task mutates its graph copy (an add
-        immediately undone by a discard — answers unchanged, but the
-        version counter moves), so the export path must withhold the
-        version stamp and the parent must drop the delta.
-    drop_done_at:
-        A streaming worker enumerates this cell normally but swallows its
-        terminal ``done`` event — the silent-loss case the consumer-side
-        terminal-event accounting must catch.
+        The task at this position mutates its graph (an add immediately
+        undone by a discard — answers unchanged, but the version counter
+        moves twice).
     """
 
     def __init__(
@@ -127,23 +110,16 @@ class FaultPlan:
         stall_seconds: float = 1.0,
         stall_once: bool = True,
         raise_at: Optional[int] = None,
-        stale_delta: bool = False,
-        corrupt_delta: bool = False,
         mutate_graph_at: Optional[int] = None,
-        drop_done_at: Optional[int] = None,
     ) -> None:
         self.kill_at = kill_at
         self.stall_at = stall_at
         self.stall_seconds = stall_seconds
         self.raise_at = raise_at
-        self.stale_delta = stale_delta
-        self.corrupt_delta = corrupt_delta
         self.mutate_graph_at = mutate_graph_at
-        self.drop_done_at = drop_done_at
         self._kill_guard = _OnceGuard(kill_once)
         self._stall_guard = _OnceGuard(stall_once)
         self._mutate_guard = _OnceGuard(True)
-        self._drop_guard = _OnceGuard(True)
 
     # --- parent side -------------------------------------------------------
     def arm(self, ctx) -> "FaultPlan":
@@ -156,7 +132,6 @@ class FaultPlan:
         self._kill_guard.arm(ctx)
         self._stall_guard.arm(ctx)
         self._mutate_guard.arm(ctx)
-        self._drop_guard.arm(ctx)
         return self
 
     # --- worker side -------------------------------------------------------
@@ -195,49 +170,10 @@ class FaultPlan:
             graph.add(probe)
             graph.discard(probe)
 
-    def drop_done(self, position: int) -> bool:
-        """Whether the streaming worker should swallow this cell's ``done``."""
-        return (
-            self.drop_done_at is not None
-            and position == self.drop_done_at
-            and self._drop_guard.take()
-        )
-
-    def tamper_delta(self, delta: Optional[CacheDelta]) -> Optional[CacheDelta]:
-        """Apply the delta corruptions this plan schedules (export path)."""
-        if delta is None:
-            return None
-        if self.stale_delta:
-            delta = CacheDelta(
-                versions={
-                    slot: (None if version is None else version + 1)
-                    for slot, version in delta.versions.items()
-                },
-                entries=delta.entries,
-            )
-        if self.corrupt_delta:
-            mangled = []
-            for index, entry in enumerate(delta.entries):
-                if index % 2 == 0:
-                    mangled.append((entry[0], "no-such-kind", entry[2], entry[3], entry[4]))
-                else:
-                    mangled.append(("garbage",))  # wrong arity and slot type
-            delta = CacheDelta(versions=delta.versions, entries=mangled)
-        return delta
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = []
-        for name in (
-            "kill_at",
-            "stall_at",
-            "raise_at",
-            "mutate_graph_at",
-            "drop_done_at",
-        ):
+        for name in ("kill_at", "stall_at", "raise_at", "mutate_graph_at"):
             value = getattr(self, name)
             if value is not None:
                 parts.append(f"{name}={value}")
-        for name in ("stale_delta", "corrupt_delta"):
-            if getattr(self, name):
-                parts.append(name)
         return f"FaultPlan({', '.join(parts)})"

@@ -12,43 +12,26 @@ candidate mappings, many patterns, many graphs — behind one shared cache.
   :class:`~repro.evaluation.plan.Planner` — exactly once per batch — and
   :meth:`plan` / :meth:`explain` expose the decision;
 * :meth:`check_many` answers many mappings (deduplicated, optionally over a
-  ``multiprocessing`` pool) with answers guaranteed identical to a loop of
-  :meth:`Engine.contains <repro.evaluation.engine.Engine.contains>` calls;
+  worker-process pool) with answers guaranteed identical to a loop of
+  :meth:`Engine.contains <repro.evaluation.engine.Engine.contains>` calls,
+  and :meth:`check_iter` streams the same verdicts in input order;
 * :meth:`solutions_stream` enumerates lazily (a deduplicated generator);
   :meth:`solutions_many` batches enumeration over many patterns × many
-  graphs — duplicate cells are evaluated once and fanned back out, and an
-  opt-in pool enumerates distinct cells in parallel;
-* :meth:`solutions_iter` streams those batched results **incrementally** —
-  ``(cell, solution)`` pairs as cells complete, in submission or completion
-  order — instead of blocking until the whole batch is done; parallel runs
-  stream *within* a cell too: workers push fixed-size solution chunks over
-  a bounded IPC queue, so the consumer sees the first solutions of a cell
-  while the worker is still enumerating it;
-* parallel enumeration uses the same warm-fork path as membership: on the
-  ``fork`` start method the parent warms the µ-independent cache state and
-  workers inherit the live session (indexes, homomorphism lists, memoized
-  child tests) instead of rebuilding caches from scratch;
-* every parallel entry point has a **return channel**: workers journal what
-  they learn and ship it back as a picklable, version-stamped
-  :class:`~repro.evaluation.cache.CacheDelta` the parent merges through
-  :meth:`EvaluationCache.absorb
-  <repro.evaluation.cache.EvaluationCache.absorb>` — so a repeated batch
-  over the same cells replays from the parent cache instead of recomputing
-  (cells the parent can already answer completely never reach the pool);
-* every pool path is **crash-aware**: worker deaths are detected (not
-  waited out), the affected tasks are retried once on the surviving
-  workers, and a second failure degrades the remainder to serial
-  re-execution in the parent — answers are never lost and never
-  duplicated, and the recovery is accounted in
+  graphs — duplicate cells are evaluated once and fanned back out — and
+  :meth:`solutions_iter` streams those batched results per solution;
+* the membership pool is **crash-aware**: a dead worker breaks its
+  executor, the unfinished chunks are resubmitted once on a fresh one, and
+  a second failure re-runs the remainder serially in the parent — answers
+  are never lost and never duplicated, and the recovery is accounted in
   :class:`~repro.evaluation.wdeval.EvaluationStatistics`
-  (``worker_crashes`` / ``cells_degraded_serial`` / ``cells_lost``);
+  (``worker_crashes`` / ``cells_degraded_serial``);
 * wall-clock / step budgets (:class:`~repro.evaluation.budget.Budget`)
-  travel with the tasks into the workers; a deadline-bounded
+  travel with the chunks into the workers; a deadline-bounded
   :meth:`solutions_iter` yields its partial results and then a terminal
   :class:`~repro.evaluation.budget.TimeoutReport` instead of hanging; and
   a deterministic fault-injection harness
-  (:mod:`repro.evaluation.faults`) drives all of these paths in tests
-  with real SIGKILLs and real queue stalls.
+  (:mod:`repro.evaluation.faults`) drives the crash ladder in tests with
+  real SIGKILLs.
 
 :class:`~repro.evaluation.batch.BatchEngine` is a single-pattern adapter
 over this class.
@@ -58,16 +41,16 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-import warnings
-from queue import Empty
-from time import monotonic, sleep
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .budget import Budget, TimeoutReport, budget_from
-from .cache import CacheDelta, EvaluationCache
+from .cache import EvaluationCache
 from .context import EvalContext
 from .engine import Engine
-from .plan import Plan, Planner
+from .plan import Plan
 from .wdeval import EvaluationStatistics
 from ..patterns.forest import WDPatternForest
 from ..rdf.graph import RDFGraph
@@ -85,43 +68,30 @@ __all__ = ["Session", "PatternLike"]
 #: Anything a session entry point accepts as "a pattern".
 PatternLike = Union[Engine, GraphPattern, WDPatternForest]
 
-#: How many times one task may be attempted on the pool before the parent
-#: re-runs it serially (1 original + 1 retry after a worker crash).
-_MAX_TASK_ATTEMPTS = 2
-
-#: Backoff after a detected worker crash, giving the pool a beat to reap
-#: the corpse and respawn a replacement before tasks are resubmitted.
-_CRASH_BACKOFF_SECONDS = 0.05
+#: How many executors one batch may run before the parent re-runs the
+#: unfinished chunks serially (1 original + 1 retry after a worker crash).
+_MAX_POOL_ATTEMPTS = 2
 
 
-# --- multiprocessing plumbing -------------------------------------------------
+# --- the membership pool ------------------------------------------------------
 #
-# Membership workers are initialised once per pool with the forest and graph
-# and then stream mappings; each worker owns an EvaluationCache so the
+# Workers are initialised once per executor with the forest and graph and
+# then receive chunks of mappings; each worker owns an EvaluationCache, so the
 # per-graph index, memo tables and consistency kernels are built once per
-# worker, not per task.
+# worker, not per chunk.
 #
 # With the ``fork`` start method the parent warms its own cache *before* the
-# pool is created and hands the live engine to the initializer — fork does not
-# pickle initargs, so every worker starts with the precomputed kernels and
-# target index already in (copy-on-write shared) memory.  Other start methods
-# receive pickled copies and rebuild the µ-independent state once per worker
-# in the initializer instead of lazily per task.
+# executor starts and hands the live engine to the initializer — fork does
+# not pickle initargs, so every worker starts with the precomputed kernels and
+# target index already in (copy-on-write shared) memory.  Under ``spawn`` or
+# ``forkserver`` the initargs are pickled, the engine arrives without its
+# cache, and the workers start cold: they rebuild the µ-independent state once
+# in the initializer instead of lazily per chunk.
 #
-# Either way the learning is two-directional: every worker journals what it
-# memoizes (EvaluationCache.collect_deltas) and ships the journal back as a
-# version-stamped CacheDelta alongside its results; the parent absorbs the
-# deltas, so the pool's work outlives the pool.  Version stamps are the
-# *parent's* graph versions at pool creation — a worker's own (pickled or
-# forked) version counter is meaningless parent-side — and a worker whose
-# graph copy mutated withholds the stamp, so stale state is never shipped.
-#
-# Tasks carry their submission *position* so that (a) the parent can match
-# retried / degraded work without trusting pool ordering and (b) the
-# fault-injection harness can target "the worker that picks up task N"
-# deterministically.  An optional Budget travels in the initargs (absolute
-# monotonic deadlines stay meaningful across processes on Linux), as does
-# the test-only FaultPlan.
+# Chunks carry their submission *position* so the fault-injection harness can
+# target "the worker that picks up chunk N" deterministically.  An optional
+# Budget travels in the initargs (absolute monotonic deadlines stay
+# meaningful across processes on Linux), as does the test-only FaultPlan.
 
 # fork-safe: rebound wholesale by _init_worker in every worker process
 # before any task runs, and never read in the parent — fork-inherited
@@ -136,7 +106,6 @@ def _init_worker(
     method: str,
     width: Optional[int],
     warm_engine: Optional[Engine] = None,
-    parent_version: Optional[int] = None,
     budget: Optional[Budget] = None,
     faults: Optional[object] = None,
 ) -> None:
@@ -146,274 +115,34 @@ def _init_worker(
         engine = warm_engine
     else:
         engine = Engine(forest=forest, width_bound=width_bound, cache=EvaluationCache())
-        cache = engine.cache
-        if cache is not None:
-            plan = engine.plan(method, width)
-            plan.strategy_obj.warm(engine.forest, graph, plan, cache)
-    if engine.cache is not None:
-        engine.cache.collect_deltas()
+        plan = engine.plan(method, width)
+        plan.strategy_obj.warm(engine.forest, graph, plan, engine.cache)
     _WORKER_STATE["engine"] = engine
     _WORKER_STATE["graph"] = graph
     _WORKER_STATE["method"] = method
     _WORKER_STATE["width"] = width
-    _WORKER_STATE["trees"] = list(forest)
-    _WORKER_STATE["parent_version"] = parent_version
-    _WORKER_STATE["base_version"] = graph.version
     _WORKER_STATE["budget"] = budget
     _WORKER_STATE["faults"] = faults
 
 
-def _export_membership_delta() -> Optional[CacheDelta]:
-    """The membership worker's learned-state delta since the last export."""
-    engine: Engine = _WORKER_STATE["engine"]  # type: ignore[assignment]
-    if engine.cache is None:
-        return None
-    graph: RDFGraph = _WORKER_STATE["graph"]  # type: ignore[assignment]
-    # Stamp with the parent's version only while our copy is unmutated.
-    stamp = (
-        _WORKER_STATE["parent_version"]
-        if graph.version == _WORKER_STATE["base_version"]
-        else None
-    )
-    delta = engine.cache.export_delta(
-        [graph], _WORKER_STATE["trees"], [stamp]  # type: ignore[arg-type]
-    )
-    faults = _WORKER_STATE.get("faults")
-    if faults is not None:
-        delta = faults.tamper_delta(delta)  # type: ignore[union-attr]
-    return delta
-
-
-def _worker_contains(task: Tuple[int, Mapping]) -> Tuple[bool, Optional[CacheDelta]]:
-    """One verdict + delta per task — the streaming (check_iter) shape."""
-    position, mu = task
-    engine: Engine = _WORKER_STATE["engine"]  # type: ignore[assignment]
-    graph: RDFGraph = _WORKER_STATE["graph"]  # type: ignore[assignment]
-    faults = _WORKER_STATE.get("faults")
-    if faults is not None:
-        faults.fire(position, graph)  # type: ignore[union-attr]
-    answer = engine.contains(
-        graph,
-        mu,
-        method=_WORKER_STATE["method"],  # type: ignore[arg-type]
-        width=_WORKER_STATE["width"],  # type: ignore[arg-type]
-        budget=_WORKER_STATE.get("budget"),  # type: ignore[arg-type]
-    )
-    return answer, _export_membership_delta()
-
-
-def _worker_contains_chunk(
-    task: Tuple[int, List[Mapping]],
-) -> Tuple[List[bool], Optional[CacheDelta]]:
-    """Many verdicts + one delta per task — the blocking (check_many) shape.
-
-    The blocking path absorbs deltas only after the chunk returns, so
-    shipping one per mapping would pay per-message pickling for zero
-    latency gain; the parent chunks the batch instead.
-    """
+def _worker_contains_chunk(task: Tuple[int, List[Mapping]]) -> List[bool]:
+    """The verdicts of one chunk of mappings, decided in a worker process."""
     position, mappings = task
     engine: Engine = _WORKER_STATE["engine"]  # type: ignore[assignment]
     graph: RDFGraph = _WORKER_STATE["graph"]  # type: ignore[assignment]
-    faults = _WORKER_STATE.get("faults")
+    faults = _WORKER_STATE["faults"]
     if faults is not None:
-        faults.fire(position, graph)  # type: ignore[union-attr]
-    answers = [
+        faults.fire(position, graph)  # type: ignore[attr-defined]
+    return [
         engine.contains(
             graph,
             mu,
             method=_WORKER_STATE["method"],  # type: ignore[arg-type]
             width=_WORKER_STATE["width"],  # type: ignore[arg-type]
-            budget=_WORKER_STATE.get("budget"),  # type: ignore[arg-type]
+            budget=_WORKER_STATE["budget"],  # type: ignore[arg-type]
         )
         for mu in mappings
     ]
-    return answers, _export_membership_delta()
-
-
-# Enumeration workers are initialised once per pool with every forest and
-# graph the batch touches (pickled once per worker under non-fork start
-# methods) and then receive cells as plain index triples.  With the ``fork``
-# start method the parent warms its cache first and hands its **live
-# session** to the initializer — fork does not pickle initargs, so every
-# worker starts with the parent's target indexes, memoized homomorphism
-# lists and child-test verdicts already in (copy-on-write shared) memory
-# instead of rebuilding them from scratch.  Streaming pools additionally
-# receive a bounded result queue: workers push fixed-size solution chunks
-# while they enumerate (backpressured by the queue bound) instead of
-# returning whole cells.
-
-# fork-safe: rebound wholesale by _init_enum_worker in every worker process
-# before any task runs, and never read in the parent — fork-inherited
-# contents are inert, so worker writes cannot leak across the boundary.
-_ENUM_STATE: Dict[str, object] = {}
-
-
-def _init_enum_worker(
-    forests: List[WDPatternForest],
-    graphs: List[RDFGraph],
-    method: str,
-    warm_session: Optional["Session"] = None,
-    parent_versions: Optional[List[int]] = None,
-    result_queue: Optional[object] = None,
-    chunk_size: int = 1,
-    budget: Optional[Budget] = None,
-    faults: Optional[object] = None,
-) -> None:
-    if warm_session is not None:
-        # Fork path: the parent's session (engines + warmed cache) arrives
-        # by address, not by pickle; reuse it directly.
-        session = warm_session
-    else:
-        session = Session()
-    session.cache.collect_deltas()
-    _ENUM_STATE["session"] = session
-    _ENUM_STATE["forests"] = forests
-    _ENUM_STATE["graphs"] = graphs
-    _ENUM_STATE["method"] = method
-    _ENUM_STATE["trees"] = [tree for forest in forests for tree in forest]
-    _ENUM_STATE["parent_versions"] = (
-        parent_versions if parent_versions is not None else [g.version for g in graphs]
-    )
-    _ENUM_STATE["base_versions"] = [g.version for g in graphs]
-    _ENUM_STATE["queue"] = result_queue
-    _ENUM_STATE["chunk_size"] = chunk_size
-    _ENUM_STATE["budget"] = budget
-    _ENUM_STATE["faults"] = faults
-
-
-def _export_enum_delta() -> Optional[CacheDelta]:
-    """The worker's learned-state delta since the last export (or ``None``)."""
-    session: "Session" = _ENUM_STATE["session"]  # type: ignore[assignment]
-    graphs: List[RDFGraph] = _ENUM_STATE["graphs"]  # type: ignore[assignment]
-    stamps = [
-        parent if graph.version == base else None
-        for graph, base, parent in zip(
-            graphs,
-            _ENUM_STATE["base_versions"],  # type: ignore[arg-type]
-            _ENUM_STATE["parent_versions"],  # type: ignore[arg-type]
-        )
-    ]
-    delta = session.cache.export_delta(graphs, _ENUM_STATE["trees"], stamps)  # type: ignore[arg-type]
-    faults = _ENUM_STATE.get("faults")
-    if faults is not None:
-        delta = faults.tamper_delta(delta)  # type: ignore[union-attr]
-    return delta
-
-
-def _enum_worker_cell(
-    task: Tuple[int, int, int],
-) -> Tuple[Set[Mapping], Optional[CacheDelta]]:
-    """Enumerate one distinct (pattern, graph) cell in a worker process.
-
-    Only forests cross the process boundary (the picklable normal form); the
-    naive strategy evaluates the pattern rebuilt from the forest, which has
-    the same solutions by the normal-form semantics.  The returned delta
-    carries whatever the worker memoized for the cell.
-    """
-    position, forest_index, graph_index = task
-    session: "Session" = _ENUM_STATE["session"]  # type: ignore[assignment]
-    graph: RDFGraph = _ENUM_STATE["graphs"][graph_index]  # type: ignore[index]
-    faults = _ENUM_STATE.get("faults")
-    if faults is not None:
-        faults.fire(position, graph)  # type: ignore[union-attr]
-    answers = session.solutions(
-        _ENUM_STATE["forests"][forest_index],  # type: ignore[index]
-        graph,
-        method=_ENUM_STATE["method"],  # type: ignore[arg-type]
-        budget=_ENUM_STATE.get("budget"),  # type: ignore[arg-type]
-    )
-    return answers, _export_enum_delta()
-
-
-def _enum_stream_worker_cell(task: Tuple[int, int, int]) -> int:
-    """Stream one cell's solutions back in fixed-size chunks over the queue.
-
-    Messages are ``("chunk", position, [mappings])`` while enumerating,
-    ``("done", position, [tail mappings], delta)`` on completion,
-    ``("deadline", position, description)`` when the cell's budget trips,
-    and ``("error", position, description)`` on any other failure.  The
-    queue is bounded, so a slow parent backpressures the workers instead of
-    buffering whole cells in the pipe.  Every task ends with exactly one
-    terminal message (or a dead worker, which the parent detects) — the
-    parent counts terminals, so a cell can never go missing silently.
-    """
-    position, forest_index, graph_index = task
-    queue = _ENUM_STATE["queue"]
-    chunk_size: int = _ENUM_STATE["chunk_size"]  # type: ignore[assignment]
-    session: "Session" = _ENUM_STATE["session"]  # type: ignore[assignment]
-    graph: RDFGraph = _ENUM_STATE["graphs"][graph_index]  # type: ignore[index]
-    faults = _ENUM_STATE.get("faults")
-    try:
-        if faults is not None:
-            faults.fire(position, graph)  # type: ignore[union-attr]
-        buffer: List[Mapping] = []
-        for mu in session.solutions_stream(
-            _ENUM_STATE["forests"][forest_index],  # type: ignore[index]
-            graph,
-            method=_ENUM_STATE["method"],  # type: ignore[arg-type]
-            budget=_ENUM_STATE.get("budget"),  # type: ignore[arg-type]
-        ):
-            buffer.append(mu)
-            if len(buffer) >= chunk_size:
-                queue.put(("chunk", position, buffer))  # type: ignore[union-attr]
-                buffer = []
-        delta = _export_enum_delta()
-        if faults is not None and faults.drop_done(position):  # type: ignore[union-attr]
-            return position  # injected silent loss: swallow the terminal event
-        queue.put(("done", position, buffer, delta))  # type: ignore[union-attr]
-    except DeadlineExceeded as error:
-        queue.put(("deadline", position, str(error)))  # type: ignore[union-attr]
-    except Exception as error:  # surfaced parent-side as an EvaluationError
-        queue.put(("error", position, f"{type(error).__name__}: {error}"))  # type: ignore[union-attr]
-    return position
-
-
-# --- crash detection ----------------------------------------------------------
-
-
-class _PoolWatch:
-    """Observe a pool's worker processes and report deaths.
-
-    ``multiprocessing.Pool`` never surfaces a SIGKILLed worker: the task it
-    was running simply never completes.  This watch keeps its own handle on
-    every worker ``Process`` the pool spawns (including respawned
-    replacements) and reports each nonzero exit exactly once.  It reads the
-    pool's private ``_pool`` list behind ``getattr`` guards — if a future
-    stdlib drops the attribute, detection degrades to "no crashes observed"
-    rather than breaking.
-    """
-
-    def __init__(self, pool) -> None:
-        self._pool = pool
-        self._seen: Dict[int, object] = {}
-        self._accounted: Set[int] = set()
-        #: Total nonzero worker exits observed so far.
-        self.crashes = 0
-        self.poll()
-
-    def poll(self) -> int:
-        """Newly observed worker deaths since the previous poll."""
-        for proc in getattr(self._pool, "_pool", None) or ():
-            pid = getattr(proc, "pid", None)
-            if pid is not None and pid not in self._seen:
-                self._seen[pid] = proc
-        fresh = 0
-        for pid, proc in self._seen.items():
-            if pid in self._accounted:
-                continue
-            exitcode = getattr(proc, "exitcode", None)
-            if exitcode is None:
-                continue  # still running
-            self._accounted.add(pid)
-            if exitcode != 0:  # clean exits (pool shutdown) are not crashes
-                fresh += 1
-        self.crashes += fresh
-        return fresh
-
-
-# --- worker-mode introspection ------------------------------------------------
-
-_warned_cold_pool = False
 
 
 def _start_method() -> str:
@@ -431,21 +160,35 @@ def _start_method() -> str:
     return method
 
 
-def _warn_cold_pool(start_method: str) -> None:
-    """One-time warning: ``warm_on_fork=True`` cannot engage without fork."""
-    global _warned_cold_pool
-    if _warned_cold_pool:
-        return
-    _warned_cold_pool = True
-    warnings.warn(
-        f"warm_on_fork=True has no effect under the {start_method!r} start "
-        "method: worker pools start cold (workers rebuild the µ-independent "
-        "state in their initializer; learned state still returns through the "
-        "CacheDelta channel).  Check Session.worker_mode() for the effective "
-        "mode.",
-        RuntimeWarning,
-        stacklevel=4,
-    )
+def _harvest(future) -> List[bool]:
+    """One chunk's verdicts, normalising raw worker escapes to ReproError.
+
+    Library exceptions (including :class:`DeadlineExceeded`) pass through
+    unchanged and :class:`BrokenProcessPool` is left to the crash ladder;
+    transport-layer failures (broken pipes, EOF on a dead connection) become
+    :class:`WorkerCrashError`, and anything else a worker raised becomes
+    :class:`EvaluationError` — no raw ``multiprocessing`` exception ever
+    escapes a session entry point.
+    """
+    try:
+        return future.result()
+    except (ReproError, BrokenProcessPool):
+        raise
+    except (OSError, EOFError, multiprocessing.ProcessError) as error:
+        raise WorkerCrashError(
+            f"worker result lost to a transport failure: "
+            f"{type(error).__name__}: {error}"
+        ) from None
+    except Exception as error:
+        raise EvaluationError(
+            f"evaluation worker failed: {type(error).__name__}: {error}"
+        ) from error
+
+
+def _chunked(mappings: Sequence[Mapping], processes: int) -> List[List[Mapping]]:
+    """About four chunks per worker: few messages, and a crash loses little."""
+    size = max(1, len(mappings) // (processes * 4))
+    return [list(mappings[start : start + size]) for start in range(0, len(mappings), size)]
 
 
 class Session:
@@ -455,14 +198,14 @@ class Session:
     (structurally for :class:`~repro.sparql.algebra.GraphPattern` inputs),
     every ``method=`` resolves through the pattern's cost-based
     :class:`~repro.evaluation.plan.Planner` (:meth:`plan` / :meth:`explain`
-    expose the decision per graph), :meth:`check_many` batches membership,
-    :meth:`solutions_many` batches enumeration, and :meth:`solutions_iter`
-    streams batched enumeration results as cells complete.  Parallel entry
-    points warm the µ-independent cache state before forking so workers
-    inherit hot indexes, kernels, homomorphism lists and recorded answer
-    lists.  Every cache/pool/warm feature is answer-preserving, and every
-    pool path recovers from worker crashes (retry once, then serial re-run
-    in the parent) without losing or duplicating answers.
+    expose the decision per graph), :meth:`check_many` / :meth:`check_iter`
+    batch membership, :meth:`solutions_many` batches enumeration, and
+    :meth:`solutions_iter` streams batched enumeration results.  The
+    membership pool warms the µ-independent cache state before forking so
+    workers inherit hot indexes and kernels.  Every cache/pool/warm feature
+    is answer-preserving, and the pool recovers from worker crashes (retry
+    once on a fresh executor, then serial re-run in the parent) without
+    losing or duplicating answers.
 
     **Thread safety.**  One session may be driven from multiple threads —
     the :class:`~repro.service.QueryService` evaluates requests on a
@@ -480,8 +223,9 @@ class Session:
         The shared :class:`~repro.evaluation.cache.EvaluationCache`; a fresh
         one is created when omitted (bounded by *max_entries_per_graph*).
     processes:
-        Default worker-pool size for the batched entry points; ``None`` (or
-        1) keeps everything serial.  Per-call ``processes=`` overrides it.
+        Default worker-pool size of :meth:`check_many` / :meth:`check_iter`;
+        ``None`` (or 1) keeps everything serial.  Per-call ``processes=``
+        overrides it.
     max_entries_per_graph:
         Budget for the implicitly created cache (ignored when *cache* is
         given); see :class:`~repro.evaluation.cache.EvaluationCache`.
@@ -490,30 +234,10 @@ class Session:
         pins on their source patterns) are evicted first.  ``None`` (the
         default) means unbounded — like the cache, prefer a bound for
         long-lived sessions serving a stream of distinct ad-hoc patterns.
-    warm_on_fork:
-        Whether batched parallel membership warms the µ-independent cache
-        state in the parent before forking workers (default ``True``; see
-        :meth:`warm`).  On start methods other than ``fork`` warming cannot
-        engage — the session then emits a one-time :class:`RuntimeWarning`
-        and runs the pool cold (see :meth:`worker_mode`).
-    stream_chunk_size:
-        How many solutions a parallel :meth:`solutions_iter` worker bundles
-        per IPC message (default 16).  Smaller chunks lower the latency to
-        the first solution of a cell; larger chunks lower the queue
-        overhead.  Per-call ``chunk_size=`` overrides it.
-    stream_grace_seconds:
-        How long a pool path waits on a **silent** result channel before
-        acting (default 5.0).  After a worker crash, silence this long
-        triggers serial degradation of the unfinished work (a killed worker
-        can poison the shared task queue, wedging the survivors); without a
-        crash, it is how long the streaming path keeps draining after every
-        worker returned before declaring missing terminal events an error.
-        Liveness-based: any message or crash observation resets the clock,
-        so slow cells are never cut off — only genuinely dead channels.
     faults:
         Test-only :class:`~repro.evaluation.faults.FaultPlan` injecting
-        deterministic worker faults into the pool paths; ``None`` (always,
-        in production) disables injection entirely.
+        deterministic worker faults into the membership pool; ``None``
+        (always, in production) disables injection entirely.
 
     >>> from repro.sparql import parse_pattern
     >>> from repro.rdf import RDFGraph, Triple
@@ -531,31 +255,17 @@ class Session:
         processes: Optional[int] = None,
         max_entries_per_graph: Optional[int] = None,
         max_engines: Optional[int] = None,
-        warm_on_fork: bool = True,
-        stream_chunk_size: int = 16,
-        stream_grace_seconds: float = 5.0,
         faults: Optional[object] = None,
     ) -> None:
         if processes is not None and processes < 1:
             raise EvaluationError("processes must be a positive integer")
         if max_engines is not None and max_engines < 1:
             raise EvaluationError("max_engines must be a positive integer")
-        if stream_chunk_size < 1:
-            raise EvaluationError("stream_chunk_size must be a positive integer")
-        if stream_grace_seconds <= 0:
-            raise EvaluationError("stream_grace_seconds must be positive")
         self._cache = (
             cache if cache is not None else EvaluationCache(max_entries_per_graph)
         )
-        self._context = EvalContext(
-            cache=self._cache,
-            processes=processes,
-            warm_on_fork=warm_on_fork,
-            stream_chunk_size=stream_chunk_size,
-            faults=faults,
-        )
+        self._context = EvalContext(cache=self._cache, processes=processes)
         self._max_engines = max_engines
-        self._stream_grace_seconds = float(stream_grace_seconds)
         self._faults = faults
         # Session-lifetime resilience counters; per-call `statistics=`
         # arguments additionally receive the events of their own call.
@@ -579,7 +289,7 @@ class Session:
 
     @property
     def context(self) -> EvalContext:
-        """The base evaluation context (cache + pool settings)."""
+        """The base evaluation context (cache + pool size)."""
         return self._context
 
     @property
@@ -607,52 +317,37 @@ class Session:
         )
 
     def worker_mode(self, processes: Optional[int] = None) -> str:
-        """The effective worker mode of this session's parallel entry points.
+        """The effective worker mode of the membership pool.
 
         One of ``"serial"`` (no pool would be used), ``"fork-warm"`` (fork
-        start method, workers inherit the warmed parent state),
-        ``"fork-cold"`` (fork, but ``warm_on_fork=False``), or the start
-        method name (``"spawn"`` / ``"forkserver"``) when forking is
-        unavailable — in which case ``warm_on_fork=True`` cannot engage and
-        pools run cold.  This is what the one-time cold-pool warning points
-        at, and what ``batch --stats`` prints.  Once the session has seen
-        resilience events (worker crashes, serial degradations, deadline
-        trips, lost cells) the mode string carries a bracketed summary.
+        start method: workers inherit the warmed parent state), or the start
+        method name (``"spawn"`` / ``"forkserver"``), under which workers
+        start cold.  This is what ``batch --stats`` prints.  Once the
+        session has seen resilience events (worker crashes, serial
+        degradations, deadline trips) the mode string carries a bracketed
+        summary.
         """
         processes = processes if processes is not None else self._context.processes
         if processes is None or processes <= 1:
             mode = "serial"
         else:
             start_method = _start_method()
-            if start_method == "fork":
-                mode = "fork-warm" if self._context.warm_on_fork else "fork-cold"
-            else:
-                mode = start_method
+            mode = "fork-warm" if start_method == "fork" else start_method
         with self._memo_lock:
             s = self._statistics
-            eventful = bool(
-                s.worker_crashes
-                or s.cells_degraded_serial
-                or s.deadline_trips
-                or s.cells_lost
-            )
+            eventful = bool(s.worker_crashes or s.cells_degraded_serial or s.deadline_trips)
             summary = s.resilience_summary() if eventful else ""
         if eventful:
             return f"{mode} [{summary}]"
         return mode
 
     # --- resilience plumbing ------------------------------------------------
-    def _note(
-        self,
-        attr: str,
-        n: int = 1,
-        statistics: Optional[EvaluationStatistics] = None,
-    ) -> None:
+    def _note(self, attr: str, statistics: Optional[EvaluationStatistics]) -> None:
         """Bump a resilience counter on the session (and per-call) stats."""
         with self._memo_lock:
-            setattr(self._statistics, attr, getattr(self._statistics, attr) + n)
+            setattr(self._statistics, attr, getattr(self._statistics, attr) + 1)
         if statistics is not None:
-            setattr(statistics, attr, getattr(statistics, attr) + n)
+            setattr(statistics, attr, getattr(statistics, attr) + 1)
 
     def _trip(
         self, statistics: Optional[EvaluationStatistics], exc: DeadlineExceeded
@@ -666,127 +361,6 @@ class Session:
             statistics.deadline_trips += 1
             if exc.statistics is None:
                 exc.statistics = statistics
-
-    def _armed_faults(self, ctx) -> Optional[object]:
-        """The session's fault plan, armed for *ctx* (``None`` in production)."""
-        if self._faults is None:
-            return None
-        return self._faults.arm(ctx)  # type: ignore[union-attr]
-
-    @staticmethod
-    def _harvest(result):
-        """Unwrap one async result, normalising raw escapes to ReproError.
-
-        Library exceptions (including :class:`DeadlineExceeded`) pass
-        through unchanged; transport-layer failures (broken pipes, EOF on a
-        dead connection) become :class:`WorkerCrashError`; anything else a
-        worker raised becomes :class:`EvaluationError` — no raw
-        ``multiprocessing`` exception ever escapes a session entry point.
-        """
-        try:
-            return result.get()
-        except ReproError:
-            raise
-        except (OSError, EOFError, multiprocessing.ProcessError) as error:
-            raise WorkerCrashError(
-                f"worker result lost to a transport failure: "
-                f"{type(error).__name__}: {error}"
-            ) from None
-        except Exception as error:
-            raise EvaluationError(
-                f"evaluation worker failed: {type(error).__name__}: {error}"
-            ) from error
-
-    def _supervise(
-        self,
-        pool,
-        func,
-        tasks: Sequence[object],
-        serial_fallback,
-        budget: Optional[Budget] = None,
-        statistics: Optional[EvaluationStatistics] = None,
-    ) -> Iterator[Tuple[int, object]]:
-        """Run *tasks* through *pool* with crash detection and bounded retry.
-
-        Every task is submitted individually (``apply_async``) and the
-        pool's worker processes are watched for deaths; recovery follows a
-        three-rung ladder:
-
-        1. healthy pool — results are harvested as they become ready;
-        2. after a crash, every unfinished task is resubmitted once on the
-           surviving/respawned workers (first completion wins, so a task
-           that was healthy all along is never answered twice);
-        3. a task whose retry is also lost — or any task still unfinished
-           once post-crash silence outlasts ``stream_grace_seconds`` (a
-           killed worker can die holding the shared task-queue lock and
-           wedge the survivors) — is re-run serially in the parent through
-           *serial_fallback*.
-
-        Yields ``(position, value)`` exactly once per task, in completion
-        order.  A *budget* is checked between sweeps, so a deadline fires
-        promptly even while the pool is quiet.
-        """
-        watch = _PoolWatch(pool)
-        pending: Dict[int, List[object]] = {}
-        attempts: Dict[int, int] = {}
-
-        def submit(position: int) -> bool:
-            try:
-                pending.setdefault(position, []).append(
-                    pool.apply_async(func, (tasks[position],))
-                )
-                return True
-            except Exception:  # pool already broken/closed: degrade
-                return False
-
-        def degrade(position: int) -> Tuple[int, object]:
-            pending.pop(position, None)
-            self._note("cells_degraded_serial", statistics=statistics)
-            return position, serial_fallback(position)
-
-        for position in range(len(tasks)):
-            attempts[position] = 1
-            if not submit(position):
-                yield degrade(position)
-        last_progress = monotonic()
-        while pending:
-            if budget is not None:
-                budget.check()  # raises DeadlineExceeded; pool exits with us
-            progressed = False
-            for position in sorted(pending):
-                value, completed = None, False
-                for result in pending[position]:
-                    if result.ready():
-                        value = self._harvest(result)
-                        completed = True
-                        break
-                if completed:
-                    del pending[position]
-                    progressed = True
-                    last_progress = monotonic()
-                    yield position, value
-            if not pending:
-                break
-            fresh = watch.poll()
-            if fresh:
-                self._note("worker_crashes", fresh, statistics)
-                last_progress = monotonic()
-                sleep(_CRASH_BACKOFF_SECONDS)
-                # The dying worker's in-flight task is unknowable from the
-                # outside, so resubmit *all* unfinished tasks; duplicates
-                # are harmless (first completion wins) and the common case
-                # is a handful of stragglers.
-                for position in sorted(pending):
-                    attempts[position] += 1
-                    if attempts[position] > _MAX_TASK_ATTEMPTS or not submit(position):
-                        yield degrade(position)
-            elif watch.crashes and monotonic() - last_progress >= self._stream_grace_seconds:
-                # Post-crash stall: the retry never surfaced either (e.g. a
-                # poisoned task queue).  Stop waiting on the pool entirely.
-                for position in sorted(pending):
-                    yield degrade(position)
-            if pending and not progressed:
-                sleep(0.005)
 
     # --- engines -----------------------------------------------------------
     def engine(self, pattern: PatternLike, width_bound: Optional[int] = None) -> Engine:
@@ -902,6 +476,20 @@ class Session:
             self._trip(statistics, exc)
             raise
 
+    def _pool_size(
+        self, processes: Optional[int], unique: Sequence[Mapping], plan: Plan
+    ) -> int:
+        """How many workers a batch of *unique* mappings runs on (0 = serial)."""
+        processes = processes if processes is not None else self._context.processes
+        if (
+            processes is None
+            or processes <= 1
+            or len(unique) <= 1
+            or not plan.strategy_obj.parallel_safe
+        ):
+            return 0
+        return min(processes, len(unique))
+
     def check_many(
         self,
         pattern: PatternLike,
@@ -920,11 +508,12 @@ class Session:
         :meth:`Engine.contains` calls would, but sharing the cache across
         instances, deduplicating repeated mappings, resolving the method
         once per batch, and — when *processes* (or the session default) asks
-        for it — fanning the instances out over a worker pool.  The pool is
-        crash-tolerant: tasks of a killed worker are retried once and then
-        re-run serially in the parent (events are counted on *statistics*
-        and on :attr:`statistics`).  ``deadline``/``budget`` bound the whole
-        batch, parent and workers alike; a violation raises
+        for it — deciding chunks of the instances on worker processes.  The
+        pool is crash-tolerant: chunks lost to a dead worker are retried
+        once on a fresh executor and then re-run serially in the parent
+        (events are counted on *statistics* and on :attr:`statistics`).
+        ``deadline``/``budget`` bound the whole batch, parent and workers
+        alike; a violation raises
         :class:`~repro.exceptions.DeadlineExceeded`.
 
         The algorithmic counters of *statistics* (trees visited, child
@@ -937,47 +526,30 @@ class Session:
             return []
         run_budget = budget_from(deadline, budget)
         plan = engine.plan(method, width, graph=graph)
-        strategy = plan.strategy_obj
-        unique: List[Mapping] = []
-        seen: Set[Mapping] = set()
-        for mu in mappings:
-            if mu not in seen:
-                seen.add(mu)
-                unique.append(mu)
-
-        processes = processes if processes is not None else self._context.processes
+        unique = list(dict.fromkeys(mappings))
+        workers = self._pool_size(processes, unique, plan)
         try:
             if run_budget is not None:
                 run_budget.check()  # pre-expired budgets trip up front
-            if (
-                processes is not None
-                and processes > 1
-                and len(unique) > 1
-                and strategy.parallel_safe
-            ):
-                answers = dict(
-                    zip(
-                        unique,
-                        self._parallel_contains(
-                            engine, graph, unique, plan, processes, run_budget, statistics
-                        ),
-                    )
+            if workers:
+                chunks = _chunked(unique, workers)
+                landed = dict(
+                    self._pool_map(engine, graph, plan, chunks, workers, run_budget, statistics)
                 )
+                verdicts = [
+                    answer for position in range(len(chunks)) for answer in landed[position]
+                ]
             else:
                 context = self._context.with_statistics(statistics).with_budget(
                     run_budget
                 )
-                answers = dict(
-                    zip(
-                        unique,
-                        strategy.contains_many(
-                            engine.pattern, engine.forest, graph, unique, plan, context
-                        ),
-                    )
+                verdicts = plan.strategy_obj.contains_many(
+                    engine.pattern, engine.forest, graph, unique, plan, context
                 )
         except DeadlineExceeded as exc:
             self._trip(statistics, exc)
             raise
+        answers = dict(zip(unique, verdicts))
         return [answers[mu] for mu in mappings]
 
     def check_iter(
@@ -999,9 +571,9 @@ class Session:
         decided, instead of blocking until the whole batch is done (what
         ``batch --stream`` prints).  Repeated mappings replay their first
         verdict.  With *processes* (or the session default) the distinct
-        mappings fan out over the same crash-tolerant worker pool as
-        :meth:`check_many` and the workers' learned state is absorbed back
-        into the session cache; the algorithmic *statistics* counters are
+        mappings are decided in chunks by the same crash-tolerant pool as
+        :meth:`check_many`, and each input mapping's verdict is released as
+        soon as its chunk lands; the algorithmic *statistics* counters are
         only accumulated on the serial path.  ``deadline``/``budget`` bound
         the whole stream and raise
         :class:`~repro.exceptions.DeadlineExceeded` mid-iteration.
@@ -1012,28 +584,23 @@ class Session:
             return
         run_budget = budget_from(deadline, budget)
         plan = engine.plan(method, width, graph=graph)
-        strategy = plan.strategy_obj
-        unique: List[Mapping] = []
-        seen: Set[Mapping] = set()
-        for mu in mappings:
-            if mu not in seen:
-                seen.add(mu)
-                unique.append(mu)
-        processes = processes if processes is not None else self._context.processes
+        unique = list(dict.fromkeys(mappings))
+        workers = self._pool_size(processes, unique, plan)
+        known: Dict[Mapping, bool] = {}
         try:
             if run_budget is not None:
                 run_budget.check()  # pre-expired budgets trip up front
-            if (
-                processes is not None
-                and processes > 1
-                and len(unique) > 1
-                and strategy.parallel_safe
-            ):
-                yield from self._parallel_check_iter(
-                    engine, graph, mappings, unique, plan, processes, run_budget, statistics
-                )
+            if workers:
+                chunks = _chunked(unique, workers)
+                with closing(
+                    self._pool_map(engine, graph, plan, chunks, workers, run_budget, statistics)
+                ) as landed:
+                    for mu in mappings:
+                        while mu not in known:
+                            position, verdicts = next(landed)
+                            known.update(zip(chunks[position], verdicts))
+                        yield known[mu]
                 return
-            known: Dict[Mapping, bool] = {}
             for mu in mappings:
                 if mu not in known:
                     known[mu] = engine.contains(
@@ -1049,79 +616,35 @@ class Session:
             self._trip(statistics, exc)
             raise
 
-    def _parallel_check_iter(
+    def _pool_map(
         self,
         engine: Engine,
         graph: RDFGraph,
-        mappings: Sequence[Mapping],
-        unique: Sequence[Mapping],
         plan: Plan,
-        processes: int,
+        chunks: Sequence[List[Mapping]],
+        workers: int,
         budget: Optional[Budget] = None,
         statistics: Optional[EvaluationStatistics] = None,
-    ) -> Iterator[bool]:
-        """Fan distinct mappings out and yield verdicts in input order.
+    ) -> Iterator[Tuple[int, List[bool]]]:
+        """Decide *chunks* on worker processes, yielding ``(position,
+        verdicts)`` exactly once per chunk, in completion order.
 
-        Tasks are supervised individually (see :meth:`_supervise`), so a
-        crashed worker costs one retry — or, at worst, a serial re-check in
-        the parent — never a hung iterator; the k-th input mapping's verdict
-        is released as soon as its distinct instance is decided.
+        The crash ladder has three rungs:
+
+        1. verdicts are harvested as chunks land;
+        2. a dead worker breaks the executor — every chunk still in flight
+           fails with :class:`BrokenProcessPool` — and the chunks without
+           verdicts are resubmitted once on a fresh executor;
+        3. whatever that executor loses too is re-run serially in the
+           parent.
+
+        A *budget* bounds every wait, so a deadline fires while the pool is
+        busy; the executor then cancels its queued chunks, and the running
+        ones trip their own copy of the budget.
         """
-        processes = min(processes, len(unique))
-        ctx, warm_engine = self._membership_pool_setup(engine, graph, plan)
-        faults = self._armed_faults(ctx)
-        trees = list(engine.forest)
-        tasks: List[Tuple[int, Mapping]] = list(enumerate(unique))
-        index_of = {mu: position for position, mu in tasks}
-
-        def fallback(position: int):
-            return (
-                engine.contains(
-                    graph,
-                    unique[position],
-                    method=plan.strategy,
-                    width=plan.width,
-                    budget=budget,
-                ),
-                None,
-            )
-
-        with ctx.Pool(
-            processes,
-            initializer=_init_worker,
-            initargs=(
-                engine.forest,
-                engine.width_bound,
-                graph,
-                plan.strategy,
-                plan.width,
-                warm_engine,
-                graph.version,
-                budget,
-                faults,
-            ),
-        ) as pool:
-            supervised = self._supervise(
-                pool, _worker_contains, tasks, fallback, budget, statistics
-            )
-            verdicts: Dict[int, bool] = {}
-            for mu in mappings:
-                wanted = index_of[mu]
-                while wanted not in verdicts:
-                    position, (answer, delta) = next(supervised)
-                    if delta is not None:
-                        self._cache.absorb(delta, [graph], trees)
-                    verdicts[position] = answer
-                yield verdicts[wanted]
-
-    def _membership_pool_setup(
-        self, engine: Engine, graph: RDFGraph, plan: Plan
-    ) -> Tuple[object, Optional[Engine]]:
-        """Warm (or warn) before a membership pool; returns (ctx, warm_engine)."""
         ctx = multiprocessing.get_context()
         warm_engine: Optional[Engine] = None
-        start_method = _start_method()
-        if start_method == "fork" and self._context.warm_on_fork:
+        if _start_method() == "fork":
             # Build the µ-independent state once in the parent so the workers
             # fork with warm kernels/indexes instead of rebuilding them.  No
             # mappings here on purpose: per-mapping witness-subtree lookups
@@ -1129,68 +652,65 @@ class Session:
             # parallel against the copy-on-write shared kernels.
             plan.strategy_obj.warm(engine.forest, graph, plan, self._cache)
             warm_engine = engine
-        elif self._context.warm_on_fork:
-            _warn_cold_pool(start_method)
-        return ctx, warm_engine
-
-    def _parallel_contains(
-        self,
-        engine: Engine,
-        graph: RDFGraph,
-        mappings: Sequence[Mapping],
-        plan: Plan,
-        processes: int,
-        budget: Optional[Budget] = None,
-        statistics: Optional[EvaluationStatistics] = None,
-    ) -> List[bool]:
-        processes = min(processes, len(mappings))
-        chunksize = max(1, len(mappings) // (processes * 4))
-        chunks = [
-            list(mappings[start : start + chunksize])
-            for start in range(0, len(mappings), chunksize)
-        ]
-        ctx, warm_engine = self._membership_pool_setup(engine, graph, plan)
-        faults = self._armed_faults(ctx)
-        trees = list(engine.forest)
-        tasks: List[Tuple[int, List[Mapping]]] = list(enumerate(chunks))
-
-        def fallback(position: int):
-            return (
-                [
-                    engine.contains(
-                        graph, mu, method=plan.strategy, width=plan.width, budget=budget
-                    )
-                    for mu in chunks[position]
-                ],
-                None,
+        faults = None if self._faults is None else self._faults.arm(ctx)  # type: ignore[attr-defined]
+        initargs = (
+            engine.forest,
+            engine.width_bound,
+            graph,
+            plan.strategy,
+            plan.width,
+            warm_engine,
+            budget,
+            faults,
+        )
+        unfinished = list(range(len(chunks)))
+        for _attempt in range(_MAX_POOL_ATTEMPTS):
+            if not unfinished:
+                return
+            lost: List[int] = []
+            executor = ProcessPoolExecutor(
+                min(workers, len(unfinished)),
+                mp_context=ctx,
+                initializer=_init_worker,
+                initargs=initargs,
             )
-
-        collected: Dict[int, List[bool]] = {}
-        with ctx.Pool(
-            processes,
-            initializer=_init_worker,
-            initargs=(
-                engine.forest,
-                engine.width_bound,
-                graph,
-                plan.strategy,
-                plan.width,
-                warm_engine,
-                graph.version,
-                budget,
-                faults,
-            ),
-        ) as pool:
-            for position, (chunk_answers, delta) in self._supervise(
-                pool, _worker_contains_chunk, tasks, fallback, budget, statistics
-            ):
-                if delta is not None:
-                    self._cache.absorb(delta, [graph], trees)
-                collected[position] = chunk_answers
-        answers: List[bool] = []
-        for position in range(len(chunks)):
-            answers.extend(collected[position])
-        return answers
+            try:
+                futures = {}
+                for position in unfinished:
+                    task = (position, chunks[position])
+                    try:
+                        future = executor.submit(_worker_contains_chunk, task)
+                    except BrokenProcessPool:  # a worker died while we submitted
+                        lost.append(position)
+                    else:
+                        futures[future] = position
+                pending = set(futures)
+                while pending:
+                    done, pending = wait(
+                        pending,
+                        timeout=None if budget is None else budget.remaining(),
+                        return_when=FIRST_COMPLETED,
+                    )
+                    if budget is not None:
+                        budget.check()
+                    for future in done:
+                        try:
+                            verdicts = _harvest(future)
+                        except BrokenProcessPool:
+                            lost.append(futures[future])
+                            continue
+                        yield futures[future], verdicts
+            finally:
+                executor.shutdown(wait=True, cancel_futures=True)
+            if lost:
+                self._note("worker_crashes", statistics)
+            unfinished = sorted(lost)
+        for position in unfinished:
+            self._note("cells_degraded_serial", statistics)
+            yield position, [
+                engine.contains(graph, mu, method=plan.strategy, width=plan.width, budget=budget)
+                for mu in chunks[position]
+            ]
 
     def warm(
         self,
@@ -1287,413 +807,11 @@ class Session:
                     order.append((engine, graph, key))
         return order
 
-    def _cached_cell_answers(
-        self, engine: Engine, graph: RDFGraph
-    ) -> Optional[Set[Mapping]]:
-        """The cell's full answer set if the parent cache can replay it.
-
-        A cell replays when every tree of the forest has a recorded complete
-        answer list (``⟦T⟧G``) for the current graph version — recorded by an
-        earlier serial run or absorbed from a worker's
-        :class:`~repro.evaluation.cache.CacheDelta`.  Returns ``None`` when
-        any tree is missing; the recorded lists are answer-identical to a
-        fresh enumeration by construction, so replaying is method-independent.
-        """
-        answers: Set[Mapping] = set()
-        for tree in engine.forest:
-            replay = self._cache.tree_solution_list(tree, graph)
-            if replay is None:
-                return None
-            answers.update(replay)
-        return answers
-
-    def _partition_replayable(
-        self, order: Sequence[Tuple[Engine, RDFGraph, Tuple[int, int]]]
-    ) -> Tuple[
-        List[Tuple[Tuple[int, int], Set[Mapping]]],
-        List[Tuple[Engine, RDFGraph, Tuple[int, int]]],
-    ]:
-        """Split cells into (replayed-from-cache, still-to-compute)."""
-        replayed: List[Tuple[Tuple[int, int], Set[Mapping]]] = []
-        pending: List[Tuple[Engine, RDFGraph, Tuple[int, int]]] = []
-        for engine, graph, key in order:
-            cached = self._cached_cell_answers(engine, graph)
-            if cached is not None:
-                replayed.append((key, cached))
-            else:
-                pending.append((engine, graph, key))
-        return replayed, pending
-
-    def _enum_pool_setup(
-        self,
-        pending: Sequence[Tuple[Engine, RDFGraph, Tuple[int, int]]],
-        method: str,
-    ) -> Tuple[
-        object,
-        Optional["Session"],
-        List[WDPatternForest],
-        List[RDFGraph],
-        List[Tuple[int, int, int]],
-    ]:
-        """Shared pool preamble: dedup ship lists, tasks, warm-or-warn.
-
-        Returns ``(ctx, warm_session, forests, graphs, tasks)`` where tasks
-        are ``(position, forest_slot, graph_slot)`` triples indexing into
-        *pending* and the ship lists.
-        """
-        forests: List[WDPatternForest] = []
-        forest_index: Dict[int, int] = {}
-        graphs: List[RDFGraph] = []
-        graph_index: Dict[int, int] = {}
-        tasks: List[Tuple[int, int, int]] = []
-        for position, (engine, graph, _key) in enumerate(pending):
-            fi = forest_index.get(id(engine.forest))
-            if fi is None:
-                fi = forest_index[id(engine.forest)] = len(forests)
-                forests.append(engine.forest)
-            gi = graph_index.get(id(graph))
-            if gi is None:
-                gi = graph_index[id(graph)] = len(graphs)
-                graphs.append(graph)
-            tasks.append((position, fi, gi))
-        ctx = multiprocessing.get_context()
-        warm_session: Optional["Session"] = None
-        start_method = _start_method()
-        if start_method == "fork" and self._context.warm_on_fork:
-            # Warm the µ-independent state (target indexes, graph domains)
-            # in the parent; forked workers inherit it — together with every
-            # homomorphism list and child test this session has already
-            # memoized — as copy-on-write shared memory.
-            for engine, graph, _key in pending:
-                plan = engine.planner.plan_enumeration(method, graph=graph)
-                plan.strategy_obj.warm(engine.forest, graph, plan, self._cache)
-            warm_session = self
-        elif self._context.warm_on_fork:
-            _warn_cold_pool(start_method)
-        return ctx, warm_session, forests, graphs, tasks
-
-    def _enumerate_distinct(
-        self,
-        order: Sequence[Tuple[Engine, RDFGraph, Tuple[int, int]]],
-        method: str,
-        processes: Optional[int],
-        budget: Optional[Budget] = None,
-        statistics: Optional[EvaluationStatistics] = None,
-    ) -> Iterator[Tuple[Tuple[int, int], Set[Mapping]]]:
-        """Enumerate every distinct cell, yielding ``(key, answers)`` pairs.
-
-        Serial (``processes`` unset or 1) cells are evaluated lazily in
-        submission order through the session cache.  With a pool, cells the
-        parent cache can already answer completely are **replayed first
-        without touching the pool** (this is what makes a repeated parallel
-        batch cheap); the remaining cells fan out to supervised enumeration
-        workers (crash ladder: retry once, then serial re-run in the
-        parent) and are yielded as they complete.  On the ``fork`` start
-        method the parent first warms the µ-independent state of every
-        pending cell (respecting ``warm_on_fork``) and workers inherit the
-        live session, so they replay memoized searches instead of
-        rebuilding caches from scratch; every worker ships its learned
-        state back as a :class:`~repro.evaluation.cache.CacheDelta` which
-        the parent absorbs before yielding the cell.
-        """
-        processes = processes if processes is not None else self._context.processes
-        if processes is None or processes <= 1 or len(order) <= 1:
-            for engine, graph, key in order:
-                yield key, self._cell_solutions(engine, graph, method, budget)
-            return
-        # Validate the method once in the parent, *before* the replay
-        # short-circuit (a warm session must reject e.g. "pebble" exactly
-        # like a cold one); workers re-resolve per cell so the cost model
-        # can still pick naive vs natural per (pattern, graph).
-        Planner().plan_enumeration(method)
-        replayed, pending = self._partition_replayable(order)
-        yield from replayed
-        if not pending:
-            return
-        ctx, warm_session, forests, graphs, tasks = self._enum_pool_setup(
-            pending, method
-        )
-        workers = min(processes, len(pending))
-        parent_versions = [graph.version for graph in graphs]
-        trees = [tree for forest in forests for tree in forest]
-        faults = self._armed_faults(ctx)
-
-        def fallback(position: int):
-            engine, graph, _key = pending[position]
-            return self._cell_solutions(engine, graph, method, budget), None
-
-        with ctx.Pool(
-            workers,
-            initializer=_init_enum_worker,
-            initargs=(
-                forests,
-                graphs,
-                method,
-                warm_session,
-                parent_versions,
-                None,
-                1,
-                budget,
-                faults,
-            ),
-        ) as pool:
-            for position, (answers, delta) in self._supervise(
-                pool, _enum_worker_cell, tasks, fallback, budget, statistics
-            ):
-                if delta is not None:
-                    self._cache.absorb(delta, graphs, trees)
-                yield pending[position][2], answers
-
-    def _stream_timeout_report(
-        self,
-        budget: Optional[Budget],
-        cells_done: int,
-        outstanding: Set[int],
-        solutions_yielded: int,
-        statistics: Optional[EvaluationStatistics],
-    ) -> TimeoutReport:
-        """The terminal report a deadline-tripped streaming batch yields."""
-        elapsed, allowance = 0.0, None
-        if budget is not None:
-            elapsed = budget.elapsed()
-            if budget.expires_at is not None:
-                allowance = budget.expires_at - budget.started_at
-        return TimeoutReport(
-            elapsed=elapsed,
-            deadline=allowance,
-            cells_done=cells_done,
-            cells_pending=len(outstanding),
-            solutions_yielded=solutions_yielded,
-            statistics=statistics,
-            pending=tuple(f"cell #{position}" for position in sorted(outstanding)),
-        )
-
-    def _stream_distinct(
-        self,
-        order: Sequence[Tuple[Engine, RDFGraph, Tuple[int, int]]],
-        method: str,
-        processes: int,
-        chunk_size: int,
-        budget: Optional[Budget] = None,
-        statistics: Optional[EvaluationStatistics] = None,
-    ) -> Iterator[Tuple[str, Optional[Tuple[int, int]], object]]:
-        """Stream every distinct cell as ``("chunk"|"done", key, mappings)``.
-
-        The true cross-process streaming core of :meth:`solutions_iter`:
-        replayable cells are emitted straight from the parent cache, the
-        rest fan out to a pool whose workers push fixed-size solution
-        chunks over a **bounded** IPC queue (slow consumers backpressure
-        the workers) and finish each cell with a ``done`` message carrying
-        the worker's :class:`~repro.evaluation.cache.CacheDelta`.  A
-        ``chunk`` event carries newly arrived solutions of the cell; the
-        closing ``done`` event carries no payload — every solution has
-        already been emitted through the cell's chunks, and consumers that
-        need a cell's complete list accumulate those.
-
-        **Every submitted cell produces exactly one terminal event.**  The
-        drain is liveness-based (any message or crash observation resets a
-        ``stream_grace_seconds`` clock; there is no fixed overall grace):
-
-        * a worker crash followed by a silent queue degrades every
-          unfinished cell to a serial re-run in the parent, emitting only
-          the solutions that had not already been streamed (so answers are
-          neither lost nor duplicated) and closing each cell with its
-          ``done``;
-        * a tripped *budget* emits one terminal ``("timeout", None,
-          TimeoutReport)`` event and stops;
-        * workers that all returned while cells still lack their terminal
-          event — the silent-loss case — are reported as a clear
-          :class:`~repro.exceptions.EvaluationError` with the shortfall
-          counted in ``cells_lost``, never swallowed.
-        """
-        # Same up-front validation as _enumerate_distinct: a warm session
-        # whose every cell replays must still reject invalid methods.
-        Planner().plan_enumeration(method)
-        replayed, pending = self._partition_replayable(order)
-        for key, answers in replayed:
-            yield ("chunk", key, list(answers))
-            yield ("done", key, [])
-        if not pending:
-            return
-        ctx, warm_session, forests, graphs, tasks = self._enum_pool_setup(
-            pending, method
-        )
-        workers = min(processes, len(pending))
-        parent_versions = [graph.version for graph in graphs]
-        trees = [tree for forest in forests for tree in forest]
-        faults = self._armed_faults(ctx)
-        try:
-            # Bounded: workers block once the parent falls this many chunks
-            # behind, instead of buffering whole cells in the pipe.
-            queue = ctx.Queue(maxsize=max(4, 2 * workers))
-        except (ImportError, OSError) as error:  # pragma: no cover - platform
-            raise EvaluationError(
-                "cross-process streaming needs multiprocessing queues, which "
-                f"are unavailable on this platform ({error}); run "
-                "solutions_iter serially (processes=None) instead"
-            ) from error
-        grace = self._stream_grace_seconds
-        #: Per-position solutions already handed to the consumer — the dedup
-        #: ledger that makes serial degradation emit each answer exactly once.
-        emitted: Dict[int, Set[Mapping]] = {
-            position: set() for position, _fi, _gi in tasks
-        }
-        cells_done = len(replayed)
-        solutions_yielded = 0
-        with ctx.Pool(
-            workers,
-            initializer=_init_enum_worker,
-            initargs=(
-                forests,
-                graphs,
-                method,
-                warm_session,
-                parent_versions,
-                queue,
-                chunk_size,
-                budget,
-                faults,
-            ),
-        ) as pool:
-            results = [
-                pool.apply_async(_enum_stream_worker_cell, (task,)) for task in tasks
-            ]
-            watch = _PoolWatch(pool)
-            outstanding = {position for position, _fi, _gi in tasks}
-            last_event = monotonic()
-            degraded = False
-            while outstanding:
-                if budget is not None and budget.expired():
-                    self._note("deadline_trips", statistics=statistics)
-                    yield (
-                        "timeout",
-                        None,
-                        self._stream_timeout_report(
-                            budget, cells_done, outstanding, solutions_yielded, statistics
-                        ),
-                    )
-                    return
-                fresh = watch.poll()
-                if fresh:
-                    self._note("worker_crashes", fresh, statistics)
-                    last_event = monotonic()  # grace counts from the crash
-                try:
-                    message = queue.get(timeout=0.05)
-                except Empty:
-                    message = None
-                except (OSError, ValueError, EOFError) as error:
-                    raise WorkerCrashError(
-                        f"streaming result queue failed mid-batch: "
-                        f"{type(error).__name__}: {error}"
-                    ) from None
-                if message is None:
-                    quiet = monotonic() - last_event
-                    if watch.crashes and quiet >= grace:
-                        # A worker died and the queue has gone silent: the
-                        # missing terminal events will never arrive (a killed
-                        # worker can even poison the shared task queue and
-                        # wedge the survivors).  Stop reading and degrade.
-                        degraded = True
-                        break
-                    if not watch.crashes and quiet >= grace and all(
-                        result.ready() for result in results
-                    ):
-                        # Every worker returned cleanly, nothing in flight,
-                        # yet cells lack their terminal event: silent loss.
-                        for result in results:
-                            self._harvest(result)  # surface hidden failures
-                        self._note("cells_lost", len(outstanding), statistics)
-                        raise EvaluationError(
-                            f"streaming enumeration lost {len(outstanding)} "
-                            f"cell(s): all workers exited but no terminal "
-                            f"event arrived for position(s) "
-                            f"{sorted(outstanding)} within "
-                            f"{grace:.1f}s of queue silence"
-                        )
-                    continue
-                last_event = monotonic()
-                tag, position = message[0], message[1]
-                if tag == "deadline":
-                    self._note("deadline_trips", statistics=statistics)
-                    yield (
-                        "timeout",
-                        None,
-                        self._stream_timeout_report(
-                            budget, cells_done, outstanding, solutions_yielded, statistics
-                        ),
-                    )
-                    return
-                key = pending[position][2]
-                if tag == "chunk":
-                    fresh_solutions = [
-                        mu for mu in message[2] if mu not in emitted[position]
-                    ]
-                    if fresh_solutions:
-                        emitted[position].update(fresh_solutions)
-                        solutions_yielded += len(fresh_solutions)
-                        yield ("chunk", key, fresh_solutions)
-                elif tag == "done":
-                    if position not in outstanding:
-                        continue  # duplicate terminal (already degraded/served)
-                    tail, delta = message[2], message[3]
-                    if delta is not None:
-                        self._cache.absorb(delta, graphs, trees)
-                    outstanding.discard(position)
-                    cells_done += 1
-                    fresh_solutions = [
-                        mu for mu in tail if mu not in emitted[position]
-                    ]
-                    if fresh_solutions:
-                        emitted[position].update(fresh_solutions)
-                        solutions_yielded += len(fresh_solutions)
-                        yield ("chunk", key, fresh_solutions)
-                    yield ("done", key, [])
-                else:  # "error"
-                    raise EvaluationError(
-                        f"enumeration worker failed: {message[2]}"
-                    )
-            if degraded and outstanding:
-                # Serial degradation: re-run every unfinished cell in the
-                # parent.  The queue is never read again (messages from
-                # surviving workers are deliberately dropped) — the parent's
-                # own enumeration is a superset, and the `emitted` ledger
-                # filters what the consumer already received, so each
-                # solution is delivered exactly once.
-                self._note("cells_degraded_serial", len(outstanding), statistics)
-                for position in sorted(outstanding):
-                    engine, graph, key = pending[position]
-                    try:
-                        answers = self._cell_solutions(engine, graph, method, budget)
-                    except DeadlineExceeded:
-                        self._note("deadline_trips", statistics=statistics)
-                        yield (
-                            "timeout",
-                            None,
-                            self._stream_timeout_report(
-                                budget,
-                                cells_done,
-                                outstanding,
-                                solutions_yielded,
-                                statistics,
-                            ),
-                        )
-                        return
-                    outstanding.discard(position)
-                    cells_done += 1
-                    fresh_solutions = [
-                        mu for mu in answers if mu not in emitted[position]
-                    ]
-                    if fresh_solutions:
-                        solutions_yielded += len(fresh_solutions)
-                        yield ("chunk", key, fresh_solutions)
-                    yield ("done", key, [])
-
     def solutions_many(
         self,
         patterns: Sequence[PatternLike],
         graphs: Union[RDFGraph, Sequence[RDFGraph]],
         method: str = "auto",
-        processes: Optional[int] = None,
         deadline: Optional[float] = None,
         budget: Optional[Budget] = None,
         statistics: Optional[EvaluationStatistics] = None,
@@ -1705,27 +823,24 @@ class Session:
         with one row per pattern and one column per graph.  Duplicate cells
         — repeated patterns (structurally, for
         :class:`~repro.sparql.algebra.GraphPattern` inputs) or repeated
-        graphs — are enumerated **once** and fanned back out, all cells
-        share the session cache, and *processes* (or the session default)
-        enumerates distinct cells in parallel (with warm worker forks and
-        the crash-recovery ladder of :meth:`solutions_iter`).  Answer sets
-        are guaranteed identical to per-pattern :meth:`Engine.solutions
-        <repro.evaluation.engine.Engine.solutions>` calls — including
-        across worker crashes, which cost a retry or a serial re-run, never
-        an answer.  ``deadline``/``budget`` bound the whole batch and raise
-        :class:`~repro.exceptions.DeadlineExceeded`; resilience events are
-        counted on *statistics* and on :attr:`statistics`.  For results as
-        they complete, use :meth:`solutions_iter`.
+        graphs — are enumerated **once** and fanned back out, and all cells
+        share the session cache.  Answer sets are guaranteed identical to
+        per-pattern :meth:`Engine.solutions
+        <repro.evaluation.engine.Engine.solutions>` calls.
+        ``deadline``/``budget`` bound the whole batch and raise
+        :class:`~repro.exceptions.DeadlineExceeded` (counted on *statistics*
+        and on :attr:`statistics`).  For results as they are discovered,
+        use :meth:`solutions_iter`.
         """
         single = isinstance(graphs, RDFGraph)
         graph_list: List[RDFGraph] = [graphs] if single else list(graphs)
         engines = [self.engine(pattern) for pattern in patterns]
         run_budget = budget_from(deadline, budget)
-        order = self._distinct_cells(engines, graph_list)
         try:
-            distinct: Dict[Tuple[int, int], Set[Mapping]] = dict(
-                self._enumerate_distinct(order, method, processes, run_budget, statistics)
-            )
+            distinct: Dict[Tuple[int, int], Set[Mapping]] = {
+                key: self._cell_solutions(engine, graph, method, run_budget)
+                for engine, graph, key in self._distinct_cells(engines, graph_list)
+            }
         except DeadlineExceeded as exc:
             self._trip(statistics, exc)
             raise
@@ -1756,8 +871,6 @@ class Session:
         graphs: Union[RDFGraph, Sequence[RDFGraph]],
         method: str = "auto",
         order: str = "submitted",
-        processes: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         deadline: Optional[float] = None,
         budget: Optional[Budget] = None,
         statistics: Optional[EvaluationStatistics] = None,
@@ -1767,27 +880,16 @@ class Session:
         Yields ``((pattern_index, graph_index), mapping)`` pairs covering
         exactly the same answer sets as :meth:`solutions_many` over the same
         inputs, but incrementally — consumers see the first solutions while
-        later cells are still being evaluated, instead of waiting for the
-        whole batch.  *graphs* may be a single graph (all cells then have
+        later cells are still unevaluated, instead of waiting for the whole
+        batch.  *graphs* may be a single graph (all cells then have
         ``graph_index == 0``) or a sequence.
 
-        ``order="submitted"`` (the default) yields cells in input order —
-        row by row, every solution of a cell before the next cell.  The
-        cell at the front streams truly incrementally: serially its first
-        occurrence is consumed lazily from :meth:`solutions_stream`; with a
-        pool its solutions arrive in fixed-size chunks (*chunk_size*, the
-        session's ``stream_chunk_size`` by default) over a bounded IPC
-        queue **while the worker is still enumerating the cell**.
-        ``order="completed"`` relaxes cell ordering entirely: chunks are
-        yielded in arrival order, interleaving cells, which keeps the
-        consumer busy while slow cells are still running (duplicate
-        positions of a cell are emitted together per chunk, in submission
-        order).  Parallel runs use the same warm-fork worker path and
-        :class:`~repro.evaluation.cache.CacheDelta` return channel as
-        :meth:`solutions_many`, so repeated batches replay from the parent
-        cache — and the same crash-recovery ladder, so a killed worker
-        costs a retry or a serial re-run, never a hung consumer or a
-        missing solution.
+        Cells are evaluated in input order, row by row, every solution of a
+        cell before the next cell: the first occurrence of a cell is
+        consumed lazily from :meth:`solutions_stream`, and repeated cells
+        replay the recorded answers.  Cells therefore also complete in
+        submission order, so ``order="submitted"`` (the default) and
+        ``order="completed"`` yield the same stream.
 
         With a ``deadline``/``budget``, the stream yields whatever it
         discovered in time and then **exactly one terminal**
@@ -1799,8 +901,6 @@ class Session:
             raise EvaluationError(
                 f"order must be 'submitted' or 'completed', got {order!r}"
             )
-        if chunk_size is not None and chunk_size < 1:
-            raise EvaluationError("chunk_size must be a positive integer")
         single = isinstance(graphs, RDFGraph)
         graph_list: List[RDFGraph] = [graphs] if single else list(graphs)
         engines = [self.engine(pattern) for pattern in patterns]
@@ -1813,113 +913,44 @@ class Session:
         uses: Dict[Tuple[int, int], int] = {}
         for _cell, key in cells:
             uses[key] = uses.get(key, 0) + 1
-        distinct = self._distinct_cells(engines, graph_list)
-
-        processes = processes if processes is not None else self._context.processes
-        serial = processes is None or processes <= 1 or len(distinct) <= 1
-        if serial:
-            # True per-solution streaming: the first occurrence of each cell
-            # is consumed lazily; repeats replay the recorded answers.
-            by_key = {key: (engine, graph) for engine, graph, key in distinct}
-            done: Dict[Tuple[int, int], Set[Mapping]] = {}
-            cells_done = 0
-            solutions_yielded = 0
-            try:
-                for cell, key in cells:
-                    if key in done:
-                        for mu in done[key]:
-                            yield cell, mu
-                            solutions_yielded += 1
-                        cells_done += 1
-                        continue
-                    engine, graph = by_key[key]
-                    recorder: Optional[Set[Mapping]] = set() if uses[key] > 1 else None
-                    for mu in engine.solutions_stream(graph, method, budget=run_budget):
-                        if recorder is not None:
-                            recorder.add(mu)
+        by_key = {
+            key: (engine, graph)
+            for engine, graph, key in self._distinct_cells(engines, graph_list)
+        }
+        done: Dict[Tuple[int, int], Set[Mapping]] = {}
+        cells_done = 0
+        solutions_yielded = 0
+        try:
+            for cell, key in cells:
+                if key in done:
+                    for mu in done[key]:
                         yield cell, mu
                         solutions_yielded += 1
-                    if recorder is not None:
-                        done[key] = recorder
                     cells_done += 1
-            except DeadlineExceeded:
-                self._note("deadline_trips", statistics=statistics)
-                elapsed, allowance = 0.0, None
-                if run_budget is not None:
-                    elapsed = run_budget.elapsed()
-                    if run_budget.expires_at is not None:
-                        allowance = run_budget.expires_at - run_budget.started_at
-                yield TimeoutReport(
-                    elapsed=elapsed,
-                    deadline=allowance,
-                    cells_done=cells_done,
-                    cells_pending=len(cells) - cells_done,
-                    solutions_yielded=solutions_yielded,
-                    statistics=statistics,
-                    pending=tuple(
-                        f"cell {cell}" for cell, _key in cells[cells_done:]
-                    ),
-                )
-            return
-
-        chunk = (
-            chunk_size
-            if chunk_size is not None
-            else self._context.stream_chunk_size
-        )
-        events = self._stream_distinct(
-            distinct, method, processes, chunk, run_budget, statistics
-        )
-
-        if order == "completed":
-            positions: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-            for cell, key in cells:
-                positions.setdefault(key, []).append(cell)
-            for tag, key, payload in events:
-                if tag == "timeout":
-                    yield payload  # the terminal TimeoutReport
-                    return
-                if tag != "chunk":
-                    continue  # "done" closes a cell; its chunks are yielded
-                for cell in positions[key]:
-                    for mu in payload:
-                        yield cell, mu
-            return
-
-        # order == "submitted": stream the front cell's chunks as they
-        # arrive; buffer chunks of later cells until their turn.  A cell's
-        # complete list is the concatenation of its chunk events (the
-        # closing "done" carries no payload).
-        finished: Dict[Tuple[int, int], List[Mapping]] = {}
-        buffers: Dict[Tuple[int, int], List[Mapping]] = {}
-        for cell, key in cells:
-            if key in finished:
-                for mu in finished[key]:
+                    continue
+                engine, graph = by_key[key]
+                recorder: Optional[Set[Mapping]] = set() if uses[key] > 1 else None
+                for mu in engine.solutions_stream(graph, method, budget=run_budget):
+                    if recorder is not None:
+                        recorder.add(mu)
                     yield cell, mu
-                continue
-            # Flush whatever arrived for this cell while an earlier cell
-            # held the front — don't wait for its next event to release it.
-            emitted = 0
-            for mu in buffers.get(key, ()):
-                yield cell, mu
-                emitted += 1
-            while key not in finished:
-                tag, event_key, payload = next(events)
-                if tag == "timeout":
-                    yield payload  # the terminal TimeoutReport
-                    return
-                if tag == "chunk":
-                    buffers.setdefault(event_key, []).extend(payload)
-                    if event_key == key:
-                        buffered = buffers[key]
-                        while emitted < len(buffered):
-                            yield cell, buffered[emitted]
-                            emitted += 1
-                else:
-                    finished[event_key] = buffers.pop(event_key, [])
-            for mu in finished[key][emitted:]:
-                yield cell, mu
-        # Drain cells that finished after the last position needing them so
-        # their workers' deltas are still absorbed into the session cache.
-        for _tag, _key, _payload in events:
-            pass
+                    solutions_yielded += 1
+                if recorder is not None:
+                    done[key] = recorder
+                cells_done += 1
+        except DeadlineExceeded:
+            self._note("deadline_trips", statistics)
+            elapsed, allowance = 0.0, None
+            if run_budget is not None:
+                elapsed = run_budget.elapsed()
+                if run_budget.expires_at is not None:
+                    allowance = run_budget.expires_at - run_budget.started_at
+            yield TimeoutReport(
+                elapsed=elapsed,
+                deadline=allowance,
+                cells_done=cells_done,
+                cells_pending=len(cells) - cells_done,
+                solutions_yielded=solutions_yielded,
+                statistics=statistics,
+                pending=tuple(f"cell {cell}" for cell, _key in cells[cells_done:]),
+            )

@@ -61,11 +61,9 @@ class EvaluationStatistics:
     child extension tests), the resilience layer accounts here too:
 
     * ``worker_crashes`` — pool workers observed dead (SIGKILL, OOM, ...);
-    * ``cells_degraded_serial`` — ``(pattern, graph)`` cells re-run serially
-      in the parent after the parallel path failed twice;
-    * ``deadline_trips`` — budget violations surfaced by this run;
-    * ``cells_lost`` — cells that produced no terminal event at pool exit
-      (always reported, never silently swallowed).
+    * ``cells_degraded_serial`` — membership chunks re-run serially in the
+      parent after the pool lost them twice;
+    * ``deadline_trips`` — budget violations surfaced by this run.
     """
 
     __slots__ = (
@@ -75,7 +73,6 @@ class EvaluationStatistics:
         "worker_crashes",
         "cells_degraded_serial",
         "deadline_trips",
-        "cells_lost",
     )
 
     def __init__(self) -> None:
@@ -85,7 +82,6 @@ class EvaluationStatistics:
         self.worker_crashes = 0
         self.cells_degraded_serial = 0
         self.deadline_trips = 0
-        self.cells_lost = 0
 
     def merge(self, other: "EvaluationStatistics") -> None:
         """Accumulate *other*'s counters into this instance."""
@@ -97,24 +93,16 @@ class EvaluationStatistics:
         return (
             f"{self.worker_crashes} worker crash(es), "
             f"{self.cells_degraded_serial} cell(s) degraded serial, "
-            f"{self.deadline_trips} deadline trip(s), "
-            f"{self.cells_lost} cell(s) lost"
+            f"{self.deadline_trips} deadline trip(s)"
         )
 
     def __repr__(self) -> str:
         extra = ""
-        if any(
-            (
-                self.worker_crashes,
-                self.cells_degraded_serial,
-                self.deadline_trips,
-                self.cells_lost,
-            )
-        ):
+        if self.worker_crashes or self.cells_degraded_serial or self.deadline_trips:
             extra = (
                 f", crashes={self.worker_crashes}, "
                 f"degraded={self.cells_degraded_serial}, "
-                f"deadline_trips={self.deadline_trips}, lost={self.cells_lost}"
+                f"deadline_trips={self.deadline_trips}"
             )
         return (
             f"EvaluationStatistics(trees={self.trees_visited}, "

@@ -17,7 +17,6 @@ __all__ = [
     "ExperimentResult",
     "time_callable",
     "time_batched_membership",
-    "time_batched_enumeration",
     "EXPERIMENT_REGISTRY",
     "register_experiment",
     "run_experiment",
@@ -128,59 +127,6 @@ def time_batched_membership(
         session = Session(processes=processes)
         engine = session.engine(forest, width_bound=width_bound)
         return session.check_many(engine, graph, queries, method=method, width=width)
-
-    return time_callable(run, repeat)
-
-
-def time_batched_enumeration(
-    forests: Sequence,
-    graph,
-    method: str = "auto",
-    processes: Optional[int] = None,
-    warm: bool = False,
-    warm_on_fork: bool = True,
-    warm_processes: Optional[int] = 1,
-    repeat: int = 1,
-) -> tuple[float, List]:
-    """Time a batched enumeration workload through an evaluation session.
-
-    Enumerates every forest in *forests* against *graph* in one
-    :meth:`~repro.evaluation.session.Session.solutions_many` call (best
-    wall-clock over *repeat* runs).  With ``warm=False`` a fresh session —
-    and hence a cold cache — is built inside the timed callable, measuring
-    the full batched evaluation.  With ``warm=True`` the session first
-    enumerates the workload once *outside* the timing (steady-state serving:
-    indexes, homomorphism lists and recorded answer lists are hot) and the
-    timed runs measure warm batched enumeration — with *processes*, cells
-    whose complete answer lists are recorded replay parent-side and never
-    reach the pool, so this measures steady-state replay, not worker
-    forking.  *warm_processes* sizes the warm-up pass itself: the
-    default ``1`` warms serially in the parent; any larger value warms
-    through a parallel batch whose workers ship their learned state back
-    over the :class:`~repro.evaluation.cache.CacheDelta` return channel —
-    the parent ends up warm either way (worker caches no longer die with
-    the pool), which is exactly what the repeated-parallel-batch benchmark
-    case measures.  *warm_on_fork* is forwarded to the session —
-    ``warm_on_fork=False`` with a pool is the **cold-worker baseline**
-    (every worker rebuilds its cache from scratch).  This is the trio of
-    paths ``benchmarks/bench_session_enumeration.py`` compares in its
-    parallel cases.
-    """
-    from ..evaluation import Session
-
-    forests = list(forests)
-    if warm:
-        session = Session(processes=processes, warm_on_fork=warm_on_fork)
-        session.solutions_many(
-            forests, graph, method=method, processes=warm_processes
-        )
-        return time_callable(
-            lambda: session.solutions_many(forests, graph, method=method), repeat
-        )
-
-    def run() -> List:
-        session = Session(processes=processes, warm_on_fork=warm_on_fork)
-        return session.solutions_many(forests, graph, method=method)
 
     return time_callable(run, repeat)
 

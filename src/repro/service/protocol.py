@@ -118,12 +118,15 @@ def mapping_from_wire(binding: object) -> Mapping:
     for name, value in binding.items():
         if not isinstance(name, str) or not isinstance(value, str):
             raise ProtocolError("binding entries must map string names to string terms")
-        term = coerce_term(value)
+        try:
+            variable, term = Variable(name), coerce_term(value)
+        except ValueError as error:  # empty variable name or term
+            raise ProtocolError(f"invalid binding {name!r}: {value!r}: {error}") from None
         if isinstance(term, Variable):
             raise ProtocolError(
                 f"binding value {value!r} for {name!r} is a variable, not a ground term"
             )
-        items[Variable(name)] = term
+        items[variable] = term
     return Mapping(items)
 
 
@@ -146,7 +149,10 @@ def triple_from_wire(item: object) -> Triple:
         raise ProtocolError(
             "update triples must be [subject, predicate, object] string arrays"
         )
-    return Triple.of(*item)
+    try:
+        return Triple.of(*item)
+    except ValueError as error:  # empty terms
+        raise ProtocolError(f"invalid update triple {list(item)!r}: {error}") from None
 
 
 # --- requests --------------------------------------------------------------
@@ -182,6 +188,9 @@ def request_from_wire(message: dict) -> Tuple[Request, object, Optional[int]]:
     deadline = _field(message, "deadline", float, None)
     if deadline is not None and deadline <= 0:
         raise ProtocolError("field 'deadline' must be a positive number of seconds")
+    width = _field(message, "width", int, None)
+    if width is not None and width < 1:
+        raise ProtocolError("field 'width' must be a positive integer")
     bindings = message.get("bindings", [])
     if not isinstance(bindings, list):
         raise ProtocolError("field 'bindings' must be an array of binding objects")
@@ -195,7 +204,7 @@ def request_from_wire(message: dict) -> Tuple[Request, object, Optional[int]]:
         graph=_field(message, "graph", str, DEFAULT_GRAPH),
         mappings=[mapping_from_wire(binding) for binding in bindings],
         method=_field(message, "method", str, "auto"),
-        width=_field(message, "width", int, None),
+        width=width,
         deadline=deadline,
         add=[triple_from_wire(item) for item in add],
         remove=[triple_from_wire(item) for item in remove],

@@ -10,7 +10,8 @@ Two pieces of harness configuration live here alongside the fixtures:
   forever (no ``pytest-timeout`` dependency needed);
 * a **start-method override**: ``REPRO_START_METHOD=fork|spawn|forkserver``
   pins the multiprocessing start method for the whole run, which is how CI
-  exercises the fault-injection suite under ``fork`` explicitly.
+  exercises the fault-injection and service suites under both ``fork``
+  (warm workers) and ``spawn`` (cold workers, pickled initargs).
 """
 
 from __future__ import annotations

@@ -363,123 +363,3 @@ class TestSizeAccounting:
         store = self._store(cache, graph)
         (key,) = [k for k in store.costs if k[0] == "hom"]
         assert store.costs[key] == 1
-
-
-class TestCacheDelta:
-    """The worker return channel: export_delta / absorb round-trips."""
-
-    def _enumerated_cache(self, graph, forest):
-        """A journaling cache that enumerated *forest* over *graph*."""
-        cache = EvaluationCache()
-        cache.collect_deltas()
-        Engine(forest=forest, cache=cache).solutions(graph, method="natural")
-        return cache
-
-    def test_export_absorb_roundtrip_replays_enumeration(self):
-        import pickle
-
-        graph = random_graph(6, 25, seed=11)
-        forest = fk_forest(2)
-        trees = list(forest)
-        worker = self._enumerated_cache(graph, forest)
-        delta = worker.export_delta([graph], trees, [graph.version])
-        assert delta is not None and len(delta) > 0
-        # The delta is the picklable currency of the return channel.
-        delta = pickle.loads(pickle.dumps(delta))
-
-        parent = EvaluationCache()
-        absorbed = parent.absorb(delta, [graph], trees)
-        assert absorbed == len(delta)
-        assert parent.statistics.delta_entries == absorbed
-        # The parent now replays the complete enumeration from memory.
-        for tree in trees:
-            assert parent.tree_solution_list(tree, graph) is not None
-        hits_before = parent.statistics.enum_hits
-        answers = Engine(forest=forest, cache=parent).solutions(graph, method="natural")
-        assert answers == Engine(forest=forest).solutions(graph, method="natural")
-        assert parent.statistics.enum_hits > hits_before
-
-    def test_journal_off_exports_none(self):
-        graph = random_graph(5, 20, seed=2)
-        forest = fk_forest(2)
-        cache = EvaluationCache()
-        Engine(forest=forest, cache=cache).solutions(graph, method="natural")
-        assert not cache.collecting_deltas
-        assert cache.export_delta([graph], list(forest), [graph.version]) is None
-
-    def test_export_drains_the_journal(self):
-        graph = random_graph(6, 25, seed=11)
-        forest = fk_forest(2)
-        worker = self._enumerated_cache(graph, forest)
-        trees = list(forest)
-        assert worker.export_delta([graph], trees, [graph.version]) is not None
-        # Nothing new learned since the export: the second delta is empty.
-        assert worker.export_delta([graph], trees, [graph.version]) is None
-
-    def test_stale_delta_never_poisons_the_parent(self):
-        """A delta stamped before a graph mutation must be dropped whole."""
-        graph = random_graph(6, 25, seed=13)
-        forest = fk_forest(2)
-        trees = list(forest)
-        worker = self._enumerated_cache(graph, forest)
-        delta = worker.export_delta([graph], trees, [graph.version])
-        assert delta is not None
-
-        parent = EvaluationCache()
-        graph.add(Triple.of(str(EX["zzz"]), str(EX["zzz"]), str(EX["zzz"])))
-        assert parent.absorb(delta, [graph], trees) == 0
-        assert parent.statistics.delta_entries_stale == len(delta)
-        for tree in trees:
-            assert parent.tree_solution_list(tree, graph) is None
-        # Post-mutation evaluation through the absorbing cache stays exact.
-        answers = Engine(forest=forest, cache=parent).solutions(graph, method="natural")
-        assert answers == Engine(forest=forest).solutions(graph, method="natural")
-
-    def test_mutated_worker_graph_withholds_the_stamp(self):
-        """export_delta(stamp=None) — the session passes None when the
-        worker's own graph copy mutated — exports nothing for that graph."""
-        graph = random_graph(6, 25, seed=17)
-        forest = fk_forest(2)
-        worker = self._enumerated_cache(graph, forest)
-        assert worker.export_delta([graph], list(forest), [None]) is None
-
-    def test_absorb_respects_the_lru_bound(self):
-        graph = random_graph(6, 25, seed=19)
-        forest = fk_forest(2)
-        trees = list(forest)
-        worker = self._enumerated_cache(graph, forest)
-        delta = worker.export_delta([graph], trees, [graph.version])
-        total_cost = sum(entry[4] for entry in delta.entries)
-
-        bounded = EvaluationCache(max_entries_per_graph=max(2, total_cost // 2))
-        bounded.absorb(delta, [graph], trees)
-        store = bounded._graphs[id(graph)]
-        assert store.total_cost <= max(2, total_cost // 2)
-        assert bounded.statistics.evictions > 0
-        # Bounded absorption stays answer-preserving.
-        answers = Engine(forest=forest, cache=bounded).solutions(graph, method="natural")
-        assert answers == Engine(forest=forest).solutions(graph, method="natural")
-
-    def test_bulk_mutation_stamp_rejects_the_delta_whole(self):
-        """A single add_all (one version bump for the batch) is enough to
-        stamp-out a delta exported before it."""
-        graph = random_graph(6, 25, seed=23)
-        forest = fk_forest(2)
-        trees = list(forest)
-        worker = self._enumerated_cache(graph, forest)
-        delta = worker.export_delta([graph], trees, [graph.version])
-        assert delta is not None
-
-        parent = EvaluationCache()
-        version = graph.version
-        graph.add_all(
-            Triple.of(str(EX[f"bulk{i}"]), str(EX["bulk"]), str(EX["bulk"]))
-            for i in range(4)
-        )
-        assert graph.version == version + 1
-        assert parent.absorb(delta, [graph], trees) == 0
-        assert parent.statistics.delta_entries_stale == len(delta)
-        for tree in trees:
-            assert parent.tree_solution_list(tree, graph) is None
-        answers = Engine(forest=forest, cache=parent).solutions(graph, method="natural")
-        assert answers == Engine(forest=forest).solutions(graph, method="natural")

@@ -341,6 +341,15 @@ class TestBatchStream:
         assert exit_code == 2
         assert "processes" in capsys.readouterr().err
 
+    def test_empty_binding_value_is_a_typed_error(self, graph_file, tmp_path, capsys):
+        path = tmp_path / "empty-value.txt"
+        path.write_text("x=\n")
+        exit_code = main(
+            ["batch", "--graph", graph_file, "--query", QUERY, "--bindings-file", str(path)]
+        )
+        assert exit_code == 2
+        assert "error: " in capsys.readouterr().err
+
     def test_stats_reports_worker_mode(self, graph_file, bindings_file, capsys):
         argv = [
             "batch", "--graph", graph_file, "--query", QUERY,

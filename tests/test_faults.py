@@ -1,10 +1,10 @@
 """Fault-injection and budget tests: the resilience layer end to end.
 
-These tests drive the recovery paths of :mod:`repro.evaluation.session`
-with *real* faults — SIGKILLed pool workers, stalled result queues,
-tampered cache deltas, swallowed terminal events — installed through the
-test-only ``Session(faults=FaultPlan(...))`` hook, plus the wall-clock /
-step budgets of :mod:`repro.evaluation.budget` on every entry point.
+These tests drive the crash ladder of the membership pool in
+:mod:`repro.evaluation.session` with *real* faults — SIGKILLed and raising
+pool workers — installed through the test-only
+``Session(faults=FaultPlan(...))`` hook, plus the wall-clock / step
+budgets of :mod:`repro.evaluation.budget` on every entry point.
 
 The invariant under test everywhere: **answers are bitwise identical to a
 serial run**, no matter what the pool does underneath.
@@ -36,11 +36,6 @@ pytestmark = pytest.mark.skipif(
     reason="fault-injection suite needs a POSIX multiprocessing platform",
 )
 
-#: Short grace so degradation tests settle quickly; long enough that a
-#: healthy-but-slow worker is never cut off on a loaded CI box.
-GRACE = 0.8
-
-
 def line_graph(n=20):
     """Two-hop chains a{i} -> b{i} -> c{i}: every test pattern has answers."""
     return RDFGraph(
@@ -56,13 +51,28 @@ def dense_graph(n=12):
     )
 
 
-def three_patterns():
-    """Three structurally distinct patterns (three distinct cells)."""
-    return [
-        parse_pattern("(?x p ?y)"),
-        parse_pattern("((?x p ?y) OPT (?y p ?z))"),
-        parse_pattern("((?x p ?y) AND (?y p ?z))"),
-    ]
+def turan_graph(n=24, parts=4):
+    """Complete *parts*-partite graph: many (parts)-cliques, none larger."""
+    return RDFGraph(
+        [
+            Triple.of(f"n{i}", "p", f"n{j}")
+            for i in range(n)
+            for j in range(n)
+            if i % parts != j % parts
+        ]
+    )
+
+
+def clique_probe(k=5):
+    """An OPT whose child asks for a k-clique next to ?x — over a Turán
+    graph without one, every membership check is an exhaustive search."""
+    names = [f"?c{i}" for i in range(k)]
+    text = "(?x p ?c0)"
+    for a in names:
+        for b in names:
+            if a != b:
+                text = f"({text} AND ({a} p {b}))"
+    return parse_pattern(f"((?x p ?y) OPT {text})")
 
 
 def chain_pattern(k=5):
@@ -71,10 +81,6 @@ def chain_pattern(k=5):
     for i in range(1, k):
         text = f"({text} AND (?v{i} p ?v{i + 1}))"
     return parse_pattern(text)
-
-
-def serial_reference(patterns, graph):
-    return Session().solutions_many(patterns, graph)
 
 
 def collect_iter(session, patterns, graph, **kwargs):
@@ -171,9 +177,9 @@ class TestFaultPlanUnit:
     def test_plan_survives_pickling(self):
         # An *armed* plan only crosses process boundaries through the pool
         # machinery (mp.Value is inheritance-only); unarmed plans pickle.
-        plan = FaultPlan(kill_at=1, stale_delta=True)
+        plan = FaultPlan(kill_at=1, raise_at=2)
         clone = pickle.loads(pickle.dumps(plan))
-        assert clone.kill_at == 1 and clone.stale_delta
+        assert clone.kill_at == 1 and clone.raise_at == 2
         assert clone._kill_guard.take() and not clone._kill_guard.take()
 
 
@@ -227,31 +233,22 @@ class TestDeadlines:
         assert report.solutions_yielded == sum(len(s) for s in got.values())
         assert session.statistics.deadline_trips == 1
 
-    def test_solutions_iter_parallel_yields_report(self):
+    def test_check_many_pool_deadline_raises_and_reaps_workers(self):
         deadline = 0.3
         session = Session()
+        mus = [Mapping.of(x=f"n{i}", y=f"n{i + 1}") for i in range(4)]
         started = time.monotonic()
-        got, report = collect_iter(
-            session,
-            [chain_pattern(5), parse_pattern("(?x p ?y)")],
-            dense_graph(12),
-            processes=2,
-            deadline=deadline,
-        )
-        elapsed = time.monotonic() - started
-        assert report is not None
-        assert elapsed < deadline + 1.0  # pool teardown adds slack serially absent
-        assert report.cells_pending >= 1
-
-    def test_solutions_many_parallel_deadline_raises(self):
-        session = Session()
         with pytest.raises(DeadlineExceeded):
-            session.solutions_many(
-                [chain_pattern(5), parse_pattern("(?x p ?y)")],
-                dense_graph(12),
+            session.check_many(
+                clique_probe(),
+                turan_graph(),
+                mus,
+                method="natural",
                 processes=2,
-                deadline=0.3,
+                deadline=deadline,
             )
+        assert time.monotonic() - started < deadline + 1.0
+        assert multiprocessing.active_children() == []
         assert session.statistics.deadline_trips == 1
 
     def test_timeout_report_is_terminal(self):
@@ -273,7 +270,7 @@ class TestWorkerCrashRecovery:
         graph, pattern = line_graph(), parse_pattern("((?x p ?y) OPT (?y p ?z))")
         mus = [Mapping.of(x=f"a{i}", y=f"b{i}") for i in range(20)]
         reference = Session().check_many(pattern, graph, mus)
-        session = Session(stream_grace_seconds=GRACE, faults=FaultPlan(kill_at=0))
+        session = Session(faults=FaultPlan(kill_at=0))
         stats = EvaluationStatistics()
         assert session.check_many(
             pattern, graph, mus, processes=2, statistics=stats
@@ -285,53 +282,25 @@ class TestWorkerCrashRecovery:
         graph, pattern = line_graph(), parse_pattern("((?x p ?y) OPT (?y p ?z))")
         mus = [Mapping.of(x=f"a{i}", y=f"b{i}") for i in range(8)]
         reference = Session().check_many(pattern, graph, mus)
-        session = Session(stream_grace_seconds=GRACE, faults=FaultPlan(kill_at=0))
+        session = Session(faults=FaultPlan(kill_at=0))
         assert list(
             session.check_iter(pattern, graph, mus, processes=2)
         ) == reference
-        assert session.statistics.worker_crashes >= 1
-
-    def test_solutions_many_recovers_from_sigkill(self):
-        graph, patterns = line_graph(), three_patterns()
-        reference = serial_reference(patterns, graph)
-        session = Session(stream_grace_seconds=GRACE, faults=FaultPlan(kill_at=0))
-        assert session.solutions_many(patterns, graph, processes=2) == reference
-        assert session.statistics.worker_crashes >= 1
-
-    def test_streaming_solutions_iter_recovers_from_sigkill(self):
-        graph, patterns = line_graph(), three_patterns()
-        reference = serial_reference(patterns, graph)
-        session = Session(stream_grace_seconds=GRACE, faults=FaultPlan(kill_at=0))
-        got, report = collect_iter(session, patterns, graph, processes=2)
-        assert report is None
-        assert got == {(i, 0): reference[i] for i in range(len(patterns))}
         assert session.statistics.worker_crashes >= 1
 
     def test_repeated_kills_degrade_serially(self):
         graph, pattern = line_graph(), parse_pattern("((?x p ?y) OPT (?y p ?z))")
         mus = [Mapping.of(x=f"a{i}", y=f"b{i}") for i in range(20)]
         reference = Session().check_many(pattern, graph, mus)
-        session = Session(
-            stream_grace_seconds=GRACE, faults=FaultPlan(kill_at=0, kill_once=False)
-        )
+        session = Session(faults=FaultPlan(kill_at=0, kill_once=False))
         assert session.check_many(pattern, graph, mus, processes=2) == reference
         assert session.statistics.cells_degraded_serial >= 1
 
-    def test_streaming_repeated_kills_degrade_serially(self):
-        graph, patterns = line_graph(), three_patterns()
-        reference = serial_reference(patterns, graph)
-        session = Session(
-            stream_grace_seconds=GRACE, faults=FaultPlan(kill_at=1, kill_once=False)
-        )
-        got, report = collect_iter(session, patterns, graph, processes=2)
-        assert report is None
-        assert got == {(i, 0): reference[i] for i in range(len(patterns))}
-        assert session.statistics.cells_degraded_serial >= 1
-
     def test_worker_mode_carries_resilience_summary(self):
-        graph, patterns = line_graph(), three_patterns()
-        session = Session(stream_grace_seconds=GRACE, faults=FaultPlan(kill_at=0))
-        session.solutions_many(patterns, graph, processes=2)
+        graph, pattern = line_graph(), parse_pattern("((?x p ?y) OPT (?y p ?z))")
+        mus = [Mapping.of(x=f"a{i}", y=f"b{i}") for i in range(8)]
+        session = Session(faults=FaultPlan(kill_at=0))
+        session.check_many(pattern, graph, mus, processes=2)
         mode = session.worker_mode(2)
         assert "worker crash" in mode
         # a pristine session keeps the plain mode string
@@ -340,71 +309,6 @@ class TestWorkerCrashRecovery:
     def test_injected_raise_surfaces_as_fault(self):
         graph, pattern = line_graph(), parse_pattern("((?x p ?y) OPT (?y p ?z))")
         mus = [Mapping.of(x=f"a{i}", y=f"b{i}") for i in range(8)]
-        session = Session(stream_grace_seconds=GRACE, faults=FaultPlan(raise_at=0))
+        session = Session(faults=FaultPlan(raise_at=0))
         with pytest.raises(EvaluationError):
             session.check_many(pattern, graph, mus, processes=2)
-
-
-# --- delta tampering and queue behaviour -------------------------------------
-
-
-class TestDeltaTampering:
-    def test_stale_delta_never_poisons_parent_cache(self):
-        graph, patterns = line_graph(), three_patterns()
-        reference = serial_reference(patterns, graph)
-        session = Session(
-            stream_grace_seconds=GRACE, faults=FaultPlan(stale_delta=True)
-        )
-        assert session.solutions_many(patterns, graph, processes=2) == reference
-        # every shipped entry was version-perturbed, so absorb dropped them
-        assert session.cache.statistics.delta_entries_stale >= 1
-        # and a second (serial) run over the same session is still correct
-        assert session.solutions_many(patterns, graph) == reference
-
-    def test_corrupt_delta_never_poisons_parent_cache(self):
-        graph, patterns = line_graph(), three_patterns()
-        reference = serial_reference(patterns, graph)
-        session = Session(
-            stream_grace_seconds=GRACE, faults=FaultPlan(corrupt_delta=True)
-        )
-        assert session.solutions_many(patterns, graph, processes=2) == reference
-        assert session.solutions_many(patterns, graph) == reference
-
-    def test_mutated_worker_graph_withholds_stamp(self):
-        graph, patterns = line_graph(), three_patterns()
-        reference = serial_reference(patterns, graph)
-        session = Session(
-            stream_grace_seconds=GRACE, faults=FaultPlan(mutate_graph_at=0)
-        )
-        assert session.solutions_many(patterns, graph, processes=2) == reference
-        assert session.solutions_many(patterns, graph) == reference
-
-
-class TestStreamingLiveness:
-    def test_queue_stall_does_not_false_degrade(self):
-        graph, patterns = line_graph(), three_patterns()
-        reference = serial_reference(patterns, graph)
-        session = Session(
-            stream_grace_seconds=2.5,
-            faults=FaultPlan(stall_at=0, stall_seconds=0.4),
-        )
-        got, report = collect_iter(session, patterns, graph, processes=2)
-        assert report is None
-        assert got == {(i, 0): reference[i] for i in range(len(patterns))}
-        assert session.statistics.cells_degraded_serial == 0
-        assert session.statistics.worker_crashes == 0
-
-    def test_dropped_terminal_event_is_counted_not_silent(self):
-        graph, patterns = line_graph(), three_patterns()
-        session = Session(
-            stream_grace_seconds=GRACE, faults=FaultPlan(drop_done_at=0)
-        )
-        with pytest.raises(EvaluationError, match="lost 1 cell"):
-            collect_iter(session, patterns, graph, processes=2)
-        assert session.statistics.cells_lost == 1
-
-    def test_invalid_grace_rejected(self):
-        with pytest.raises(EvaluationError):
-            Session(stream_grace_seconds=0)
-        with pytest.raises(EvaluationError):
-            Session(stream_grace_seconds=-1.0)

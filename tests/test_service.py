@@ -475,9 +475,7 @@ class TestServiceWorkerCrash:
         graph = social_graph(20)
         mus = [Mapping.of(x=f"p{i}", y=f"p{(i + 1) % 20}") for i in range(20)]
         reference = Session().check_many(parse_pattern(OPT_QUERY), graph, mus)
-        session = Session(
-            processes=2, stream_grace_seconds=0.8, faults=FaultPlan(kill_at=0)
-        )
+        session = Session(processes=2, faults=FaultPlan(kill_at=0))
         with QueryService(graph, session=session) as service:
             verdicts = service.check(OPT_QUERY, mus)
         assert verdicts == reference
@@ -600,6 +598,27 @@ class TestSocketProtocol:
             line = json.loads(reader.readline())
             assert line["ok"] is True and line["result"] == [True]
             assert line["id"] == 7
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            {"op": "check", "query": KNOWS_QUERY, "bindings": [{"x": ""}]},
+            {"op": "check", "query": KNOWS_QUERY, "bindings": [{"": "p0"}]},
+            {"op": "update", "add": [["", "", ""]]},
+            {"op": "check", "query": KNOWS_QUERY, "width": 0, "method": "pebble"},
+        ],
+        ids=["empty-value", "empty-variable", "empty-triple", "width-zero"],
+    )
+    def test_invalid_terms_are_in_band_protocol_errors(self, served, message):
+        (host, port), _service = served
+        with socket.create_connection((host, port), timeout=10.0) as conn:
+            reader = conn.makefile("rb")
+            conn.sendall(json.dumps(message).encode() + b"\n")
+            line = json.loads(reader.readline())
+            assert line["ok"] is False and line["error_type"] == "ProtocolError"
+            conn.sendall(b'{"op": "stats"}\n')
+            line = json.loads(reader.readline())
+            assert line["ok"] is True and "completed" in line["result"]
 
     def test_max_requests_shuts_the_server_down(self):
         service = QueryService(social_graph(), max_inflight=2)

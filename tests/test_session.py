@@ -215,24 +215,6 @@ class TestSolutionsMany:
         answers[0].clear()
         assert answers[1] == answers[2]
 
-    def test_parallel_matches_serial(self):
-        graph = tprime_data_graph(6, 20, seed=6)
-        patterns = [WDPatternForest([tprime_tree(2)]), WDPatternForest([tprime_tree(3)])]
-        serial = Session().solutions_many(patterns, graph)
-        parallel = Session().solutions_many(patterns, graph, processes=2)
-        assert serial == parallel
-
-    def test_parallel_matrix_matches_serial(self):
-        graphs = [tprime_data_graph(6, 20, seed=7), tprime_data_graph(5, 15, seed=8)]
-        patterns = [
-            WDPatternForest([tprime_tree(2)]),
-            WDPatternForest([tprime_tree(3)]),
-            WDPatternForest([tprime_tree(2)]),
-        ]
-        serial = Session().solutions_many(patterns, graphs)
-        parallel = Session().solutions_many(patterns, graphs, processes=2)
-        assert serial == parallel
-
     def test_shared_cache_is_exercised(self):
         session = Session()
         graph = tprime_data_graph(6, 20, seed=1)
@@ -240,23 +222,6 @@ class TestSolutionsMany:
         session.solutions_many([forest, forest], graph)
         stats = session.cache.statistics
         assert stats.hits + stats.misses > 0
-
-    def test_warm_fork_parallel_matches_cold_and_serial(self):
-        """The warm-fork path (workers inherit a hot parent session) and the
-        cold-worker path (warm_on_fork=False) must produce identical answer
-        sets — warming is a pure performance feature."""
-        graph = tprime_data_graph(6, 20, seed=9)
-        patterns = [
-            WDPatternForest([tprime_tree(2)]),
-            WDPatternForest([tprime_tree(3)]),
-            WDPatternForest([tprime_tree(2)]),
-        ]
-        serial = Session().solutions_many(patterns, graph)
-        warm_session = Session()
-        warm_session.solutions_many(patterns, graph)  # steady state: hot cache
-        warm = warm_session.solutions_many(patterns, graph, processes=2)
-        cold = Session(warm_on_fork=False).solutions_many(patterns, graph, processes=2)
-        assert warm == serial == cold
 
     def test_replayed_enumeration_matches_first_run(self):
         """A second enumeration replays the recorded answer lists (cache
@@ -289,18 +254,15 @@ class TestSolutionsIter:
             got.setdefault(cell, set()).add(mu)
         return got
 
-    @pytest.mark.parametrize("processes", [None, 2])
     @pytest.mark.parametrize("order", ["submitted", "completed"])
-    def test_parity_with_solutions_many(self, order, processes):
+    def test_parity_with_solutions_many(self, order):
         patterns, graphs = self._workload()
         session = Session()
         matrix = session.solutions_many(patterns, graphs)
-        got = self._collect(
-            Session().solutions_iter(patterns, graphs, order=order, processes=processes)
-        )
+        got = self._collect(Session().solutions_iter(patterns, graphs, order=order))
         for i in range(len(patterns)):
             for j in range(len(graphs)):
-                assert got.get((i, j), set()) == matrix[i][j], (order, processes, i, j)
+                assert got.get((i, j), set()) == matrix[i][j], (order, i, j)
 
     def test_single_graph_cells_use_graph_index_zero(self):
         patterns, graphs = self._workload()
@@ -416,9 +378,8 @@ class TestPicklability:
 
 
 class TestWorkerMode:
-    """The effective parallel mode is introspectable, and a warm_on_fork
-    request that cannot engage (non-fork start methods) warns once instead
-    of silently running cold."""
+    """The effective mode of the membership pool is introspectable: warm
+    under fork, cold (named by the start method) otherwise."""
 
     def test_serial_when_no_pool_would_run(self):
         assert Session().worker_mode() == "serial"
@@ -431,7 +392,6 @@ class TestWorkerMode:
         if multiprocessing.get_context().get_start_method() != "fork":
             pytest.skip("needs the fork start method")
         assert Session(processes=2).worker_mode() == "fork-warm"
-        assert Session(processes=2, warm_on_fork=False).worker_mode() == "fork-cold"
         assert Session().worker_mode(processes=4) == "fork-warm"
 
     def test_non_fork_reports_start_method(self, monkeypatch):
@@ -439,53 +399,10 @@ class TestWorkerMode:
 
         monkeypatch.setattr(session_module, "_start_method", lambda: "spawn")
         assert Session(processes=2).worker_mode() == "spawn"
-        assert Session(processes=2, warm_on_fork=False).worker_mode() == "spawn"
         assert Session().worker_mode() == "serial"  # still no pool
 
     def test_repr_shows_worker_mode(self):
         assert "workers=serial" in repr(Session())
-
-    def _spawn_platform(self, monkeypatch):
-        """Pretend the start method is spawn (pools still fork underneath —
-        only the warm/warn decision is driven by the monkeypatched seam)."""
-        from repro.evaluation import session as session_module
-
-        monkeypatch.setattr(session_module, "_start_method", lambda: "spawn")
-        monkeypatch.setattr(session_module, "_warned_cold_pool", False)
-        return session_module
-
-    def test_warm_on_fork_noop_warns_once(self, monkeypatch):
-        import warnings as warnings_module
-
-        self._spawn_platform(monkeypatch)
-        graph = tprime_data_graph(6, 20, seed=9)
-        patterns = [WDPatternForest([tprime_tree(2)]), WDPatternForest([tprime_tree(3)])]
-        session = Session(processes=2)
-        with pytest.warns(RuntimeWarning, match="warm_on_fork=True has no effect"):
-            first = session.solutions_many(patterns, graph)
-        # One-time: the second cold pool (even on a fresh session) is silent.
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            second = Session(processes=2).solutions_many(patterns, graph)
-        assert first == second == Session().solutions_many(patterns, graph)
-
-    def test_membership_pool_also_warns(self, monkeypatch, setting):
-        self._spawn_platform(monkeypatch)
-        forest, graph, engine, queries = setting
-        session = Session()
-        with pytest.warns(RuntimeWarning, match="worker pools start cold"):
-            answers = session.check_many(forest, graph, queries, processes=2)
-        assert answers == [engine.contains(graph, mu) for mu in queries]
-
-    def test_cold_by_choice_does_not_warn(self, monkeypatch):
-        import warnings as warnings_module
-
-        self._spawn_platform(monkeypatch)
-        graph = tprime_data_graph(6, 20, seed=9)
-        patterns = [WDPatternForest([tprime_tree(2)]), WDPatternForest([tprime_tree(3)])]
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            Session(processes=2, warm_on_fork=False).solutions_many(patterns, graph)
 
 
 class TestCheckIter:
@@ -501,6 +418,22 @@ class TestCheckIter:
         expected = Session().check_many(forest, graph, queries)
         assert list(Session().check_iter(forest, graph, queries, processes=2)) == expected
 
+    def test_parallel_duplicates_follow_input_order(self, setting):
+        forest, graph, engine, queries = setting
+        doubled = queries + list(reversed(queries))
+        iterator = Session().check_iter(forest, graph, doubled, processes=2)
+        assert next(iterator) == engine.contains(graph, doubled[0])
+        assert list(iterator) == [engine.contains(graph, mu) for mu in doubled[1:]]
+
+    def test_abandoned_parallel_stream_stops_its_workers(self, setting):
+        import multiprocessing
+
+        forest, graph, _engine, queries = setting
+        iterator = Session().check_iter(forest, graph, queries, processes=2)
+        next(iterator)
+        iterator.close()
+        assert multiprocessing.active_children() == []
+
     def test_empty_batch(self, setting):
         forest, graph, _engine, _queries = setting
         assert list(Session().check_iter(forest, graph, [])) == []
@@ -510,170 +443,9 @@ class TestCheckIter:
         iterator = Session().check_iter(forest, graph, queries)
         assert next(iterator) == engine.contains(graph, queries[0])
 
-    def test_parallel_absorbs_membership_deltas(self, setting):
-        forest, graph, _engine, queries = setting
-        session = Session()
-        session.check_many(forest, graph, queries, processes=2)
-        assert session.cache.statistics.delta_entries > 0
-        # The absorbed verdicts replay without re-deriving them: a serial
-        # re-check of the same batch is answered from the parent cache.
-        hits_before = session.cache.statistics.hits
-        session.check_many(forest, graph, queries)
-        assert session.cache.statistics.hits > hits_before
-
-
-class TestReturnChannel:
-    """Workers ship their learned state back as CacheDeltas; the parent
-    absorbs them, so repeated parallel batches replay from the parent cache
-    instead of recomputing (the PR 5 acceptance criterion)."""
-
-    def _workload(self):
-        graph = tprime_data_graph(6, 20, seed=21)
-        patterns = [
-            WDPatternForest([tprime_tree(2)]),
-            WDPatternForest([tprime_tree(3)]),
-            WDPatternForest([tprime_tree(4)]),
-        ]
-        return patterns, graph
-
-    def test_second_parallel_solutions_many_hits_parent_cache(self):
-        patterns, graph = self._workload()
-        session = Session()
-        first = session.solutions_many(patterns, graph, processes=2)
-        assert session.cache.statistics.delta_entries > 0
-        hits_before = session.cache.statistics.enum_hits
-        second = session.solutions_many(patterns, graph, processes=2)
-        assert session.cache.statistics.enum_hits > hits_before
-        assert second == first == Session().solutions_many(patterns, graph)
-
-    def test_parallel_worker_answer_lists_absorbed(self):
-        patterns, graph = self._workload()
-        session = Session(warm_on_fork=False)  # cold workers: all learning
-        session.solutions_many(patterns, graph, processes=2)  # returns via deltas
-        for forest in patterns:
-            for tree in forest:
-                assert session.cache.tree_solution_list(tree, graph) is not None
-
-    def test_second_parallel_solutions_iter_replays(self):
-        patterns, graph = self._workload()
-        session = Session()
-        first = {}
-        for cell, mu in session.solutions_iter(patterns, graph, processes=2):
-            first.setdefault(cell, set()).add(mu)
-        assert session.cache.statistics.delta_entries > 0
-        hits_before = session.cache.statistics.enum_hits
-        second = {}
-        for cell, mu in session.solutions_iter(patterns, graph, processes=2):
-            second.setdefault(cell, set()).add(mu)
-        assert session.cache.statistics.enum_hits > hits_before
-        assert second == first
-
-    def test_warm_replay_still_rejects_invalid_methods(self):
-        """A warm session (every cell replayable) must reject bad methods
-        exactly like a cold one — validation happens before the replay
-        short-circuit, not only when a pool is actually created."""
-        patterns, graph = self._workload()
-        session = Session()
-        session.solutions_many(patterns, graph, processes=2)  # warm the parent
-        with pytest.raises(EvaluationError):
-            session.solutions_many(patterns, graph, method="pebble", processes=2)
-        with pytest.raises(EvaluationError):
-            list(session.solutions_iter(patterns, graph, method="bogus", processes=2))
-
-    def test_serial_warmup_then_parallel_batch_replays_without_pool(self):
-        """A serially warmed parent answers every cell from its own cache:
-        the pool is never created (replay is pool-free by construction)."""
-        patterns, graph = self._workload()
-        session = Session()
-        serial = session.solutions_many(patterns, graph)
-        hits_before = session.cache.statistics.enum_hits
-        parallel = session.solutions_many(patterns, graph, processes=2)
-        assert parallel == serial
-        assert session.cache.statistics.enum_hits > hits_before
-        # No deltas were shipped because no worker ever ran.
-        assert session.cache.statistics.deltas_absorbed == 0
-
-
-class TestCrossProcessStreaming:
-    """Parallel solutions_iter streams *within* a cell: fixed-size chunks
-    cross the process boundary while the worker is still enumerating."""
-
-    def _single_cell(self):
-        graph = tprime_data_graph(7, 30, seed=23)
-        forest = WDPatternForest([tprime_tree(2)])
-        return forest, graph
-
-    def test_chunks_arrive_before_the_cell_finishes(self):
-        forest, graph = self._single_cell()
-        session = Session()
-        engine = session.engine(forest)
-        expected = Engine(forest=forest).solutions(graph, method="natural")
-        assert len(expected) > 3  # multi-solution workload, else vacuous
-        distinct = session._distinct_cells([engine], [graph])
-        events = list(session._stream_distinct(distinct, "natural", 2, 1))
-        tags = [event[0] for event in events]
-        # More than one chunk per cell, every chunk before the done event:
-        # the consumer sees solutions while the worker is still enumerating.
-        assert tags.count("chunk") == len(expected)
-        assert tags[-1] == "done" and "done" not in tags[:-1]
-        streamed = [mu for tag, _key, mappings in events if tag == "chunk" for mu in mappings]
-        assert len(streamed) == len(expected)
-        assert set(streamed) == expected
-
-    def test_first_solution_yields_before_exhaustion(self):
-        """Two distinct cells engage the pool; the first solution of the
-        front cell surfaces while both workers are still enumerating."""
-        forest, graph = self._single_cell()
-        other = WDPatternForest([tprime_tree(3)])
-        expected = Engine(forest=forest).solutions(graph, method="natural")
-        iterator = Session().solutions_iter(
-            [forest, other], graph, processes=2, chunk_size=1
-        )
-        cell, mu = next(iterator)
-        assert cell == (0, 0) and mu in expected
-        rest = {}
-        for later_cell, later_mu in iterator:
-            rest.setdefault(later_cell, set()).add(later_mu)
-        assert rest[(0, 0)] == expected - {mu}
-        assert rest[(1, 0)] == Engine(forest=other).solutions(graph, method="natural")
-
-    @pytest.mark.parametrize("chunk_size", [1, 3, 1000])
-    @pytest.mark.parametrize("order", ["submitted", "completed"])
-    def test_parity_across_chunk_sizes(self, order, chunk_size):
-        graphs = [tprime_data_graph(6, 20, seed=11), tprime_data_graph(5, 15, seed=12)]
-        repeated = WDPatternForest([tprime_tree(2)])
-        patterns = [repeated, WDPatternForest([tprime_tree(3)]), repeated]
-        matrix = Session().solutions_many(patterns, graphs)
-        got = {}
-        for cell, mu in Session().solutions_iter(
-            patterns, graphs, order=order, processes=2, chunk_size=chunk_size
-        ):
-            got.setdefault(cell, set()).add(mu)
-        for i in range(len(patterns)):
-            for j in range(len(graphs)):
-                assert got.get((i, j), set()) == matrix[i][j], (order, chunk_size, i, j)
-
-    def test_session_default_chunk_size(self):
-        forest, graph = self._single_cell()
-        other = WDPatternForest([tprime_tree(3)])
-        session = Session(stream_chunk_size=2)
-        expected = Session().solutions_many([forest, other], graph)
-        got = {}
-        for cell, mu in session.solutions_iter([forest, other], graph, processes=2):
-            got.setdefault(cell, set()).add(mu)
-        assert [got.get((i, 0), set()) for i in range(2)] == expected
-
-    def test_invalid_chunk_sizes_rejected(self):
-        forest, graph = self._single_cell()
-        with pytest.raises(EvaluationError):
-            Session(stream_chunk_size=0)
-        with pytest.raises(EvaluationError):
-            next(Session().solutions_iter([forest], graph, processes=2, chunk_size=0))
-
-
 class TestMutationSafety:
-    """Version-snapshot regressions: a graph mutated mid-iteration (serial
-    or parallel) must never leave stale entries in the parent cache."""
+    """Version-snapshot regressions: a graph mutated mid-iteration must
+    never leave stale entries in the session cache."""
 
     def _mutate(self, graph):
         graph.add(Triple.of(str(EX["fresh"]), str(EX["fresh"]), str(EX["fresh"])))
@@ -712,37 +484,6 @@ class TestMutationSafety:
         assert session.cache.tree_solution_list(tree, graph) is None
         assert session.solutions(forest, graph) == self._fresh_answers(forest, graph)
 
-    def test_parallel_solutions_iter_mutation_drops_stale_deltas(self):
-        graph = tprime_data_graph(7, 30, seed=27)
-        forest = WDPatternForest([tprime_tree(2)])
-        other = WDPatternForest([tprime_tree(3)])  # second distinct cell: pool engages
-        session = Session()
-        assert len(self._fresh_answers(forest, graph)) > 1
-        iterator = session.solutions_iter(
-            [forest, other], graph, processes=2, chunk_size=1
-        )
-        next(iterator)  # the front cell's first chunk is out; workers are mid-cell
-        self._mutate(graph)  # parent-side mutation; the workers' copies are stale
-        for _ in iterator:
-            pass
-        # The front cell's delta arrives after its last chunk — post-mutation
-        # by construction — stamped with the pre-mutation version: dropped
-        # whole, never merged.
-        assert session.cache.statistics.delta_entries_stale > 0
-        for tree in list(forest) + list(other):
-            assert session.cache.tree_solution_list(tree, graph) is None
-        assert session.solutions(forest, graph) == self._fresh_answers(forest, graph)
-        assert session.solutions(other, graph) == self._fresh_answers(other, graph)
-
-    def test_parallel_solutions_many_after_mutation_recomputes(self):
-        graph = tprime_data_graph(6, 20, seed=29)
-        patterns = [WDPatternForest([tprime_tree(2)]), WDPatternForest([tprime_tree(3)])]
-        session = Session()
-        session.solutions_many(patterns, graph, processes=2)  # absorb deltas
-        self._mutate(graph)
-        answers = session.solutions_many(patterns, graph, processes=2)
-        assert answers == [self._fresh_answers(forest, graph) for forest in patterns]
-
     def _mutate_bulk(self, graph):
         """One add_all batch: a single version bump for several new triples."""
         graph.add_all(
@@ -766,21 +507,4 @@ class TestMutationSafety:
             pass
         (tree,) = list(forest)
         assert session.cache.tree_solution_list(tree, graph) is None
-        assert session.solutions(forest, graph) == self._fresh_answers(forest, graph)
-
-    def test_parallel_solutions_iter_bulk_mutation_drops_stale_deltas(self):
-        graph = tprime_data_graph(7, 30, seed=27)
-        forest = WDPatternForest([tprime_tree(2)])
-        other = WDPatternForest([tprime_tree(3)])
-        session = Session()
-        iterator = session.solutions_iter(
-            [forest, other], graph, processes=2, chunk_size=1
-        )
-        next(iterator)
-        self._mutate_bulk(graph)  # one bump; the in-flight stamps predate it
-        for _ in iterator:
-            pass
-        assert session.cache.statistics.delta_entries_stale > 0
-        for tree in list(forest) + list(other):
-            assert session.cache.tree_solution_list(tree, graph) is None
         assert session.solutions(forest, graph) == self._fresh_answers(forest, graph)
