@@ -303,7 +303,7 @@ def qualname_index(tree: ast.Module) -> Dict[str, ast.AST]:
 def own_statements(func: ast.AST) -> Iterator[ast.AST]:
     """Every statement lexically inside *func*, excluding nested defs.
 
-    Nested functions are separate analysis units (``_search.backtrack`` is
+    Nested functions are separate analysis units (``_search_ids.backtrack`` is
     registered on its own), so a rule looking at a function's loops must not
     wander into its inner ``def``/``lambda`` bodies.
     """

@@ -6,7 +6,7 @@ generic pebble fixpoint) must call ``tick()`` in every ``while`` loop and
 every *outermost* ``for`` loop of their own body.  Inner loops are treated
 as amortized by the enclosing loop's tick (the whole point of
 ``Budget.tick(n)``'s batched accounting), and nested ``def``\\ s are
-separate units — ``_search.backtrack`` registers the inner function, not
+separate units — ``_search_ids.backtrack`` registers the inner function, not
 its driver.  A registered function that no longer exists is itself a
 finding: a stale registry silently un-protects a hot loop.
 
@@ -30,7 +30,7 @@ __all__ = ["TickRule", "MonotonicRule", "HOT_LOOPS"]
 #: (module suffix, dotted qualname) of every registered hot-loop function.
 #: Extend this list when a new enumeration / propagation loop lands.
 HOT_LOOPS: Tuple[Tuple[str, str], ...] = (
-    ("hom/homomorphism.py", "_search.backtrack"),
+    ("hom/homomorphism.py", "_search_ids.backtrack"),
     ("evaluation/naive.py", "evaluate_pattern"),
     ("evaluation/wdeval.py", "tree_solutions_stream"),
     ("evaluation/wdeval.py", "forest_solutions_stream"),

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, insort
-from typing import Iterable, Iterator, List, Union
+from typing import Iterable, Iterator, List, Sequence, Union
 
 __all__ = ["SortedKeyRun", "scan_mask", "BUFFER_LIMIT", "ARRAY_BITS_LIMIT"]
 
@@ -81,23 +81,11 @@ class SortedKeyRun:
         self.flush()
         return iter(self._main)
 
-    def scan(self, lo: int, hi: int) -> Iterator[int]:
-        """The keys in ``[lo, hi)`` in sorted order (merges the buffer first)."""
+    def keys(self) -> _Backing:
+        """The sorted keys, buffer merged in (shared, not copied: read them
+        before the next mutation of this run, never write them)."""
         self.flush()
-        main = self._main
-        i = bisect_left(main, lo)
-        n = len(main)
-        while i < n:
-            key = main[i]
-            if key >= hi:
-                return
-            yield key
-            i += 1
-
-    def count(self, lo: int, hi: int) -> int:
-        """``len(list(self.scan(lo, hi)))`` in two binary searches."""
-        self.flush()
-        return bisect_left(self._main, hi) - bisect_left(self._main, lo)
+        return self._main
 
     # --- mutation ----------------------------------------------------------
     def add(self, key: int) -> None:
@@ -181,21 +169,24 @@ class SortedKeyRun:
 
 def scan_mask(
     bits: int,
-    spo: SortedKeyRun,
-    pos: SortedKeyRun,
-    osp: SortedKeyRun,
+    spo: Sequence[int],
+    pos: Sequence[int],
+    osp: Sequence[int],
     s: "int | None",
     p: "int | None",
     o: "int | None",
 ) -> Iterator[tuple]:
     """Yield ``((s, p, o), packed_spo_key)`` for one bound-position mask.
 
-    Every one of the seven masks is a prefix of one of the three
-    permutations, so each call is a single bisect range scan: ``s`` /
-    ``sp`` lead SPO, ``p`` / ``po`` lead POS, ``o`` / ``os`` lead OSP, and
-    the fully bound mask is a membership probe.  Shared by
-    :meth:`RDFGraph.matches <repro.rdf.graph.RDFGraph.matches>` and
-    :class:`~repro.hom.homomorphism.ColumnarTargetIndex`.
+    *spo*, *pos* and *osp* are the sorted key sequences of the three
+    permutations (:meth:`SortedKeyRun.keys` or a
+    :meth:`~SortedKeyRun.snapshot`).  Every one of the seven masks is a
+    prefix of one of the three permutations, so each call is a single
+    bisect range scan: ``s`` / ``sp`` lead SPO, ``p`` / ``po`` lead POS,
+    ``o`` / ``os`` lead OSP, and the fully bound mask is a membership
+    probe.  Shared by :meth:`RDFGraph.matches
+    <repro.rdf.graph.RDFGraph.matches>` and
+    :class:`~repro.hom.homomorphism.TargetIndex`.
     """
     mask = (1 << bits) - 1
     shift2 = 2 * bits
@@ -203,42 +194,41 @@ def scan_mask(
     def pack(a: int, b: int, c: int) -> int:
         return (a << shift2) | (b << bits) | c
 
+    def scan(keys: Sequence[int], lo: int, width: int) -> Sequence[int]:
+        i = bisect_left(keys, lo)
+        return keys[i : bisect_left(keys, lo + width, i)]
+
     if s is not None and p is not None and o is not None:
         key = pack(s, p, o)
-        if key in spo:
+        i = bisect_left(spo, key)
+        if i < len(spo) and spo[i] == key:
             yield (s, p, o), key
         return
     if s is not None and p is not None:
-        lo = pack(s, p, 0)
-        for key in spo.scan(lo, lo + (1 << bits)):
+        for key in scan(spo, pack(s, p, 0), 1 << bits):
             yield (s, p, key & mask), key
         return
     if p is not None and o is not None:
-        lo = pack(p, o, 0)
-        for key in pos.scan(lo, lo + (1 << bits)):
+        for key in scan(pos, pack(p, o, 0), 1 << bits):
             si = key & mask
             yield (si, p, o), pack(si, p, o)
         return
     if s is not None and o is not None:
-        lo = pack(o, s, 0)
-        for key in osp.scan(lo, lo + (1 << bits)):
+        for key in scan(osp, pack(o, s, 0), 1 << bits):
             pi = key & mask
             yield (s, pi, o), pack(s, pi, o)
         return
     if s is not None:
-        lo = s << shift2
-        for key in spo.scan(lo, lo + (1 << shift2)):
+        for key in scan(spo, s << shift2, 1 << shift2):
             yield (s, (key >> bits) & mask, key & mask), key
         return
     if p is not None:
-        lo = p << shift2
-        for key in pos.scan(lo, lo + (1 << shift2)):
+        for key in scan(pos, p << shift2, 1 << shift2):
             si, oi = key & mask, (key >> bits) & mask
             yield (si, p, oi), pack(si, p, oi)
         return
     if o is not None:
-        lo = o << shift2
-        for key in osp.scan(lo, lo + (1 << shift2)):
+        for key in scan(osp, o << shift2, 1 << shift2):
             si, pi = (key >> bits) & mask, key & mask
             yield (si, pi, o), pack(si, pi, o)
         return

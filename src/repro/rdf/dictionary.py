@@ -4,8 +4,9 @@
 a dense integer id and back.  Ids are assigned in interning order, never
 reused and never removed — a term that no longer occurs in any triple keeps
 its id (the graph tracks occurrence counts separately), so id-encoded
-snapshots such as :class:`~repro.hom.homomorphism.ColumnarTargetIndex`
-remain decodable after arbitrary mutations of the graph.
+snapshots such as :class:`~repro.hom.homomorphism.TargetIndex` remain
+decodable after arbitrary mutations of the graph.  The target index of a
+t-graph keeps a private dictionary that interns its variables as well.
 
 Interning also deduplicates term objects: every triple decoded from the
 columns shares the single interned instance of each of its terms, so a

@@ -453,7 +453,9 @@ class RDFGraph:
     ) -> Iterator[Tuple[Tuple[int, int, int], int]]:
         """Yield ``((s, p, o), packed_spo_key)`` for the bound-position mask,
         as one range scan over the permutation led by the bound positions."""
-        return scan_mask(self._bits, self._spo, self._pos, self._osp, s, p, o)
+        return scan_mask(
+            self._bits, self._spo.keys(), self._pos.keys(), self._osp.keys(), s, p, o
+        )
 
     def solutions(self, pattern: TriplePattern) -> Iterator[Dict[Variable, GroundTerm]]:
         """Iterate over variable bindings ``µ`` with ``µ(pattern) ∈ G``.
@@ -470,20 +472,20 @@ class RDFGraph:
 
     # --- snapshots for target indexes ----------------------------------------
     def _snapshot(self):
-        """Flushed copies of the columns + shared dictionary and decode memo.
+        """Flushed copies of the key runs + the shared dictionary and decode memo.
 
-        Consumed by :class:`~repro.hom.homomorphism.ColumnarTargetIndex`:
-        the copies freeze the triple set at the current version (later graph
-        mutations never leak into a built index), while the dictionary is
-        shared safely because ids are never reassigned, and the decode memo
-        is shared because the graph *replaces* (never mutates in place) that
+        Consumed by :class:`~repro.hom.homomorphism.TargetIndex`: the copies
+        freeze the triple set at the current version (later graph mutations
+        never leak into a built index), while the dictionary is shared
+        safely because ids are never reassigned, and the decode memo is
+        shared because the graph *replaces* (never mutates in place) that
         dict when the key width changes.
         """
         return (
             self._bits,
-            self._spo.copy(),
-            self._pos.copy(),
-            self._osp.copy(),
+            self._spo.snapshot(),
+            self._pos.snapshot(),
+            self._osp.snapshot(),
             self._dict,
             self._decoded,
         )

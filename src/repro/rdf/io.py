@@ -24,7 +24,14 @@ from .terms import IRI, Literal, Term
 from .triples import Triple
 from ..exceptions import ParseError, RDFError
 
-__all__ = ["parse_ntriples", "serialize_ntriples", "load_graph", "save_graph"]
+__all__ = [
+    "parse_ntriples",
+    "serialize_ntriples",
+    "parse_term",
+    "serialize_term",
+    "load_graph",
+    "save_graph",
+]
 
 _TERM_RE = re.compile(
     r"""
@@ -39,12 +46,35 @@ _TERM_RE = re.compile(
 )
 
 
+#: The single-character escapes of an N-Triples literal (``ECHAR``).
+_ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+
+_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
+
+
 def _unescape(value: str) -> str:
-    return value.encode("utf-8").decode("unicode_escape")
+    """Decode the escapes of a literal's lexical form: ``ECHAR`` and the
+    ``\\uXXXX`` / ``\\UXXXXXXXX`` code points; the rest of the text is
+    taken as it is, so non-ASCII characters pass through unchanged."""
+    if "\\" not in value:
+        return value
+
+    def decode(match: "re.Match[str]") -> str:
+        short, long, char = match.groups()
+        if char is not None:
+            if char not in _ECHARS:
+                raise ParseError(f"invalid escape sequence \\{char} in a literal")
+            return _ECHARS[char]
+        code = int(short or long, 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            raise ParseError(f"escape sequence {match.group(0)} is not a character")
+        return chr(code)
+
+    return _ESCAPE_RE.sub(decode, value)
 
 
 def _escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r")
 
 
 def _parse_term(line: str, pos: int) -> tuple[Term, int]:
@@ -61,6 +91,15 @@ def _parse_term(line: str, pos: int) -> tuple[Term, int]:
     if dt is not None:
         return Literal(value, datatype=IRI(dt)), match.end()
     return Literal(value), match.end()
+
+
+def parse_term(text: str) -> Term:
+    """Parse one term written as in N-Triples (``<iri>`` or a literal) that
+    spans all of *text*; anything else is a :class:`ParseError`."""
+    term, end = _parse_term(text, 0)
+    if text[end:].strip():
+        raise ParseError(f"trailing content after the term in {text!r}", position=end)
+    return term
 
 
 def parse_ntriples(source: Union[str, TextIO]) -> Iterator[Triple]:
@@ -83,7 +122,8 @@ def parse_ntriples(source: Union[str, TextIO]) -> Iterator[Triple]:
         yield Triple(subject, predicate, obj)
 
 
-def _serialize_term(term: Term) -> str:
+def serialize_term(term: Term) -> str:
+    """One ground term as N-Triples writes it (the inverse of :func:`parse_term`)."""
     if isinstance(term, IRI):
         return f"<{term.value}>"
     if isinstance(term, Literal):
@@ -99,7 +139,7 @@ def _serialize_term(term: Term) -> str:
 def serialize_ntriples(triples: Iterable[Triple]) -> str:
     """Serialise triples to an N-Triples style string (sorted for determinism)."""
     lines = sorted(
-        " ".join(_serialize_term(t) for t in triple) + " ." for triple in triples
+        " ".join(serialize_term(t) for t in triple) + " ." for triple in triples
     )
     return "\n".join(lines) + ("\n" if lines else "")
 

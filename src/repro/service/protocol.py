@@ -47,8 +47,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..exceptions import ProtocolError
-from ..rdf.terms import Variable
+from ..exceptions import ParseError, ProtocolError
+from ..rdf.io import parse_term, serialize_term
+from ..rdf.terms import Literal, Term, Variable
 from ..rdf.triples import Triple, coerce_term
 from ..sparql.mappings import Mapping
 from .core import DEFAULT_GRAPH, OPERATIONS, Request, Response
@@ -98,8 +99,23 @@ def decode_line(raw: bytes) -> dict:
 
 # --- value conversions -----------------------------------------------------
 def _term_to_wire(term: object) -> str:
+    """IRIs travel bare, literals in their N-Triples form (``"Alice"@en``)."""
+    if isinstance(term, Literal):
+        return serialize_term(term)
     value = getattr(term, "value", None)
     return value if isinstance(value, str) else str(term)
+
+
+def _term_from_wire(text: str) -> Term:
+    """The inverse of :func:`_term_to_wire`: a string starting with ``"`` is
+    a literal, read by the N-Triples term parser; any other string is an IRI
+    or, with a leading ``?``, a variable."""
+    if text.startswith('"'):
+        try:
+            return parse_term(text)
+        except ParseError as error:
+            raise ProtocolError(f"malformed literal {text!r}: {error}") from None
+    return coerce_term(text)
 
 
 def mapping_to_wire(mu: Mapping) -> Dict[str, str]:
@@ -119,7 +135,7 @@ def mapping_from_wire(binding: object) -> Mapping:
         if not isinstance(name, str) or not isinstance(value, str):
             raise ProtocolError("binding entries must map string names to string terms")
         try:
-            variable, term = Variable(name), coerce_term(value)
+            variable, term = Variable(name), _term_from_wire(value)
         except ValueError as error:  # empty variable name or term
             raise ProtocolError(f"invalid binding {name!r}: {value!r}: {error}") from None
         if isinstance(term, Variable):
@@ -150,7 +166,8 @@ def triple_from_wire(item: object) -> Triple:
             "update triples must be [subject, predicate, object] string arrays"
         )
     try:
-        return Triple.of(*item)
+        subject, predicate, obj = (_term_from_wire(part) for part in item)
+        return Triple(subject, predicate, obj)
     except ValueError as error:  # empty terms
         raise ProtocolError(f"invalid update triple {list(item)!r}: {error}") from None
 

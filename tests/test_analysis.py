@@ -239,7 +239,7 @@ def test_tick_rule_reports_stale_registry_entry():
 def test_tick_rule_checks_registered_nested_function():
     proj = project(
         src__repro__hom__homomorphism="""
-        def _search(source, index, fixed, budget):
+        def _search_ids(source, index, fixed, budget):
             def backtrack(current):
                 for value in current:
                     yield value
@@ -247,7 +247,7 @@ def test_tick_rule_checks_registered_nested_function():
         """
     )
     findings = rule_findings(TickRule(), proj)
-    assert len(findings) == 1 and "_search.backtrack" in findings[0].message
+    assert len(findings) == 1 and "_search_ids.backtrack" in findings[0].message
 
 
 # --- RP-MONO ------------------------------------------------------------------

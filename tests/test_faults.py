@@ -51,7 +51,7 @@ def dense_graph(n=12):
     )
 
 
-def turan_graph(n=24, parts=4):
+def turan_graph(n=30, parts=5):
     """Complete *parts*-partite graph: many (parts)-cliques, none larger."""
     return RDFGraph(
         [
@@ -63,7 +63,7 @@ def turan_graph(n=24, parts=4):
     )
 
 
-def clique_probe(k=5):
+def clique_probe(k=6):
     """An OPT whose child asks for a k-clique next to ?x — over a Turán
     graph without one, every membership check is an exhaustive search."""
     names = [f"?c{i}" for i in range(k)]

@@ -69,3 +69,24 @@ class TestRoundTrip:
         graph = RDFGraph([Triple(IRI("s"), IRI("p"), Literal('say "hi"\nplease'))])
         text = serialize_ntriples(graph)
         assert RDFGraph(parse_ntriples(text)) == graph
+
+    def test_non_ascii_literal_round_trips(self):
+        graph = RDFGraph([Triple(IRI("s"), IRI("p"), Literal("café"))])
+        assert RDFGraph(parse_ntriples(serialize_ntriples(graph))) == graph
+
+    def test_carriage_return_literal_survives_a_file_round_trip(self, tmp_path):
+        graph = RDFGraph([Triple(IRI("a"), IRI("r"), Literal("line\r\nbreak"))])
+        path = tmp_path / "data.nt"
+        save_graph(graph, path)
+        assert load_graph(path) == graph
+
+
+class TestEscapes:
+    def test_decodes_the_ntriples_escapes(self):
+        [triple] = parse_ntriples('<s> <p> "caf\\u00e9 \\U0001F600\\t\\\'q\\\' \\\\ \\"" .')
+        assert triple.object == Literal("café \U0001F600\t'q' \\ \"")
+
+    @pytest.mark.parametrize("body", ["\\x41", "\\uD800", "\\U00110000", "\\u12"])
+    def test_other_escapes_raise_parse_errors(self, body):
+        with pytest.raises(ParseError):
+            list(parse_ntriples(f'<s> <p> "{body}" .'))

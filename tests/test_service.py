@@ -29,7 +29,7 @@ from repro.exceptions import (
     ServiceError,
     ServiceOverloadedError,
 )
-from repro.rdf import RDFGraph, Triple
+from repro.rdf import IRI, Literal, RDFGraph, Triple
 from repro.service import (
     QueryService,
     Request,
@@ -204,18 +204,33 @@ class TestDifferentialConcurrency:
         ]
         rng.shuffle(schedule)
 
+        requests = []
+        for row in schedule:
+            if row[0] == "check":
+                requests.append(Request(op="check", query=row[1], mappings=row[2]))
+            elif row[0] == "solutions":
+                requests.append(Request(op="solutions", query=row[1]))
+            else:
+                requests.append(Request(op="update", add=row[1], remove=row[2]))
+
         with QueryService(
             graph, max_inflight=8, max_pending=len(schedule) + 1
         ) as service:
-            pendings = []
-            for row in schedule:
-                if row[0] == "check":
-                    request = Request(op="check", query=row[1], mappings=row[2])
-                elif row[0] == "solutions":
-                    request = Request(op="solutions", query=row[1])
-                else:
-                    request = Request(op="update", add=row[1], remove=row[2])
-                pendings.append((row, service.submit(request)))
+            # The first two requests wait at a held gate until both are in
+            # flight, so the run is concurrent however fast a request is.
+            assert service.gate.acquire_write()
+            try:
+                pendings = [
+                    (row, service.submit(request))
+                    for row, request in zip(schedule[:2], requests[:2])
+                ]
+                assert wait_until(lambda: service.stats()["inflight"] == 2)
+            finally:
+                service.gate.release_write()
+            pendings += [
+                (row, service.submit(request))
+                for row, request in zip(schedule[2:], requests[2:])
+            ]
             resolved = [(row, p.result(timeout=120.0)) for row, p in pendings]
             assert service.stats()["peak_inflight"] >= 2
 
@@ -635,6 +650,48 @@ class TestSocketProtocol:
             assert server.requests_served == 2
         finally:
             server.shutdown()
+            service.close()
+
+    def test_literals_round_trip_over_the_socket(self):
+        integer = IRI("http://www.w3.org/2001/XMLSchema#integer")
+        graph = RDFGraph(
+            [
+                Triple(IRI("alice"), IRI("name"), Literal("Alice", language="en")),
+                Triple(IRI("bob"), IRI("name"), Literal('Bob "B" Smith')),
+                Triple(IRI("carol"), IRI("name"), Literal("5", datatype=integer)),
+            ]
+        )
+        service = QueryService(graph, max_inflight=2)
+        server = ServiceServer(service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.address
+        query = "(?x name ?n)"
+        try:
+            with ServiceClient(host, port) as client:
+                answers = client.solutions(query)
+                assert {row["n"] for row in answers} == {
+                    '"Alice"@en',
+                    '"Bob \\"B\\" Smith"',
+                    '"5"^^<http://www.w3.org/2001/XMLSchema#integer>',
+                }
+                assert client.check(query, answers) == [True] * 3
+                assert client.check(query, {"x": "alice", "n": '"Alice"'}) is False
+
+                dave = ["dave", "name", '"Dave"@de']
+                assert client.update(add=[dave])["added"] == 1
+                assert {"x": "dave", "n": '"Dave"@de'} in client.solutions(query)
+                assert Triple(IRI("dave"), IRI("name"), Literal("Dave", language="de")) in graph
+
+                for malformed in ('"unterminated', '"Alice"@', '"a" trailing', '"\\q"'):
+                    with pytest.raises(ProtocolError):
+                        client.check(query, {"x": "alice", "n": malformed})
+                    with pytest.raises(ProtocolError):
+                        client.update(add=[["erin", "name", malformed]])
+                assert client.check(query, answers[0]) is True
+        finally:
+            server.shutdown()
+            thread.join(timeout=5.0)
             service.close()
 
     def test_oversized_line_is_rejected(self, served):

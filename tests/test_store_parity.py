@@ -167,6 +167,10 @@ class TestWidening:
 
 
 class TestTargetIndexParity:
+    """An index over a graph (a copy of its runs, its shared dictionary)
+    against one built from the reference store's triple set (a private
+    dictionary and freshly sorted runs)."""
+
     def _indexes(self, seed, triples=120):
         rng = random.Random(seed)
         ts = [random_triple(rng) for _ in range(triples)]
@@ -174,14 +178,14 @@ class TestTargetIndexParity:
         reference = ReferenceRDFGraph.from_triples(ts)
         columnar_index = target_index(columnar)
         assert isinstance(columnar_index, ColumnarTargetIndex)
-        hash_index = TargetIndex(reference.triples())
-        return rng, columnar, columnar_index, hash_index
+        set_index = TargetIndex(reference.triples())
+        return rng, columnar, columnar_index, set_index
 
     @pytest.mark.parametrize("seed", range(4))
     def test_candidates_agree_on_every_mask(self, seed):
-        rng, _, columnar_index, hash_index = self._indexes(seed)
-        assert columnar_index.triples == hash_index.triples
-        assert columnar_index.terms == hash_index.terms
+        rng, _, columnar_index, set_index = self._indexes(seed)
+        assert columnar_index.triples == set_index.triples
+        assert columnar_index.terms == set_index.terms
         s, p, o = NODES[0], PREDS[0], NODES[1]
         absent = EX.term("never-interned")
         masks = [
@@ -199,12 +203,12 @@ class TestTargetIndexParity:
         ]
         for mask in masks:
             assert frozenset(columnar_index.candidates(*mask)) == frozenset(
-                hash_index.candidates(*mask)
+                set_index.candidates(*mask)
             ), mask
 
     @pytest.mark.parametrize("seed", range(4))
     def test_pattern_solutions_agree(self, seed):
-        rng, _, columnar_index, hash_index = self._indexes(seed)
+        rng, _, columnar_index, set_index = self._indexes(seed)
         x, y = VARS[0], VARS[1]
         fixed_variants = [
             None,
@@ -218,7 +222,7 @@ class TestTargetIndexParity:
             pat = random_pattern(rng)
             for fixed in fixed_variants:
                 assert canon(columnar_index.pattern_solutions(pat, fixed)) == canon(
-                    hash_index.pattern_solutions(pat, fixed)
+                    set_index.pattern_solutions(pat, fixed)
                 ), (pat, fixed)
 
     @pytest.mark.parametrize("seed", range(3))
