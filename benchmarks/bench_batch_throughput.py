@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Batch wdEVAL throughput: single-shot vs batched vs parallel.
 
-The service-layer claim behind :mod:`repro.evaluation.batch`: answering many
-membership instances against one graph through the shared
+The service-layer claim behind :meth:`Session.check_many
+<repro.evaluation.session.Session.check_many>`: answering many membership
+instances against one graph through the shared
 :class:`~repro.evaluation.cache.EvaluationCache` must beat a loop of
 independent :meth:`Engine.contains` calls by a wide margin, with *identical*
 answers.
@@ -22,7 +23,7 @@ Run as a script::
 It prints a throughput table (mappings/second) for
 
 * ``single`` — per-call :meth:`Engine.contains`, no cache;
-* ``batched`` — :meth:`BatchEngine.contains_many`, shared cache;
+* ``batched`` — :meth:`Session.check_many`, shared cache;
 * ``parallel`` — the same with an opt-in worker pool;
 
 and **asserts** the acceptance criteria: batched throughput at least
@@ -43,9 +44,9 @@ import argparse
 import multiprocessing
 import pickle
 import time
-from typing import List, Tuple
+from typing import Tuple
 
-from repro.evaluation import BatchEngine, Engine
+from repro.evaluation import Engine, Session
 from repro.rdf.terms import IRI, Variable
 from repro.sparql.mappings import Mapping
 from repro.workloads.families import P_PRED, fk_data_graph, fk_forest
@@ -70,6 +71,20 @@ def edge_membership_workload(k: int, nodes: int, triples_per_node: int, seed: in
         key=repr,
     )
     return forest, graph, mappings
+
+
+def fresh_session_check_many(forest, graph, mappings, method: str, processes=None):
+    """:meth:`Session.check_many` on a fresh session, so the timing includes
+    building the cache."""
+    session = Session()
+    return session.check_many(
+        session.engine(forest, width_bound=1),
+        graph,
+        mappings,
+        method=method,
+        width=1,
+        processes=processes,
+    )
 
 
 def _best_of(function, repeat: int) -> Tuple[float, object]:
@@ -99,20 +114,13 @@ def run_throughput(
         lambda: [engine.contains(graph, mu, method=method, width=1) for mu in mappings],
         repeat,
     )
-    # A fresh BatchEngine per run so the timing includes building the cache.
     t_batched, batched = _best_of(
-        lambda: BatchEngine(forest=forest, width_bound=1).contains_many(
-            graph, mappings, method=method, width=1
-        ),
-        repeat,
+        lambda: fresh_session_check_many(forest, graph, mappings, method), repeat
     )
     if processes <= 0:
         processes = min(4, multiprocessing.cpu_count())
     t_parallel, parallel = _best_of(
-        lambda: BatchEngine(forest=forest, width_bound=1).contains_many(
-            graph, mappings, method=method, width=1, processes=processes
-        ),
-        repeat,
+        lambda: fresh_session_check_many(forest, graph, mappings, method, processes), repeat
     )
 
     assert pickle.dumps(batched) == pickle.dumps(single), "batched answers differ"

@@ -69,7 +69,6 @@ from .width import (
     local_width_of_pattern,
 )
 from .evaluation import (
-    BatchEngine,
     Engine,
     EvalContext,
     EvaluationCache,
@@ -145,7 +144,6 @@ __all__ = [
     # evaluation
     "Engine",
     "Session",
-    "BatchEngine",
     "Plan",
     "Planner",
     "EvalContext",

@@ -62,7 +62,7 @@ _EVAL_ENTRYPOINTS = {
 }
 _QUEUE_TYPES = {"Queue", "SimpleQueue", "LifoQueue", "PriorityQueue"}
 _POOL_TYPES = {"Pool", "Thread"}
-_EVAL_TYPES = {"Session", "Engine", "BatchEngine"}
+_EVAL_TYPES = {"Session", "Engine"}
 
 
 def _has_timeout(call: ast.Call, extra_positional: int = 0) -> bool:

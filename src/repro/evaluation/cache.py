@@ -50,10 +50,10 @@ bounded even over a stream of distinct patterns.  With the default
 strong references to every tree it has seen — prefer a bound for long-lived
 shared caches.
 
-A cache is shared safely between any number of :class:`Engine` /
-:class:`BatchEngine` instances — entries are keyed on the evaluated
-sub-instances, not on the owning engine, so patterns with common structure
-benefit from each other's work.
+A cache is shared safely between any number of :class:`Engine` instances
+(a :class:`~repro.evaluation.session.Session` wires all of its engines to
+one) — entries are keyed on the evaluated sub-instances, not on the owning
+engine, so patterns with common structure benefit from each other's work.
 
 **Thread safety.**  One cache may be hit concurrently from multiple
 threads (the query service evaluates requests on a thread pool over one
@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from ..hom.homomorphism import TargetIndex, find_homomorphism, target_index
 from ..hom.tgraph import GeneralizedTGraph, TGraph

@@ -1,16 +1,10 @@
-"""The evaluation context: one bundle for cache, statistics and pool size.
+"""The evaluation context: one bundle for cache, statistics and budget.
 
-Before this module existed, every function in the evaluation layer threaded
-``(statistics, cache)`` as optional positional arguments — and each of them
-re-implemented the same "use the cache when there is one, fall back to the
-direct computation otherwise" branching.  :class:`EvalContext` reifies that
-environment:
+:class:`EvalContext` is the environment every wdEVAL algorithm runs in:
 
 * ``cache`` — an optional :class:`~repro.evaluation.cache.EvaluationCache`;
 * ``statistics`` — an optional
   :class:`~repro.evaluation.wdeval.EvaluationStatistics` accumulator;
-* ``processes`` — the default worker-pool size of the batched membership
-  entry points (:class:`~repro.evaluation.session.Session`);
 * ``budget`` — an optional :class:`~repro.evaluation.budget.Budget`.
 
 The context also owns the cache-or-direct helpers (`mu_subtree`,
@@ -19,17 +13,13 @@ The context also owns the cache-or-direct helpers (`mu_subtree`,
 :mod:`~repro.evaluation.wdeval` / :mod:`~repro.evaluation.pebble_eval`
 contain the algorithm and nothing else, and the two code paths can never
 drift apart.  A context is immutable; derive variants with
-:meth:`with_statistics` / :meth:`with_cache`.
-
-The old ``(statistics, cache)`` signatures survive as thin shims
-(:meth:`EvalContext.of` builds the equivalent context), so existing callers
-and the tier-1 tests keep working unchanged.
+:meth:`with_statistics` / :meth:`with_budget`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple
 
 from .budget import Budget
 from .cache import EvaluationCache
@@ -59,9 +49,6 @@ class EvalContext:
     statistics:
         Optional per-run counter accumulator; the ``note_*`` helpers are
         no-ops when it is ``None``.
-    processes:
-        Default worker-pool size of the batched membership entry points
-        (``None`` or ``1`` = serial).
     budget:
         Optional :class:`~repro.evaluation.budget.Budget` bounding the
         evaluation; the hot loops tick it through the cache-or-direct
@@ -71,30 +58,14 @@ class EvalContext:
 
     cache: Optional[EvaluationCache] = None
     statistics: Optional["EvaluationStatistics"] = None
-    processes: Optional[int] = None
     budget: Optional[Budget] = None
 
     # --- construction --------------------------------------------------------
-    @classmethod
-    def of(
-        cls,
-        statistics: Optional["EvaluationStatistics"] = None,
-        cache: Optional[EvaluationCache] = None,
-    ) -> "EvalContext":
-        """The context equivalent to the legacy ``(statistics, cache)`` pair."""
-        return cls(cache=cache, statistics=statistics)
-
     def with_statistics(self, statistics: Optional["EvaluationStatistics"]) -> "EvalContext":
         """This context with *statistics* swapped in (no-op when unchanged)."""
         if statistics is self.statistics:
             return self
         return replace(self, statistics=statistics)
-
-    def with_cache(self, cache: Optional[EvaluationCache]) -> "EvalContext":
-        """This context with *cache* swapped in (no-op when unchanged)."""
-        if cache is self.cache:
-            return self
-        return replace(self, cache=cache)
 
     def with_budget(self, budget: Optional[Budget]) -> "EvalContext":
         """This context with *budget* swapped in (no-op when unchanged)."""

@@ -12,11 +12,10 @@ and exposes the three evaluation strategies side by side:
   or can be computed cheaply, otherwise the natural algorithm.
 
 Method resolution lives in exactly one place: the engine's
-:class:`~repro.evaluation.plan.Planner`.  :meth:`contains`,
-:meth:`resolve_method` and the batched entry points all delegate to it, and
-:meth:`plan` / :meth:`explain` expose the resolved
-:class:`~repro.evaluation.plan.Plan` — including *why* the pebble strategy
-was (not) chosen.
+:class:`~repro.evaluation.plan.Planner`.  :meth:`contains` and the batched
+entry points all delegate to it, and :meth:`plan` / :meth:`explain` expose
+the resolved :class:`~repro.evaluation.plan.Plan` — including *why* the
+pebble strategy was (not) chosen.
 
 The engine also enumerates complete answer sets and exposes the pattern's
 width measures, which is what the examples and the experiment harness use.
@@ -191,21 +190,6 @@ class Engine:
         """Human-readable account of the strategy choice (see :meth:`plan`);
         with a *graph* the account includes the per-cell cost estimate."""
         return self.plan(method, width, graph=graph).explain()
-
-    def resolve_method(
-        self, method: str = "auto", width: Optional[int] = None,
-        graph: Optional[RDFGraph] = None,
-    ) -> tuple[str, Optional[int]]:
-        """The concrete ``(method, width)`` a call with these arguments runs.
-
-        A compatibility projection of :meth:`plan` — the planner is the
-        single home of the resolution logic.  Like :meth:`plan` it resolves
-        graph-free by default; pass the *graph* to see the cost-aware
-        decision :meth:`contains` executes for that graph (the two can
-        differ for ``method="auto"``, since the cost model picks per cell).
-        """
-        plan = self._planner.plan(method, width, graph=graph)
-        return plan.strategy, plan.width
 
     # --- membership --------------------------------------------------------------------
     def contains(

@@ -17,35 +17,29 @@ On classes of bounded domination width it therefore decides ``wdEVAL`` in
 polynomial time; on other inputs its answer may be a false negative, which
 :class:`~repro.evaluation.engine.Engine` reports as such.
 
-The canonical implementations (the ``*_ctx`` functions) take an
-:class:`~repro.evaluation.context.EvalContext`; the historical
-``(statistics, cache)`` signatures are kept as thin shims.
+Both functions take a trailing
+:class:`~repro.evaluation.context.EvalContext` (cache, statistics, budget)
+that defaults to the empty context.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 from .context import EvalContext
-from .wdeval import EvaluationStatistics
+from .wdeval import _PLAIN_CONTEXT
 from ..patterns.forest import WDPatternForest
 from ..patterns.tree import WDPatternTree
 from ..rdf.graph import RDFGraph
 from ..sparql.mappings import Mapping
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .cache import EvaluationCache
-
-__all__ = [
-    "tree_contains_pebble",
-    "tree_contains_pebble_ctx",
-    "forest_contains_pebble",
-    "forest_contains_pebble_ctx",
-]
+__all__ = ["tree_contains_pebble", "forest_contains_pebble"]
 
 
-def tree_contains_pebble_ctx(
-    tree: WDPatternTree, graph: RDFGraph, mu: Mapping, k: int, context: EvalContext
+def tree_contains_pebble(
+    tree: WDPatternTree,
+    graph: RDFGraph,
+    mu: Mapping,
+    k: int,
+    context: EvalContext = _PLAIN_CONTEXT,
 ) -> bool:
     """The per-tree acceptance test of the Theorem 1 algorithm.
 
@@ -71,8 +65,12 @@ def tree_contains_pebble_ctx(
     return True
 
 
-def forest_contains_pebble_ctx(
-    forest: WDPatternForest, graph: RDFGraph, mu: Mapping, k: int, context: EvalContext
+def forest_contains_pebble(
+    forest: WDPatternForest,
+    graph: RDFGraph,
+    mu: Mapping,
+    k: int,
+    context: EvalContext = _PLAIN_CONTEXT,
 ) -> bool:
     """The Theorem 1 algorithm on a forest: accept iff some tree accepts.
 
@@ -83,33 +81,6 @@ def forest_contains_pebble_ctx(
         raise ValueError("the width parameter k must be at least 1")
     for tree in forest:
         context.note_tree_visited()
-        if tree_contains_pebble_ctx(tree, graph, mu, k, context):
+        if tree_contains_pebble(tree, graph, mu, k, context):
             return True
     return False
-
-
-# --- legacy signatures (thin shims) --------------------------------------------
-
-
-def tree_contains_pebble(
-    tree: WDPatternTree,
-    graph: RDFGraph,
-    mu: Mapping,
-    k: int,
-    statistics: Optional[EvaluationStatistics] = None,
-    cache: Optional["EvaluationCache"] = None,
-) -> bool:
-    """Shim for :func:`tree_contains_pebble_ctx` (historical signature)."""
-    return tree_contains_pebble_ctx(tree, graph, mu, k, EvalContext.of(statistics, cache))
-
-
-def forest_contains_pebble(
-    forest: WDPatternForest,
-    graph: RDFGraph,
-    mu: Mapping,
-    k: int,
-    statistics: Optional[EvaluationStatistics] = None,
-    cache: Optional["EvaluationCache"] = None,
-) -> bool:
-    """Shim for :func:`forest_contains_pebble_ctx` (historical signature)."""
-    return forest_contains_pebble_ctx(forest, graph, mu, k, EvalContext.of(statistics, cache))

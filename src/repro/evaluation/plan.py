@@ -5,43 +5,30 @@ instance* — naive, natural, or the Theorem 1 pebble relaxation under a
 certified width bound.  This module makes that choice a first-class object
 instead of a string compared in several places:
 
-* :class:`Strategy` — a registered, executable evaluation strategy.  The
-  three concrete strategies (``naive``, ``natural``, ``pebble``) carry their
-  own execution hooks (``contains``, ``contains_many``, ``solutions_stream``,
-  ``warm``), so the callers dispatch on the strategy *object*, never on a
-  method string.
+* :class:`Strategy` — one executable evaluation strategy.  The three
+  strategies (``naive``, ``natural``, ``pebble``) carry their own execution
+  hooks (``contains``, ``contains_many``, ``solutions_stream``, ``warm``),
+  so the callers dispatch on the strategy *object*, never on a method
+  string.
 * :class:`Plan` — a frozen record of one resolved choice: the strategy, the
   width bound it runs with, whether that bound is *certified* (computed as
   the pattern's true domination width) or merely trusted, and a
   human-readable rationale.  :meth:`Plan.explain` renders the decision.
 * :class:`Planner` — the **single** home of ``method="auto"`` resolution.
   :meth:`Engine.contains <repro.evaluation.engine.Engine.contains>`,
-  :meth:`Engine.resolve_method
-  <repro.evaluation.engine.Engine.resolve_method>`,
-  :meth:`Session.check_many <repro.evaluation.session.Session.check_many>`
-  and :class:`~repro.evaluation.batch.BatchEngine` all delegate here, so the
-  resolution logic can never disagree with itself again.
+  :meth:`Engine.plan <repro.evaluation.engine.Engine.plan>` and the
+  :class:`~repro.evaluation.session.Session` entry points all delegate
+  here, so the resolution logic can never disagree with itself.
 
-The resolution rules (unchanged semantics, now in one place):
-
-* ``naive`` / ``natural`` run as requested, no width involved;
-* ``pebble`` uses the per-call ``width``, else the engine's ``width_bound``,
-  else the previously computed domination width, else it *computes* the
-  domination width (exact but potentially expensive);
-* ``auto`` prefers pebble **iff a bound is available for free** (an explicit
-  width, a constructor bound, or an already-computed domination width) and
-  otherwise falls back to the exact natural algorithm rather than pay for a
-  width computation.
-
-Since PR 4 the planner is **cost-based**: when the caller supplies the data
-graph, ``auto`` resolution consults a :class:`CostModel` that estimates the
-naive / natural / pebble cost of the concrete ``(pattern, graph)`` cell from
-cheap statistics (graph size, ``sorted_domain()`` cardinality, the pattern's
+The planner is **cost-based**: when the caller supplies the data graph,
+``auto`` resolution consults a :class:`CostModel` that estimates the naive /
+natural / pebble cost of the concrete ``(pattern, graph)`` cell from cheap
+statistics (graph size, ``sorted_domain()`` cardinality, the pattern's
 node/OPT-children counts and fresh-variable branching, the free width bound)
 and picks the cheapest admissible strategy *per cell* instead of a fixed
 preference.  The estimate rides on the resolved :class:`Plan` and is rendered
 by :meth:`Plan.explain` (CLI ``explain --cost``).  Without a graph the
-resolution rules are exactly the historical (PR 3) ones:
+graph-free rules apply:
 
 * ``naive`` / ``natural`` run as requested, no width involved;
 * ``pebble`` uses the per-call ``width``, else the engine's ``width_bound``,
@@ -52,9 +39,9 @@ resolution rules are exactly the historical (PR 3) ones:
   otherwise falls back to the exact natural algorithm rather than pay for a
   width computation.
 
-Ties in the cost estimates break toward the historical preference, so the
-cost-based planner degenerates to PR 3 behaviour when the estimates cannot
-tell the strategies apart.  The cost model never proposes a strategy whose
+Ties in the cost estimates break toward the graph-free preference, so the
+cost-based planner degenerates to those rules when the estimates cannot tell
+the strategies apart.  The cost model never proposes a strategy whose
 precondition fails: pebble needs a free width bound, and only the naive and
 natural strategies can enumerate.
 
@@ -91,17 +78,16 @@ __all__ = [
     "PatternStats",
     "CostEstimate",
     "CostModel",
-    "register_strategy",
     "strategy_for",
     "method_names",
 ]
 
 
-# --- the strategy registry -----------------------------------------------------
+# --- the strategies ------------------------------------------------------------
 
 
 class Strategy:
-    """One executable evaluation strategy (registry entry).
+    """One executable evaluation strategy.
 
     Subclasses implement the execution hooks; the engines and sessions call
     through the instance resolved from a :class:`Plan`, so there is no
@@ -172,32 +158,6 @@ class Strategy:
         return f"Strategy({self.name!r})"
 
 
-_STRATEGIES: Dict[str, Strategy] = {}
-
-
-def register_strategy(strategy: Strategy) -> Strategy:
-    """Register *strategy* under its name (replacing any previous entry)."""
-    if not strategy.name:
-        raise ValueError("a strategy must have a non-empty name")
-    _STRATEGIES[strategy.name] = strategy
-    return strategy
-
-
-def method_names() -> Tuple[str, ...]:
-    """Every accepted ``method=`` value (``auto`` plus the registry)."""
-    return ("auto",) + tuple(sorted(_STRATEGIES))
-
-
-def strategy_for(name: str) -> Strategy:
-    """The registered strategy called *name* (raises for unknown names)."""
-    try:
-        return _STRATEGIES[name]
-    except KeyError:
-        raise EvaluationError(
-            f"unknown method {name!r}; expected one of {method_names()}"
-        ) from None
-
-
 class NaiveStrategy(Strategy):
     """The compositional Pérez et al. semantics (reference, exponential)."""
 
@@ -229,9 +189,9 @@ class NaturalStrategy(Strategy):
     uses_width = False
 
     def contains(self, pattern, forest, graph, mu, plan, context):
-        from .wdeval import forest_contains_ctx  # deferred: wdeval imports plan's context
+        from .wdeval import forest_contains  # deferred: wdeval imports plan's context
 
-        return forest_contains_ctx(forest, graph, mu, context)
+        return forest_contains(forest, graph, mu, context)
 
     def solutions_stream(self, pattern, forest, graph, context):
         from .wdeval import forest_solutions_stream
@@ -252,9 +212,9 @@ class PebbleStrategy(Strategy):
     uses_width = True
 
     def contains(self, pattern, forest, graph, mu, plan, context):
-        from .pebble_eval import forest_contains_pebble_ctx
+        from .pebble_eval import forest_contains_pebble
 
-        return forest_contains_pebble_ctx(forest, graph, mu, plan.width, context)
+        return forest_contains_pebble(forest, graph, mu, plan.width, context)
 
     def warm(self, forest, graph, plan, cache, mappings=None):
         return cache.warm_pebble(
@@ -262,9 +222,26 @@ class PebbleStrategy(Strategy):
         )
 
 
-NAIVE = register_strategy(NaiveStrategy())
-NATURAL = register_strategy(NaturalStrategy())
-PEBBLE = register_strategy(PebbleStrategy())
+NAIVE = NaiveStrategy()
+NATURAL = NaturalStrategy()
+PEBBLE = PebbleStrategy()
+
+_STRATEGIES: Dict[str, Strategy] = {NAIVE.name: NAIVE, NATURAL.name: NATURAL, PEBBLE.name: PEBBLE}
+
+
+def method_names() -> Tuple[str, ...]:
+    """Every accepted ``method=`` value (``auto`` plus the three strategies)."""
+    return ("auto",) + tuple(sorted(_STRATEGIES))
+
+
+def strategy_for(name: str) -> Strategy:
+    """The strategy called *name* (raises for unknown names)."""
+    try:
+        return _STRATEGIES[name]
+    except KeyError:
+        raise EvaluationError(
+            f"unknown method {name!r}; expected one of {method_names()}"
+        ) from None
 
 
 # --- the cost model --------------------------------------------------------------
@@ -386,7 +363,7 @@ class CostEstimate:
 
     def cheapest(self) -> str:
         """The cheapest admissible strategy; ties break toward the first
-        (most preferred) entry, i.e. the historical PR 3 choice."""
+        (most preferred) entry, i.e. the graph-free choice."""
         best_name, best_cost = self.costs[0]
         for name, cost in self.costs[1:]:
             if cost < best_cost:
@@ -674,12 +651,12 @@ class Planner:
     ) -> Plan:
         """Resolve ``(method, width)`` into an executable :class:`Plan`.
 
-        This is exactly the decision :meth:`Engine.contains` executes and
-        :meth:`Engine.resolve_method` reports — there is no other copy of it.
-        With a *graph* (and pattern statistics) the plan carries a
-        :class:`CostEstimate` and ``auto`` picks the cheapest admissible
-        strategy for this specific cell; without one the historical
-        graph-free rules apply.  Plans are memoized (see the class docs).
+        This is exactly the decision :meth:`Engine.contains` executes —
+        there is no other copy of it.  With a *graph* (and pattern
+        statistics) the plan carries a :class:`CostEstimate` and ``auto``
+        picks the cheapest admissible strategy for this specific cell;
+        without one the graph-free rules apply.  Plans are memoized (see the
+        class docs).
         """
         known = self._known_width()
         cost_aware = graph is not None and self._pattern_stats is not None

@@ -32,9 +32,6 @@ candidate mappings, many patterns, many graphs — behind one shared cache.
   a deterministic fault-injection harness
   (:mod:`repro.evaluation.faults`) drives the crash ladder in tests with
   real SIGKILLs.
-
-:class:`~repro.evaluation.batch.BatchEngine` is a single-pattern adapter
-over this class.
 """
 
 from __future__ import annotations
@@ -264,7 +261,7 @@ class Session:
         self._cache = (
             cache if cache is not None else EvaluationCache(max_entries_per_graph)
         )
-        self._context = EvalContext(cache=self._cache, processes=processes)
+        self._processes = processes
         self._max_engines = max_engines
         self._faults = faults
         # Session-lifetime resilience counters; per-call `statistics=`
@@ -288,11 +285,6 @@ class Session:
         return self._cache
 
     @property
-    def context(self) -> EvalContext:
-        """The base evaluation context (cache + pool size)."""
-        return self._context
-
-    @property
     def engine_count(self) -> int:
         """How many engines the session currently memoizes."""
         with self._memo_lock:
@@ -312,7 +304,7 @@ class Session:
     def __repr__(self) -> str:
         return (
             f"Session(<{self.engine_count} engines, "
-            f"processes={self._context.processes}, "
+            f"processes={self._processes}, "
             f"workers={self.worker_mode()}>)"
         )
 
@@ -327,7 +319,7 @@ class Session:
         degradations, deadline trips) the mode string carries a bracketed
         summary.
         """
-        processes = processes if processes is not None else self._context.processes
+        processes = processes if processes is not None else self._processes
         if processes is None or processes <= 1:
             mode = "serial"
         else:
@@ -480,7 +472,7 @@ class Session:
         self, processes: Optional[int], unique: Sequence[Mapping], plan: Plan
     ) -> int:
         """How many workers a batch of *unique* mappings runs on (0 = serial)."""
-        processes = processes if processes is not None else self._context.processes
+        processes = processes if processes is not None else self._processes
         if (
             processes is None
             or processes <= 1
@@ -540,8 +532,8 @@ class Session:
                     answer for position in range(len(chunks)) for answer in landed[position]
                 ]
             else:
-                context = self._context.with_statistics(statistics).with_budget(
-                    run_budget
+                context = EvalContext(
+                    cache=self._cache, statistics=statistics, budget=run_budget
                 )
                 verdicts = plan.strategy_obj.contains_many(
                     engine.pattern, engine.forest, graph, unique, plan, context
@@ -753,24 +745,6 @@ class Session:
         """
         return self.engine(pattern).solutions_stream(graph, method, deadline, budget)
 
-    def _cell_solutions(
-        self,
-        engine: Engine,
-        graph: RDFGraph,
-        method: str,
-        budget: Optional[Budget],
-    ) -> Set[Mapping]:
-        """One cell's full answer set, attaching partials on a deadline trip."""
-        partial: Set[Mapping] = set()
-        try:
-            for mu in engine.solutions_stream(graph, method, budget=budget):
-                partial.add(mu)
-        except DeadlineExceeded as exc:
-            if not exc.partial:
-                exc.partial = tuple(partial)
-            raise
-        return partial
-
     def solutions(
         self,
         pattern: PatternLike,
@@ -786,9 +760,7 @@ class Session:
         attribute carries the solutions found before the trip.
         """
         try:
-            return self._cell_solutions(
-                self.engine(pattern), graph, method, budget_from(deadline, budget)
-            )
+            return self.engine(pattern).solutions(graph, method, deadline, budget)
         except DeadlineExceeded as exc:
             self._trip(None, exc)
             raise
@@ -838,7 +810,7 @@ class Session:
         run_budget = budget_from(deadline, budget)
         try:
             distinct: Dict[Tuple[int, int], Set[Mapping]] = {
-                key: self._cell_solutions(engine, graph, method, run_budget)
+                key: engine.solutions(graph, method, budget=run_budget)
                 for engine, graph, key in self._distinct_cells(engines, graph_list)
             }
         except DeadlineExceeded as exc:

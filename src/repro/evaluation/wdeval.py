@@ -15,18 +15,18 @@ The child test is a full homomorphism test, so this engine runs in
 exponential time in the query size in the worst case — it is the coNP
 baseline that the Theorem 1 algorithm relaxes.
 
-The canonical implementations (the ``*_ctx`` functions) take an
-:class:`~repro.evaluation.context.EvalContext` bundling the cache and the
-statistics accumulator; the historical ``(statistics, cache)`` signatures
-are kept as thin shims.  The module also provides solution *enumeration*
-through Lemma 1 — both as sets and as deduplicated generators
+Every function takes a trailing
+:class:`~repro.evaluation.context.EvalContext` bundling the cache, the
+statistics accumulator and the budget; it defaults to the empty context
+(no cache, no counters, no budget).  The module also provides solution
+*enumeration* through Lemma 1 — both as sets and as deduplicated generators
 (:func:`tree_solutions_stream` / :func:`forest_solutions_stream`), which is
 what :meth:`~repro.evaluation.session.Session.solutions_stream` exposes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional, Set
+from typing import Iterator, Optional, Set
 
 from .context import EvalContext
 from ..patterns.forest import WDPatternForest
@@ -34,15 +34,10 @@ from ..patterns.tree import Subtree, WDPatternTree
 from ..rdf.graph import RDFGraph
 from ..sparql.mappings import Mapping
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .cache import EvaluationCache
-
 __all__ = [
     "find_mu_subtree",
     "tree_contains",
-    "tree_contains_ctx",
     "forest_contains",
-    "forest_contains_ctx",
     "tree_solutions",
     "tree_solutions_stream",
     "forest_solutions",
@@ -50,7 +45,7 @@ __all__ = [
     "EvaluationStatistics",
 ]
 
-#: Shared empty context for the shim signatures with neither cache nor stats.
+#: The default context: no cache, no statistics, no budget.
 _PLAIN_CONTEXT = EvalContext()
 
 
@@ -144,11 +139,11 @@ def find_mu_subtree(tree: WDPatternTree, graph: RDFGraph, mu: Mapping) -> Option
     return subtree
 
 
-# --- membership (canonical, context-based) --------------------------------------
+# --- membership ---------------------------------------------------------------------
 
 
-def tree_contains_ctx(
-    tree: WDPatternTree, graph: RDFGraph, mu: Mapping, context: EvalContext
+def tree_contains(
+    tree: WDPatternTree, graph: RDFGraph, mu: Mapping, context: EvalContext = _PLAIN_CONTEXT
 ) -> bool:
     """``µ ∈ ⟦T⟧G`` via Lemma 1 (the natural algorithm, exact but with
     NP-hard child tests).
@@ -168,47 +163,22 @@ def tree_contains_ctx(
     return True
 
 
-def forest_contains_ctx(
-    forest: WDPatternForest, graph: RDFGraph, mu: Mapping, context: EvalContext
+def forest_contains(
+    forest: WDPatternForest, graph: RDFGraph, mu: Mapping, context: EvalContext = _PLAIN_CONTEXT
 ) -> bool:
     """``µ ∈ ⟦F⟧G = ⟦T1⟧G ∪ ... ∪ ⟦Tm⟧G`` via the natural algorithm."""
     for tree in forest:
         context.note_tree_visited()
-        if tree_contains_ctx(tree, graph, mu, context):
+        if tree_contains(tree, graph, mu, context):
             return True
     return False
-
-
-# --- membership (legacy signatures, thin shims) ------------------------------------
-
-
-def tree_contains(
-    tree: WDPatternTree,
-    graph: RDFGraph,
-    mu: Mapping,
-    statistics: Optional[EvaluationStatistics] = None,
-    cache: Optional["EvaluationCache"] = None,
-) -> bool:
-    """Shim for :func:`tree_contains_ctx` with the historical signature."""
-    return tree_contains_ctx(tree, graph, mu, EvalContext.of(statistics, cache))
-
-
-def forest_contains(
-    forest: WDPatternForest,
-    graph: RDFGraph,
-    mu: Mapping,
-    statistics: Optional[EvaluationStatistics] = None,
-    cache: Optional["EvaluationCache"] = None,
-) -> bool:
-    """Shim for :func:`forest_contains_ctx` with the historical signature."""
-    return forest_contains_ctx(forest, graph, mu, EvalContext.of(statistics, cache))
 
 
 # --- enumeration ---------------------------------------------------------------------
 
 
 def tree_solutions_stream(
-    tree: WDPatternTree, graph: RDFGraph, context: Optional[EvalContext] = None
+    tree: WDPatternTree, graph: RDFGraph, context: EvalContext = _PLAIN_CONTEXT
 ) -> Iterator[Mapping]:
     """Stream ``⟦T⟧G`` through Lemma 1, deduplicated, in discovery order.
 
@@ -223,7 +193,6 @@ def tree_solutions_stream(
     :class:`~repro.evaluation.session.Session` therefore shares work at
     every level: index, searches, child tests, and completed answer sets.
     """
-    context = context if context is not None else _PLAIN_CONTEXT
     replay = context.tree_solutions_list(tree, graph)
     if replay is not None:
         yield from replay
@@ -251,10 +220,9 @@ def tree_solutions_stream(
 
 
 def forest_solutions_stream(
-    forest: WDPatternForest, graph: RDFGraph, context: Optional[EvalContext] = None
+    forest: WDPatternForest, graph: RDFGraph, context: EvalContext = _PLAIN_CONTEXT
 ) -> Iterator[Mapping]:
     """Stream ``⟦F⟧G`` (union over the member trees, deduplicated)."""
-    context = context if context is not None else _PLAIN_CONTEXT
     seen: Set[Mapping] = set()
     for tree in forest:
         context.tick()
@@ -265,14 +233,14 @@ def forest_solutions_stream(
 
 
 def tree_solutions(
-    tree: WDPatternTree, graph: RDFGraph, context: Optional[EvalContext] = None
+    tree: WDPatternTree, graph: RDFGraph, context: EvalContext = _PLAIN_CONTEXT
 ) -> Set[Mapping]:
     """Enumerate ``⟦T⟧G`` as a set (see :func:`tree_solutions_stream`)."""
     return set(tree_solutions_stream(tree, graph, context))
 
 
 def forest_solutions(
-    forest: WDPatternForest, graph: RDFGraph, context: Optional[EvalContext] = None
+    forest: WDPatternForest, graph: RDFGraph, context: EvalContext = _PLAIN_CONTEXT
 ) -> Set[Mapping]:
     """Enumerate ``⟦F⟧G`` as a set (union over the member trees)."""
     return set(forest_solutions_stream(forest, graph, context))

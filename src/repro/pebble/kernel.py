@@ -42,8 +42,8 @@ outliving its graph (only possible in caches) raises on use instead of
 keeping the graph alive, so the evaluation cache's collect-on-GC store
 eviction keeps working.  :class:`~repro.evaluation.cache.EvaluationCache`
 keeps one kernel per ``(instance structure, pebbles)`` per graph version and
-:class:`~repro.evaluation.batch.BatchEngine` warms them before fanning out,
-which is where the per-mapping reuse pays off.
+:class:`~repro.evaluation.session.Session` warms them before fanning a
+batch out, which is where the per-mapping reuse pays off.
 """
 
 from __future__ import annotations

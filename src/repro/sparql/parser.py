@@ -7,7 +7,9 @@ paper rather than the full W3C grammar:
   identifiers are shorthand for IRIs, so ``(?x p ?y)`` also works;
 * ``AND``, ``OPT`` (or ``OPTIONAL``) and ``UNION`` combine patterns and are
   left-associative with equal precedence; parentheses group;
-* string literals are written ``"value"``.
+* string literals are written ``"value"`` with the escapes of an N-Triples
+  literal (``\\"``, ``\\\\``, ``\\n``, ``\\uXXXX``, ...); other characters,
+  non-ASCII included, stand for themselves.
 
 Example::
 
@@ -17,10 +19,11 @@ Example::
 from __future__ import annotations
 
 import re
-from typing import Iterator, List, NamedTuple, Optional
+from typing import Iterator, List, NamedTuple
 
 from .algebra import And, GraphPattern, Opt, TriplePatternNode, Union
 from ..exceptions import ParseError
+from ..rdf.io import parse_term, serialize_term
 from ..rdf.terms import IRI, Literal, Term, Variable
 from ..rdf.triples import TriplePattern
 
@@ -140,8 +143,10 @@ class _Parser:
         if token.kind == "iri_ref":
             return IRI(token.value[1:-1])
         if token.kind == "string":
-            raw = token.value[1:-1]
-            return Literal(raw.encode("utf-8").decode("unicode_escape"))
+            try:
+                return parse_term(token.value)
+            except ParseError as exc:
+                raise ParseError(str(exc), position=token.position) from None
         if token.kind == "word":
             if token.value.upper() in _KEYWORDS:
                 raise ParseError(
@@ -170,7 +175,7 @@ def _term_to_text(term: Term) -> str:
             return term.value
         return f"<{term.value}>"
     if isinstance(term, Literal):
-        return f'"{term.value}"'
+        return serialize_term(Literal(term.value))
     raise TypeError(f"not a term: {term!r}")
 
 

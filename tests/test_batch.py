@@ -1,16 +1,16 @@
-"""Unit tests for the batch evaluation service layer."""
+"""Batched membership through :class:`Session`: ``check_many`` answers equal
+a loop of single-shot :meth:`Engine.contains` calls, plus the planning and
+pickling the batch path relies on."""
 
 import pickle
 
 import pytest
 
 from repro.evaluation import (
-    BatchEngine,
     Engine,
     EvaluationCache,
     EvaluationStatistics,
-    contains_many_patterns,
-    contains_matrix,
+    Session,
 )
 from repro.exceptions import EvaluationError
 from repro.rdf import RDFGraph, Triple
@@ -36,152 +36,126 @@ def setting():
     return forest, graph, engine, queries
 
 
+def check_many(forest, graph, queries, **kwargs):
+    """``Session.check_many`` over a fresh session engine with ``width_bound=1``."""
+    session = Session()
+    return session.check_many(session.engine(forest, width_bound=1), graph, queries, **kwargs)
+
+
 class TestContainsMany:
     @pytest.mark.parametrize("method", ["naive", "natural", "pebble", "auto"])
     def test_identical_to_single_shot(self, setting, method):
         forest, graph, engine, queries = setting
         expected = [engine.contains(graph, mu, method=method) for mu in queries]
-        batch = BatchEngine(forest=forest, width_bound=1)
-        assert batch.contains_many(graph, queries, method=method) == expected
+        assert check_many(forest, graph, queries, method=method) == expected
 
     def test_preserves_order_and_duplicates(self, setting):
         forest, graph, engine, queries = setting
         doubled = queries + list(reversed(queries))
-        batch = BatchEngine(forest=forest, width_bound=1)
-        answers = batch.contains_many(graph, doubled)
+        answers = check_many(forest, graph, doubled)
         assert answers == [engine.contains(graph, mu) for mu in doubled]
         assert answers[: len(queries)] == list(reversed(answers[len(queries) :]))
 
     def test_empty_input(self, setting):
         forest, graph, _, _ = setting
-        assert BatchEngine(forest=forest).contains_many(graph, []) == []
+        assert Session().check_many(forest, graph, []) == []
 
     def test_parallel_identical(self, setting):
         forest, graph, engine, queries = setting
         expected = [engine.contains(graph, mu, method="pebble") for mu in queries]
-        batch = BatchEngine(forest=forest, width_bound=1, processes=2)
-        assert batch.contains_many(graph, queries, method="pebble") == expected
+        session = Session(processes=2)
+        handle = session.engine(forest, width_bound=1)
+        assert session.check_many(handle, graph, queries, method="pebble") == expected
         # per-call override too
-        batch2 = BatchEngine(forest=forest, width_bound=1)
-        assert batch2.contains_many(graph, queries, method="pebble", processes=2) == expected
+        assert check_many(forest, graph, queries, method="pebble", processes=2) == expected
 
     def test_statistics_accumulated_serially(self, setting):
         forest, graph, _, queries = setting
         statistics = EvaluationStatistics()
-        BatchEngine(forest=forest, width_bound=1).contains_many(
-            graph, queries, method="natural", statistics=statistics
-        )
+        check_many(forest, graph, queries, method="natural", statistics=statistics)
         assert statistics.trees_visited > 0
 
     def test_auto_resolved_once(self, setting):
         forest, graph, engine, queries = setting
-        batch = BatchEngine(forest=forest, width_bound=1)
         expected = [engine.contains(graph, mu, method="auto") for mu in queries]
-        assert batch.contains_many(graph, queries, method="auto") == expected
+        assert check_many(forest, graph, queries, method="auto") == expected
 
     def test_naive_batched_materialises_once(self, setting):
         forest, graph, engine, queries = setting
-        batch = BatchEngine(forest=forest, width_bound=1)
         expected = [engine.contains(graph, mu, method="naive") for mu in queries]
-        assert batch.contains_many(graph, queries, method="naive") == expected
+        assert check_many(forest, graph, queries, method="naive") == expected
 
 
 class TestConstruction:
     def test_requires_pattern_or_forest(self):
         with pytest.raises(EvaluationError):
-            BatchEngine()
+            Engine()
 
     def test_invalid_processes(self):
         with pytest.raises(EvaluationError):
-            BatchEngine(parse_pattern("(?x p ?y)"), processes=0)
+            Session(processes=0)
 
     def test_creates_cache_by_default(self):
-        batch = BatchEngine(parse_pattern("(?x p ?y)"))
-        assert isinstance(batch.cache, EvaluationCache)
-        assert batch.engine.cache is batch.cache
+        session = Session()
+        assert isinstance(session.cache, EvaluationCache)
+        assert session.engine(parse_pattern("(?x p ?y)")).cache is session.cache
 
     def test_from_engine_shares_cache(self):
         cache = EvaluationCache()
         engine = Engine(parse_pattern("(?x p ?y)"), cache=cache)
-        batch = BatchEngine.from_engine(engine)
-        assert batch.cache is cache
+        assert Session(cache=cache).engine(engine) is engine
 
     def test_passthroughs(self):
         graph = RDFGraph([Triple.of("a", "knows", "b")])
-        batch = BatchEngine(parse_pattern("((?x knows ?y) OPT (?y email ?e))"))
+        session = Session()
+        pattern = parse_pattern("((?x knows ?y) OPT (?y email ?e))")
         mu = Mapping.of(x="a", y="b")
-        assert batch.contains(graph, mu) is True
-        assert len(batch.solutions(graph)) == 1
-        assert batch.pattern is not None
-        assert len(batch.forest) == 1
-        assert "BatchEngine" in repr(batch)
+        assert session.check(pattern, graph, mu) is True
+        assert len(session.solutions(pattern, graph)) == 1
+        assert len(session.engine(pattern).forest) == 1
+        assert "Session" in repr(session)
 
 
 class TestResolveMethod:
+    @staticmethod
+    def resolved(engine, method, width=None):
+        plan = engine.plan(method, width)
+        return plan.strategy, plan.width
+
     def test_resolution_matches_contains(self):
         engine = Engine(forest=fk_forest(2), width_bound=1)
-        assert engine.resolve_method("natural") == ("natural", None)
-        assert engine.resolve_method("naive") == ("naive", None)
-        assert engine.resolve_method("pebble") == ("pebble", 1)
-        assert engine.resolve_method("auto") == ("pebble", 1)
-        assert engine.resolve_method("auto", width=2) == ("pebble", 2)
+        assert self.resolved(engine, "natural") == ("natural", None)
+        assert self.resolved(engine, "naive") == ("naive", None)
+        assert self.resolved(engine, "pebble") == ("pebble", 1)
+        assert self.resolved(engine, "auto") == ("pebble", 1)
+        assert self.resolved(engine, "auto", width=2) == ("pebble", 2)
 
     def test_auto_without_bound_is_natural(self):
         engine = Engine(forest=fk_forest(2))
-        assert engine.resolve_method("auto") == ("natural", None)
+        assert self.resolved(engine, "auto") == ("natural", None)
         # Once the domination width has been computed, auto upgrades to pebble.
         engine.domination_width()
-        assert engine.resolve_method("auto") == ("pebble", 1)
+        assert self.resolved(engine, "auto") == ("pebble", 1)
 
     def test_unknown_method(self):
         with pytest.raises(EvaluationError):
-            Engine(forest=fk_forest(2)).resolve_method("quantum")
+            Engine(forest=fk_forest(2)).plan("quantum")
 
 
 class TestManyPatterns:
-    def test_contains_many_patterns(self):
-        graph = tprime_data_graph(8, 30, seed=6)
-        patterns = [
-            WDPatternForest([tprime_tree(2)]),
-            WDPatternForest([tprime_tree(3)]),
-            parse_pattern("(?x p ?y)"),
-        ]
-        solutions = sorted(
-            Engine(forest=patterns[0]).solutions(graph, method="natural"), key=repr
-        )
-        if not solutions:
-            pytest.skip("random data graph produced no solutions")
-        mu = solutions[0]
-        answers = contains_many_patterns(patterns, graph, mu, method="natural")
-        expected = [
-            Engine(forest=patterns[0]).contains(graph, mu, method="natural"),
-            Engine(forest=patterns[1]).contains(graph, mu, method="natural"),
-            Engine(parse_pattern("(?x p ?y)")).contains(graph, mu, method="natural"),
-        ]
-        assert answers == expected
-
-    def test_contains_matrix_shape_and_answers(self):
-        forest2, forest3 = WDPatternForest([tprime_tree(2)]), WDPatternForest([tprime_tree(3)])
-        graph = tprime_data_graph(8, 30, seed=4)
-        mus = sorted(Engine(forest=forest2).solutions(graph, method="natural"), key=repr)[:3]
-        mus.append(Mapping({Variable("y"): EX.term("nowhere")}))
-        matrix = contains_matrix([forest2, forest3], graph, mus, method="natural")
-        assert len(matrix) == 2 and all(len(row) == len(mus) for row in matrix)
-        for row, forest in zip(matrix, (forest2, forest3)):
-            engine = Engine(forest=forest)
-            assert row == [engine.contains(graph, mu, method="natural") for mu in mus]
-
     def test_shared_cache_is_used(self):
         cache = EvaluationCache()
         graph = tprime_data_graph(6, 20, seed=1)
         forest = WDPatternForest([tprime_tree(2)])
         mu = Mapping({Variable("y"): EX.term("nowhere")})
-        contains_many_patterns([forest, forest], graph, mu, method="natural", cache=cache)
+        session = Session(cache=cache)
+        for pattern in (forest, forest):
+            session.check(pattern, graph, mu, method="natural")
         assert cache.statistics.hits + cache.statistics.misses > 0
 
     def test_rejects_non_pattern(self):
         with pytest.raises(EvaluationError):
-            contains_many_patterns([42], RDFGraph(), Mapping.EMPTY)
+            Session().check(42, RDFGraph(), Mapping.EMPTY)
 
 
 class TestPicklability:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.evaluation import BatchEngine, Engine, EvaluationCache
+from repro.evaluation import Engine, EvaluationCache, Session
 from repro.evaluation.cache import CacheStatistics
 from repro.hom import TargetIndex, all_homomorphisms, target_index
 from repro.hom.tgraph import TGraph
@@ -44,7 +44,8 @@ class TestCachedAnswersIdentical:
         queries = _membership_workload(forest, graph, rng)
         plain = Engine(forest=forest)
         cached = Engine(forest=forest, cache=EvaluationCache())
-        batch = BatchEngine(forest=forest)
+        session = Session()
+        handle = session.engine(forest)
         for method in ("naive", "natural", "pebble"):
             expected = [plain.contains(graph, mu, method=method, width=2) for mu in queries]
             # cached single calls, twice (cold and warm cache)
@@ -53,7 +54,7 @@ class TestCachedAnswersIdentical:
                 assert got == expected, method
             # batched, twice
             for _ in range(2):
-                assert batch.contains_many(graph, queries, method=method, width=2) == expected
+                assert session.check_many(handle, graph, queries, method=method, width=2) == expected
 
     def test_shared_cache_across_engines(self):
         forest = fk_forest(2)
@@ -72,14 +73,15 @@ class TestCachedAnswersIdentical:
     def test_warm_cache_hits(self):
         forest = fk_forest(2)
         graph = fk_data_graph(6, 36, clique_size=2, seed=9)
-        batch = BatchEngine(forest=forest, width_bound=1)
+        session = Session()
+        handle = session.engine(forest, width_bound=1)
         queries = _membership_workload(forest, graph, random.Random(9))
-        batch.contains_many(graph, queries, method="pebble")
-        misses_after_cold = batch.cache.statistics.misses
-        batch.contains_many(graph, queries, method="pebble")
+        session.check_many(handle, graph, queries, method="pebble")
+        misses_after_cold = session.cache.statistics.misses
+        session.check_many(handle, graph, queries, method="pebble")
         # The warm run must answer entirely from the cache.
-        assert batch.cache.statistics.misses == misses_after_cold
-        assert batch.cache.statistics.hits > 0
+        assert session.cache.statistics.misses == misses_after_cold
+        assert session.cache.statistics.hits > 0
 
 
 class TestInvalidationOnMutation:
@@ -87,20 +89,21 @@ class TestInvalidationOnMutation:
     def test_mutation_invalidates(self, method):
         forest = fk_forest(2)
         graph = fk_data_graph(6, 36, clique_size=2, seed=3)
-        batch = BatchEngine(forest=forest, width_bound=1)
+        session = Session()
+        handle = session.engine(forest, width_bound=1)
         queries = _membership_workload(forest, graph, random.Random(3))
-        before = batch.contains_many(graph, queries, method=method)
+        before = session.check_many(handle, graph, queries, method=method)
 
         removed = sorted(graph, key=repr)[: len(graph) // 2]
         for t in removed:
             graph.discard(t)
         fresh = [Engine(forest=forest, width_bound=1).contains(graph, mu, method=method) for mu in queries]
-        assert batch.contains_many(graph, queries, method=method) == fresh
+        assert session.check_many(handle, graph, queries, method=method) == fresh
 
         for t in removed:
             graph.add(t)
-        assert batch.contains_many(graph, queries, method=method) == before
-        assert batch.cache.statistics.invalidations >= 2
+        assert session.check_many(handle, graph, queries, method=method) == before
+        assert session.cache.statistics.invalidations >= 2
 
     def test_added_triple_changes_answer(self):
         # ((?x p ?y) OPT (?y q ?z)): once bob gets a q-edge, the y-only

@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from repro.evaluation import (
+    EvalContext,
     EvaluationStatistics,
     evaluate_pattern,
     find_mu_subtree,
@@ -86,7 +87,7 @@ class TestTreeMembership:
         stats = EvaluationStatistics()
         forest = fk_forest(2)
         mu = Mapping({Variable("x"): EX.a, Variable("y"): EX.b})
-        forest_contains(forest, fk_graph, mu, stats)
+        forest_contains(forest, fk_graph, mu, EvalContext(statistics=stats))
         assert stats.trees_visited >= 1
         assert "EvaluationStatistics" in repr(stats)
 

@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from repro.evaluation import Engine, EvaluationStatistics, forest_contains
+from repro.evaluation import EvalContext, Engine, EvaluationStatistics, forest_contains
 from repro.hom import homomorphism_count, all_homomorphisms, TGraph
 from repro.patterns import wdpf
 from repro.rdf.generators import social_network_graph, random_graph
@@ -78,8 +78,9 @@ class TestExample2Pipeline:
         solutions = engine.solutions(graph, method="natural")
         assert solutions == engine.solutions(graph, method="naive")
         stats = EvaluationStatistics()
+        context = EvalContext(statistics=stats)
         for mu in sorted(solutions, key=repr)[:3]:
-            assert forest_contains(forest, graph, mu, stats)
+            assert forest_contains(forest, graph, mu, context)
         assert stats.trees_visited >= 1
 
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.evaluation import BatchEngine, Engine, EvaluationCache
+from repro.evaluation import Engine, EvaluationCache, Session
 from repro.exceptions import EvaluationError
 from repro.hom import target_index
 from repro.hom.tgraph import GeneralizedTGraph
@@ -243,17 +243,19 @@ class TestBatchWarm:
         )
         plain = Engine(forest=forest, width_bound=1)
         expected = [plain.contains(graph, mu, method="pebble") for mu in mappings]
-        batch = BatchEngine(forest=forest, width_bound=1)
-        kernels = batch.warm(graph, mappings, method="pebble")
+        session = Session()
+        handle = session.engine(forest, width_bound=1)
+        kernels = session.warm(handle, graph, mappings, method="pebble")
         assert kernels >= 1
-        assert batch.contains_many(graph, mappings, method="pebble") == expected
+        assert session.check_many(handle, graph, mappings, method="pebble") == expected
 
     def test_warm_non_pebble_builds_index_only(self):
         forest = fk_forest(2)
         graph = fk_data_graph(5, 20, clique_size=2, seed=1)
-        batch = BatchEngine(forest=forest, width_bound=1)
-        assert batch.warm(graph, method="natural") == 0
-        assert batch.warm(graph, method="naive") == 0
+        session = Session()
+        handle = session.engine(forest, width_bound=1)
+        assert session.warm(handle, graph, method="natural") == 0
+        assert session.warm(handle, graph, method="naive") == 0
 
     def test_parallel_path_identical_after_warm(self):
         forest = fk_forest(2)
@@ -266,8 +268,9 @@ class TestBatchWarm:
         )
         plain = Engine(forest=forest, width_bound=1)
         expected = [plain.contains(graph, mu, method="pebble") for mu in mappings]
-        batch = BatchEngine(forest=forest, width_bound=1, processes=2)
-        assert batch.contains_many(graph, mappings, method="pebble") == expected
+        session = Session(processes=2)
+        handle = session.engine(forest, width_bound=1)
+        assert session.check_many(handle, graph, mappings, method="pebble") == expected
 
 
 class TestDomainMemoization:

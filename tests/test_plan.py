@@ -94,8 +94,8 @@ class TestPlanner:
 
 
 class TestEngineAgreement:
-    """Regression: `contains` and `resolve_method` run through one planner,
-    so they must agree on every method × width-bound combination."""
+    """Regression: `contains` runs the plan `Engine.plan` reports, so the two
+    must agree on every method × width-bound combination."""
 
     METHODS = ("auto", "naive", "natural", "pebble")
     WIDTH_BOUNDS = (None, 1, 2)
@@ -117,21 +117,21 @@ class TestEngineAgreement:
     def test_contains_matches_resolved_plan(self, workload, method, width_bound, width):
         forest, graph, queries = workload
         engine = Engine(forest=forest, width_bound=width_bound)
-        resolved_method, resolved_width = engine.resolve_method(method, width)
         plan = engine.plan(method, width)
-        assert (plan.strategy, plan.width) == (resolved_method, resolved_width)
         for mu in queries:
             assert engine.contains(graph, mu, method=method, width=width) == engine.contains(
-                graph, mu, method=resolved_method, width=resolved_width
+                graph, mu, method=plan.strategy, width=plan.width
             )
 
     def test_auto_upgrades_after_width_computation(self, workload):
         forest, graph, queries = workload
         engine = Engine(forest=forest)
-        assert engine.resolve_method("auto") == ("natural", None)
+        plan = engine.plan("auto")
+        assert (plan.strategy, plan.width) == ("natural", None)
         before = [engine.contains(graph, mu, method="auto") for mu in queries]
         engine.domination_width()
-        assert engine.resolve_method("auto") == ("pebble", 1)
+        plan = engine.plan("auto")
+        assert (plan.strategy, plan.width) == ("pebble", 1)
         # dw(F_2) = 1 certifies the pebble run, so the answers are unchanged.
         assert [engine.contains(graph, mu, method="auto") for mu in queries] == before
 
@@ -252,12 +252,6 @@ class TestCostModel:
         explained = engine.explain("auto", graph=graph)
         assert "cost estimate    :" in explained
         assert "cost inputs      : |G| = " in explained
-
-    def test_resolve_method_with_graph_matches_graph_aware_plan(self):
-        engine = Engine(forest=fk_forest(2), width_bound=1)
-        graph = fk_data_graph(5, 25, clique_size=2, seed=3)
-        plan = engine.plan("auto", graph=graph)
-        assert engine.resolve_method("auto", graph=graph) == (plan.strategy, plan.width)
 
     def test_graph_aware_auto_answers_match_graph_free(self):
         forest = fk_forest(2)

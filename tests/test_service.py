@@ -126,6 +126,13 @@ class TestServiceBasics:
         with pytest.raises(ServiceError):
             QueryService(social_graph(), max_inflight=0)
 
+    def test_malformed_literal_is_a_typed_parse_error(self):
+        with QueryService(social_graph()) as service:
+            response = service.request(
+                Request(op="check", query=r'(?x knows "a\x")', mappings=[Mapping.of(x="p0")])
+            )
+            assert not response.ok and response.error_type == "ParseError"
+
     def test_raise_for_error_falls_back_to_service_error(self):
         bad = Response(op="check", ok=False, error="boom", error_type="NoSuchError")
         with pytest.raises(ServiceError, match="boom"):

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.evaluation import BatchEngine, Engine, EvaluationCache, Session
+from repro.evaluation import Engine, EvaluationCache, Session
 from repro.exceptions import EvaluationError
 from repro.patterns import WDPatternForest
 from repro.rdf import Triple
 from repro.rdf.generators import random_graph
 from repro.rdf.namespace import EX
-from repro.rdf.terms import IRI
+from repro.rdf.terms import IRI, Variable
 from repro.sparql import Mapping, parse_pattern
 from repro.workloads.families import fk_data_graph, fk_forest, tprime_data_graph, tprime_tree
 from repro.workloads.random_patterns import random_wd_tree
@@ -56,6 +56,12 @@ class TestEngines:
         assert adopted.cache is session.cache
         assert adopted.width_bound == 1
         assert session.engine(foreign) is adopted
+
+    def test_supplied_cache_is_shared(self):
+        cache = EvaluationCache()
+        session = Session(cache=cache)
+        assert session.cache is cache
+        assert session.engine(parse_pattern("(?x p ?y)")).cache is cache
 
     def test_rejects_non_pattern(self):
         with pytest.raises(EvaluationError):
@@ -127,6 +133,27 @@ class TestCheckMany:
         handle = session.engine(forest, width_bound=1)
         for mu in queries:
             assert session.check(handle, graph, mu) == engine.contains(graph, mu)
+
+    def test_many_patterns_over_one_graph(self):
+        """Several patterns checked over one graph through one session equal
+        per-pattern `Engine.contains` and share the session cache."""
+        graph = tprime_data_graph(8, 30, seed=4)
+        forest2, forest3 = WDPatternForest([tprime_tree(2)]), WDPatternForest([tprime_tree(3)])
+        text = parse_pattern("(?x p ?y)")
+        mus = sorted(Engine(forest=forest2).solutions(graph, method="natural"), key=repr)[:3]
+        assert mus, "workload generated no membership queries"
+        mus.append(Mapping({Variable("y"): EX.term("nowhere")}))
+        session = Session()
+        for pattern, reference in (
+            (forest2, Engine(forest=forest2)),
+            (forest3, Engine(forest=forest3)),
+            (text, Engine(text)),
+        ):
+            expected = [reference.contains(graph, mu, method="natural") for mu in mus]
+            checked = [session.check(pattern, graph, mu, method="natural") for mu in mus]
+            assert checked == expected
+            assert session.check_many(pattern, graph, mus, method="natural") == expected
+        assert session.cache.statistics.hits > 0
 
     def test_plan_and_explain(self, setting):
         forest, _graph, _engine, _queries = setting
@@ -309,19 +336,16 @@ class TestSolutionsAutoBugfix:
             graph, method="natural"
         )
 
-    def test_batch_engine_solutions_auto(self):
+    def test_session_solutions_auto(self):
         graph = tprime_data_graph(6, 20, seed=2)
-        batch = BatchEngine(forest=WDPatternForest([tprime_tree(2)]), width_bound=1)
-        assert batch.solutions(graph, method="auto") == batch.solutions(graph, method="natural")
-
-
-class TestBatchEngineAdapter:
-    def test_from_session_shares_cache(self):
         session = Session()
-        batch = BatchEngine.from_session(session, parse_pattern("(?x p ?y)"))
-        assert batch.cache is session.cache
-        assert batch.session is session
+        handle = session.engine(WDPatternForest([tprime_tree(2)]), width_bound=1)
+        assert session.solutions(handle, graph, method="auto") == session.solutions(
+            handle, graph, method="natural"
+        )
 
+
+class TestWarm:
     def test_warm_returns_kernel_count(self, setting):
         forest, graph, _engine, _queries = setting
         session = Session()
@@ -330,12 +354,6 @@ class TestBatchEngineAdapter:
         count = session.warm(handle, graph, method="pebble", width=1)
         assert count > 0
         assert session.cache.statistics.kernel_misses > 0
-
-    def test_session_cache_reused_by_adapter(self):
-        cache = EvaluationCache()
-        batch = BatchEngine(parse_pattern("(?x p ?y)"), cache=cache)
-        assert batch.cache is cache
-        assert batch.session.cache is cache
 
 
 class TestPicklability:
@@ -354,7 +372,8 @@ class TestPicklability:
         engine.domination_width()
         clone = pickle.loads(pickle.dumps(engine))
         assert clone.width_bound == engine.width_bound
-        assert clone.resolve_method("auto") == engine.resolve_method("auto")
+        plan, clone_plan = engine.plan("auto"), clone.plan("auto")
+        assert (clone_plan.strategy, clone_plan.width) == (plan.strategy, plan.width)
         assert clone.solutions(graph, method="natural") == engine.solutions(
             graph, method="natural"
         )

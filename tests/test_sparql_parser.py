@@ -4,6 +4,7 @@ import pytest
 
 from repro.exceptions import ParseError
 from repro.rdf.terms import IRI, Literal, Variable
+from repro.rdf.triples import TriplePattern
 from repro.sparql.algebra import And, Opt, TriplePatternNode, Union
 from repro.sparql.parser import parse_pattern, to_text
 
@@ -83,3 +84,26 @@ class TestRoundTrip:
     def test_parse_to_text_round_trip(self, text):
         pattern = parse_pattern(text)
         assert parse_pattern(to_text(pattern)) == pattern
+
+
+class TestLiterals:
+    """String literals use the N-Triples term codec in both directions."""
+
+    @pytest.mark.parametrize(
+        "value", ["café", 'say "hi"', "back\\slash", "two\nlines", "carriage\rreturn"]
+    )
+    def test_literal_round_trip(self, value):
+        pattern = TriplePatternNode(TriplePattern(Variable("x"), IRI("name"), Literal(value)))
+        assert parse_pattern(to_text(pattern)) == pattern
+
+    def test_non_ascii_text_is_taken_as_written(self):
+        assert parse_pattern('(?x name "café")').triple_pattern.object == Literal("café")
+
+    def test_escapes_decode(self):
+        p = parse_pattern(r'(?x name "a\"b\\cé")')
+        assert p.triple_pattern.object == Literal('a"b\\cé')
+
+    def test_invalid_escape_is_a_parse_error(self):
+        with pytest.raises(ParseError) as info:
+            parse_pattern(r'(?x name "a\x")')
+        assert info.value.position == 9
