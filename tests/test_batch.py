@@ -143,6 +143,48 @@ class TestResolveMethod:
 
 
 class TestManyPatterns:
+    def test_contains_many_patterns(self):
+        graph = tprime_data_graph(8, 30, seed=6)
+        patterns = [
+            WDPatternForest([tprime_tree(2)]),
+            WDPatternForest([tprime_tree(3)]),
+            parse_pattern("(?x p ?y)"),
+        ]
+        solutions = sorted(
+            Engine(forest=patterns[0]).solutions(graph, method="natural"), key=repr
+        )
+        assert solutions, "workload generated no membership queries"
+        mu = solutions[0]
+        session = Session()
+        answers = [session.check(pattern, graph, mu, method="natural") for pattern in patterns]
+        expected = [
+            Engine(forest=patterns[0]).contains(graph, mu, method="natural"),
+            Engine(forest=patterns[1]).contains(graph, mu, method="natural"),
+            Engine(parse_pattern("(?x p ?y)")).contains(graph, mu, method="natural"),
+        ]
+        assert answers == expected
+
+    def test_contains_matrix_shape_and_answers(self):
+        """One row of ``check_many`` answers per pattern over one graph through
+        one session: each row equals per-pattern :meth:`Engine.contains`, each
+        cell equals ``check``, and the session cache records hits."""
+        forest2, forest3 = WDPatternForest([tprime_tree(2)]), WDPatternForest([tprime_tree(3)])
+        text = parse_pattern("(?x p ?y)")
+        graph = tprime_data_graph(8, 30, seed=4)
+        mus = sorted(Engine(forest=forest2).solutions(graph, method="natural"), key=repr)[:3]
+        assert mus, "workload generated no membership queries"
+        mus.append(Mapping({Variable("y"): EX.term("nowhere")}))
+        session = Session()
+        patterns = (forest2, forest3, text)
+        matrix = [session.check_many(pattern, graph, mus, method="natural") for pattern in patterns]
+        assert len(matrix) == 3 and all(len(row) == len(mus) for row in matrix)
+        for row, pattern, engine in zip(
+            matrix, patterns, (Engine(forest=forest2), Engine(forest=forest3), Engine(text))
+        ):
+            assert row == [engine.contains(graph, mu, method="natural") for mu in mus]
+            assert row == [session.check(pattern, graph, mu, method="natural") for mu in mus]
+        assert session.cache.statistics.hits > 0
+
     def test_shared_cache_is_used(self):
         cache = EvaluationCache()
         graph = tprime_data_graph(6, 20, seed=1)

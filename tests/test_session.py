@@ -8,7 +8,7 @@ from repro.patterns import WDPatternForest
 from repro.rdf import Triple
 from repro.rdf.generators import random_graph
 from repro.rdf.namespace import EX
-from repro.rdf.terms import IRI, Variable
+from repro.rdf.terms import IRI
 from repro.sparql import Mapping, parse_pattern
 from repro.workloads.families import fk_data_graph, fk_forest, tprime_data_graph, tprime_tree
 from repro.workloads.random_patterns import random_wd_tree
@@ -133,27 +133,6 @@ class TestCheckMany:
         handle = session.engine(forest, width_bound=1)
         for mu in queries:
             assert session.check(handle, graph, mu) == engine.contains(graph, mu)
-
-    def test_many_patterns_over_one_graph(self):
-        """Several patterns checked over one graph through one session equal
-        per-pattern `Engine.contains` and share the session cache."""
-        graph = tprime_data_graph(8, 30, seed=4)
-        forest2, forest3 = WDPatternForest([tprime_tree(2)]), WDPatternForest([tprime_tree(3)])
-        text = parse_pattern("(?x p ?y)")
-        mus = sorted(Engine(forest=forest2).solutions(graph, method="natural"), key=repr)[:3]
-        assert mus, "workload generated no membership queries"
-        mus.append(Mapping({Variable("y"): EX.term("nowhere")}))
-        session = Session()
-        for pattern, reference in (
-            (forest2, Engine(forest=forest2)),
-            (forest3, Engine(forest=forest3)),
-            (text, Engine(text)),
-        ):
-            expected = [reference.contains(graph, mu, method="natural") for mu in mus]
-            checked = [session.check(pattern, graph, mu, method="natural") for mu in mus]
-            assert checked == expected
-            assert session.check_many(pattern, graph, mus, method="natural") == expected
-        assert session.cache.statistics.hits > 0
 
     def test_plan_and_explain(self, setting):
         forest, _graph, _engine, _queries = setting
