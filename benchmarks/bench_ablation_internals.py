@@ -20,8 +20,6 @@ from repro.hom import GeneralizedTGraph, TGraph, find_homomorphism
 from repro.pebble.game import _winner_generic, _winner_two_pebbles
 from repro.rdf.generators import random_graph
 from repro.rdf.namespace import EX
-from repro.rdf.terms import Variable
-from repro.sparql.mappings import Mapping
 from repro.workloads.families import kk_tgraph
 
 EDGE = EX.term("edge").value

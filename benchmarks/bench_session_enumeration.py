@@ -1,21 +1,19 @@
 #!/usr/bin/env python3
-"""Session enumeration throughput: batched multi-pattern vs per-pattern loop.
+"""Session enumeration throughput: one Session over a query log vs fresh engines.
 
-The claim behind :meth:`repro.evaluation.session.Session.solutions_many`
-(the ROADMAP's "batched enumeration over many patterns/graphs" item):
-enumerating a multi-pattern workload through one session must beat a loop of
-independent per-pattern :meth:`Engine.solutions` calls by a wide margin,
-with *identical* answer sets.
+A production query log repeats its queries heavily.  Enumerating such a log
+through one :class:`repro.evaluation.session.Session` — one
+``Session.solutions`` call per pattern instance — must beat a loop of fresh,
+cache-less :meth:`Engine.solutions` calls by a wide margin, with *identical*
+answer sets.
 
-The workload models a production query log: a stream of pattern instances
-drawn from a smaller set of distinct queries (real traffic repeats queries
-heavily), evaluated against one data graph.  The session wins twice:
-
-* **deduplication** — structurally repeated patterns are enumerated once
-  and fanned back out;
-* **shared cache** — distinct patterns drawn from the same vocabulary share
-  the graph's target index and the memoized child extension tests of
-  Lemma 1 across their enumerations.
+The gain is **cache replay of repeated patterns**: the first enumeration of
+a pattern records its answer list in the session cache, and every later
+instance of that pattern over the unchanged graph replays it instead of
+enumerating again.  (Distinct patterns drawn from the same vocabulary also
+share the graph's target index and the memoized child extension tests of
+Lemma 1, a smaller effect.)  The number therefore measures how much a
+log's repeats are worth, not a faster enumeration algorithm.
 
 Run as a script::
 
@@ -23,13 +21,13 @@ Run as a script::
 
 It prints a throughput table (pattern instances/second) for
 
-* ``looped``  — one fresh cache-less ``Engine.solutions`` call per pattern
+* ``fresh``   — one fresh cache-less ``Engine.solutions`` call per pattern
   instance;
-* ``batched`` — one ``Session.solutions_many`` call over the whole list;
+* ``session`` — one ``Session`` looped over the whole log;
 
-It then **asserts** the acceptance criterion — batched throughput at least 2x the
-looped throughput across >= 10 pattern instances, with identical answer
-sets — and writes a machine-readable perf record to
+It then **asserts** the acceptance criterion — session throughput at least
+2x the fresh-engine throughput across >= 10 pattern instances, with
+identical answer sets — and writes a machine-readable perf record to
 ``BENCH_session_enumeration.json``.
 """
 
@@ -46,7 +44,7 @@ from repro.patterns import WDPatternForest
 from repro.rdf.generators import random_graph
 from repro.workloads.random_patterns import random_wd_tree
 
-#: Minimum batched-over-looped speedup the session layer must deliver.
+#: Minimum session-over-fresh speedup the session layer must deliver.
 REQUIRED_SPEEDUP = 2.0
 #: Minimum workload size the requirement is stated for.
 REQUIRED_PATTERNS = 10
@@ -101,30 +99,32 @@ def run_benchmark(
     )
 
     # Baseline: one fresh, cache-less engine per pattern instance.
-    t_looped, looped = _best_of(
+    t_fresh, fresh = _best_of(
         lambda: [
             Engine(forest=forest).solutions(graph, method="natural") for forest in workload
         ],
         repeat,
     )
-    # A fresh Session per run so the timing includes building the cache.
-    t_batched, batched = _best_of(
-        lambda: Session().solutions_many(workload, graph, method="natural"),
-        repeat,
-    )
 
-    assert _canonical(batched) == _canonical(looped), "batched answer sets differ"
+    # A fresh Session per run so the timing includes building the cache.
+    def session_loop():
+        session = Session()
+        return [session.solutions(forest, graph, method="natural") for forest in workload]
+
+    t_session, answers = _best_of(session_loop, repeat)
+
+    assert _canonical(answers) == _canonical(fresh), "session answer sets differ"
     n = len(workload)
     return {
         "patterns": n,
         "distinct": distinct,
         "|G|": len(graph),
-        "solutions": sum(len(answers) for answers in looped),
-        "looped (patterns/s)": n / t_looped,
-        "batched (patterns/s)": n / t_batched,
-        "looped_seconds": t_looped,
-        "batched_seconds": t_batched,
-        "speedup (batched/looped)": t_looped / t_batched,
+        "solutions": sum(len(answer) for answer in fresh),
+        "fresh (patterns/s)": n / t_fresh,
+        "session (patterns/s)": n / t_session,
+        "fresh_seconds": t_fresh,
+        "session_seconds": t_session,
+        "speedup (session/fresh)": t_fresh / t_session,
     }
 
 
@@ -194,14 +194,15 @@ def main(argv=None) -> int:
         f"workload too small: {row['patterns']} < {REQUIRED_PATTERNS} pattern "
         "instances (increase --distinct/--repeats)"
     )
-    speedup = row["speedup (batched/looped)"]
+    speedup = row["speedup (session/fresh)"]
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"batched enumeration is only {speedup:.1f}x the looped throughput "
+        f"one session is only {speedup:.1f}x the fresh-engine throughput "
         f"(required: >= {REQUIRED_SPEEDUP}x)"
     )
     print(
-        f"OK: batched enumeration is {speedup:.1f}x looped on {row['patterns']} "
-        f"pattern instances (>= {REQUIRED_SPEEDUP}x required), answer sets identical."
+        f"OK: one session is {speedup:.1f}x fresh engines on {row['patterns']} "
+        f"pattern instances ({row['distinct']} distinct; the gain is cache replay "
+        f"of repeated patterns, >= {REQUIRED_SPEEDUP}x required), answer sets identical."
     )
     return 0
 

@@ -10,8 +10,6 @@ regenerates the timing series, and each benchmark asserts the paper's claim
 
 from __future__ import annotations
 
-import pytest
-
 
 def pytest_configure(config):
     # Benchmarks are long-running by nature; keep the calibration modest so the

@@ -54,8 +54,6 @@ _EVAL_ENTRYPOINTS = {
     "contains",
     "contains_many",
     "solutions",
-    "solutions_many",
-    "solutions_iter",
     "solutions_stream",
     "evaluate",
     "query",

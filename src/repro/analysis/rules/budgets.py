@@ -46,7 +46,6 @@ def _outermost_loops(func: ast.AST) -> List[ast.AST]:
     """``while`` loops (all of them) and ``for`` loops not nested in another
     loop, within *func*'s own body (nested defs excluded)."""
     loops: List[ast.AST] = []
-    in_loop: Set[int] = set()
 
     def visit(node: ast.AST, inside_loop: bool) -> None:
         for child in ast.iter_child_nodes(node):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, Optional, Set
 
 from ..framework import Finding, Project, Rule, SourceFile
 

@@ -3,7 +3,7 @@ Theorem 1 pebble-relaxation algorithm, and the planned/cached service layer
 (plans, contexts, sessions)."""
 
 from .naive import evaluate_pattern, pattern_contains
-from .budget import Budget, TimeoutReport
+from .budget import Budget
 from .context import EvalContext
 from .faults import FaultInjected, FaultPlan
 from ..exceptions import DeadlineExceeded, WorkerCrashError
@@ -40,7 +40,6 @@ __all__ = [
     "evaluate_pattern",
     "pattern_contains",
     "Budget",
-    "TimeoutReport",
     "DeadlineExceeded",
     "WorkerCrashError",
     "FaultInjected",

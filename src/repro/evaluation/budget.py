@@ -16,21 +16,19 @@ budget created in the parent remains meaningful in forked pool workers
 (``CLOCK_MONOTONIC`` is system-wide on Linux) and pickling preserves the
 absolute expiry rather than restarting the clock.
 
-:class:`TimeoutReport` is the terminal value a deadline-bounded
-:meth:`~repro.evaluation.session.Session.solutions_iter` yields after its
-partial results: a summary of what was done, what was cut off, and the
-statistics snapshot at the moment the deadline tripped.
+A violated budget is reported one way only: ``DeadlineExceeded`` carrying
+the elapsed time and the budget.  A bounded enumeration stream yields its
+partial results first and then raises.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from typing import Optional
 
 from ..exceptions import DeadlineExceeded, EvaluationError
 
-__all__ = ["Budget", "TimeoutReport"]
+__all__ = ["Budget"]
 
 #: Default number of ``tick()`` calls between real clock reads.
 DEFAULT_CHECK_INTERVAL = 256
@@ -194,35 +192,3 @@ def budget_from(
     if deadline is not None:
         return Budget(deadline=deadline)
     return None
-
-
-@dataclass(frozen=True)
-class TimeoutReport:
-    """Terminal item yielded by a deadline-bounded ``solutions_iter``.
-
-    The stream yields every solution chunk it produced in time, then exactly
-    one ``TimeoutReport`` describing the cut, then stops.  Consumers can
-    ``isinstance``-check the items or compare against the report's fields.
-    """
-
-    #: Seconds the evaluation ran before the deadline tripped.
-    elapsed: float
-    #: The configured allowance in seconds (``None`` for step/cancel trips).
-    deadline: Optional[float]
-    #: ``(pattern, graph)`` cells fully enumerated before the trip.
-    cells_done: int
-    #: Cells still unfinished when the deadline tripped.
-    cells_pending: int
-    #: Solutions already yielded to the consumer before the report.
-    solutions_yielded: int
-    #: The statistics snapshot at the moment of the trip (may be ``None``).
-    statistics: Optional[Any] = None
-    #: Extra detail strings (one per pending cell where known).
-    pending: Tuple[str, ...] = field(default_factory=tuple)
-
-    def __repr__(self) -> str:
-        return (
-            f"TimeoutReport(elapsed={self.elapsed:.3f}s, "
-            f"cells_done={self.cells_done}, cells_pending={self.cells_pending}, "
-            f"solutions_yielded={self.solutions_yielded})"
-        )

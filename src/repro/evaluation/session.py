@@ -15,10 +15,10 @@ candidate mappings, many patterns, many graphs — behind one shared cache.
   worker-process pool) with answers guaranteed identical to a loop of
   :meth:`Engine.contains <repro.evaluation.engine.Engine.contains>` calls,
   and :meth:`check_iter` streams the same verdicts in input order;
-* :meth:`solutions_stream` enumerates lazily (a deduplicated generator);
-  :meth:`solutions_many` batches enumeration over many patterns × many
-  graphs — duplicate cells are evaluated once and fanned back out — and
-  :meth:`solutions_iter` streams those batched results per solution;
+* :meth:`solutions` enumerates one pattern's answer set and
+  :meth:`solutions_stream` streams it lazily (a deduplicated generator);
+  the natural strategy records each tree's answers in the shared cache,
+  so a repeated pattern over an unchanged graph replays them;
 * the membership pool is **crash-aware**: a dead worker breaks its
   executor, the unfinished chunks are resubmitted once on a fresh one, and
   a second failure re-runs the remainder serially in the parent — answers
@@ -26,10 +26,11 @@ candidate mappings, many patterns, many graphs — behind one shared cache.
   :class:`~repro.evaluation.wdeval.EvaluationStatistics`
   (``worker_crashes`` / ``cells_degraded_serial``);
 * wall-clock / step budgets (:class:`~repro.evaluation.budget.Budget`)
-  travel with the chunks into the workers; a deadline-bounded
-  :meth:`solutions_iter` yields its partial results and then a terminal
-  :class:`~repro.evaluation.budget.TimeoutReport` instead of hanging; and
-  a deterministic fault-injection harness
+  travel with the chunks into the workers; every entry point reports a
+  violated budget one way, by raising
+  :class:`~repro.exceptions.DeadlineExceeded` (counted once on
+  :attr:`Session.statistics`), and a stream yields its partial results
+  before it raises; and a deterministic fault-injection harness
   (:mod:`repro.evaluation.faults`) drives the crash ladder in tests with
   real SIGKILLs.
 """
@@ -43,7 +44,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .budget import Budget, TimeoutReport, budget_from
+from .budget import Budget, budget_from
 from .cache import EvaluationCache
 from .context import EvalContext
 from .engine import Engine
@@ -196,10 +197,10 @@ class Session:
     every ``method=`` resolves through the pattern's cost-based
     :class:`~repro.evaluation.plan.Planner` (:meth:`plan` / :meth:`explain`
     expose the decision per graph), :meth:`check_many` / :meth:`check_iter`
-    batch membership, :meth:`solutions_many` batches enumeration, and
-    :meth:`solutions_iter` streams batched enumeration results.  The
-    membership pool warms the µ-independent cache state before forking so
-    workers inherit hot indexes and kernels.  Every cache/pool/warm feature
+    batch membership, and :meth:`solutions` / :meth:`solutions_stream`
+    enumerate one pattern at a time.  The membership pool warms the
+    µ-independent cache state before forking so workers inherit hot indexes
+    and kernels.  Every cache/pool/warm feature
     is answer-preserving, and the pool recovers from worker crashes (retry
     once on a fresh executor, then serial re-run in the parent) without
     losing or duplicating answers.
@@ -738,12 +739,27 @@ class Session:
     ) -> Iterator[Mapping]:
         """Stream ``⟦P⟧G`` lazily as a deduplicated generator.
 
-        ``method="auto"`` resolves to the natural strategy (the planner
-        rejects the pebble strategy, which decides membership only).  A
-        violated ``deadline``/``budget`` raises
-        :class:`~repro.exceptions.DeadlineExceeded` mid-stream.
+        ``method="auto"`` cost-picks the naive or natural strategy for
+        *graph* (the pebble relaxation decides membership only and is
+        rejected).  A violated ``deadline``/``budget`` raises
+        :class:`~repro.exceptions.DeadlineExceeded` — at the call when the
+        budget is already expired, else mid-stream — and counts one trip on
+        :attr:`statistics` either way.
         """
-        return self.engine(pattern).solutions_stream(graph, method, deadline, budget)
+        try:
+            stream = self.engine(pattern).solutions_stream(graph, method, deadline, budget)
+        except DeadlineExceeded as exc:
+            self._trip(None, exc)
+            raise
+        return self._counting_trips(stream)
+
+    def _counting_trips(self, stream: Iterator[Mapping]) -> Iterator[Mapping]:
+        """*stream*, accounting a mid-stream deadline trip on the session."""
+        try:
+            yield from stream
+        except DeadlineExceeded as exc:
+            self._trip(None, exc)
+            raise
 
     def solutions(
         self,
@@ -764,165 +780,3 @@ class Session:
         except DeadlineExceeded as exc:
             self._trip(None, exc)
             raise
-
-    def _distinct_cells(
-        self, engines: Sequence[Engine], graph_list: Sequence[RDFGraph]
-    ) -> List[Tuple[Engine, RDFGraph, Tuple[int, int]]]:
-        """The distinct ``(engine, graph)`` cells in first-occurrence order."""
-        seen: Set[Tuple[int, int]] = set()
-        order: List[Tuple[Engine, RDFGraph, Tuple[int, int]]] = []
-        for engine in engines:
-            for graph in graph_list:
-                key = (id(engine), id(graph))
-                if key not in seen:
-                    seen.add(key)
-                    order.append((engine, graph, key))
-        return order
-
-    def solutions_many(
-        self,
-        patterns: Sequence[PatternLike],
-        graphs: Union[RDFGraph, Sequence[RDFGraph]],
-        method: str = "auto",
-        deadline: Optional[float] = None,
-        budget: Optional[Budget] = None,
-        statistics: Optional[EvaluationStatistics] = None,
-    ) -> Union[List[Set[Mapping]], List[List[Set[Mapping]]]]:
-        """Batched enumeration over many patterns × many graphs.
-
-        Returns one answer set per ``(pattern, graph)`` cell: a flat list
-        (one set per pattern) when *graphs* is a single graph, else a matrix
-        with one row per pattern and one column per graph.  Duplicate cells
-        — repeated patterns (structurally, for
-        :class:`~repro.sparql.algebra.GraphPattern` inputs) or repeated
-        graphs — are enumerated **once** and fanned back out, and all cells
-        share the session cache.  Answer sets are guaranteed identical to
-        per-pattern :meth:`Engine.solutions
-        <repro.evaluation.engine.Engine.solutions>` calls.
-        ``deadline``/``budget`` bound the whole batch and raise
-        :class:`~repro.exceptions.DeadlineExceeded` (counted on *statistics*
-        and on :attr:`statistics`).  For results as they are discovered,
-        use :meth:`solutions_iter`.
-        """
-        single = isinstance(graphs, RDFGraph)
-        graph_list: List[RDFGraph] = [graphs] if single else list(graphs)
-        engines = [self.engine(pattern) for pattern in patterns]
-        run_budget = budget_from(deadline, budget)
-        try:
-            distinct: Dict[Tuple[int, int], Set[Mapping]] = {
-                key: engine.solutions(graph, method, budget=run_budget)
-                for engine, graph, key in self._distinct_cells(engines, graph_list)
-            }
-        except DeadlineExceeded as exc:
-            self._trip(statistics, exc)
-            raise
-
-        # Duplicate cells fan out as *independent copies*, exactly like the
-        # equivalent loop of per-pattern Engine.solutions calls; a cell used
-        # once hands out the computed set itself (no copy).
-        uses = {key: 0 for key in distinct}
-        for engine in engines:
-            for graph in graph_list:
-                uses[(id(engine), id(graph))] += 1
-
-        def hand_out(key: Tuple[int, int]) -> Set[Mapping]:
-            uses[key] -= 1
-            answers = distinct[key]
-            return set(answers) if uses[key] > 0 else answers
-
-        matrix = [
-            [hand_out((id(engine), id(graph))) for graph in graph_list] for engine in engines
-        ]
-        if single:
-            return [row[0] for row in matrix]
-        return matrix
-
-    def solutions_iter(
-        self,
-        patterns: Sequence[PatternLike],
-        graphs: Union[RDFGraph, Sequence[RDFGraph]],
-        method: str = "auto",
-        order: str = "submitted",
-        deadline: Optional[float] = None,
-        budget: Optional[Budget] = None,
-        statistics: Optional[EvaluationStatistics] = None,
-    ) -> Iterator[Union[Tuple[Tuple[int, int], Mapping], TimeoutReport]]:
-        """Stream batched enumeration results as they are discovered.
-
-        Yields ``((pattern_index, graph_index), mapping)`` pairs covering
-        exactly the same answer sets as :meth:`solutions_many` over the same
-        inputs, but incrementally — consumers see the first solutions while
-        later cells are still unevaluated, instead of waiting for the whole
-        batch.  *graphs* may be a single graph (all cells then have
-        ``graph_index == 0``) or a sequence.
-
-        Cells are evaluated in input order, row by row, every solution of a
-        cell before the next cell: the first occurrence of a cell is
-        consumed lazily from :meth:`solutions_stream`, and repeated cells
-        replay the recorded answers.  Cells therefore also complete in
-        submission order, so ``order="submitted"`` (the default) and
-        ``order="completed"`` yield the same stream.
-
-        With a ``deadline``/``budget``, the stream yields whatever it
-        discovered in time and then **exactly one terminal**
-        :class:`~repro.evaluation.budget.TimeoutReport` (instead of raising
-        mid-iteration), then stops; check ``isinstance(item,
-        TimeoutReport)`` when consuming bounded streams.
-        """
-        if order not in ("submitted", "completed"):
-            raise EvaluationError(
-                f"order must be 'submitted' or 'completed', got {order!r}"
-            )
-        single = isinstance(graphs, RDFGraph)
-        graph_list: List[RDFGraph] = [graphs] if single else list(graphs)
-        engines = [self.engine(pattern) for pattern in patterns]
-        run_budget = budget_from(deadline, budget)
-        cells: List[Tuple[Tuple[int, int], Tuple[int, int]]] = [
-            ((i, j), (id(engine), id(graph)))
-            for i, engine in enumerate(engines)
-            for j, graph in enumerate(graph_list)
-        ]
-        uses: Dict[Tuple[int, int], int] = {}
-        for _cell, key in cells:
-            uses[key] = uses.get(key, 0) + 1
-        by_key = {
-            key: (engine, graph)
-            for engine, graph, key in self._distinct_cells(engines, graph_list)
-        }
-        done: Dict[Tuple[int, int], Set[Mapping]] = {}
-        cells_done = 0
-        solutions_yielded = 0
-        try:
-            for cell, key in cells:
-                if key in done:
-                    for mu in done[key]:
-                        yield cell, mu
-                        solutions_yielded += 1
-                    cells_done += 1
-                    continue
-                engine, graph = by_key[key]
-                recorder: Optional[Set[Mapping]] = set() if uses[key] > 1 else None
-                for mu in engine.solutions_stream(graph, method, budget=run_budget):
-                    if recorder is not None:
-                        recorder.add(mu)
-                    yield cell, mu
-                    solutions_yielded += 1
-                if recorder is not None:
-                    done[key] = recorder
-                cells_done += 1
-        except DeadlineExceeded:
-            self._note("deadline_trips", statistics)
-            elapsed, allowance = 0.0, None
-            if run_budget is not None:
-                elapsed = run_budget.elapsed()
-                if run_budget.expires_at is not None:
-                    allowance = run_budget.expires_at - run_budget.started_at
-            yield TimeoutReport(
-                elapsed=elapsed,
-                deadline=allowance,
-                cells_done=cells_done,
-                cells_pending=len(cells) - cells_done,
-                solutions_yielded=solutions_yielded,
-                statistics=statistics,
-                pending=tuple(f"cell {cell}" for cell, _key in cells[cells_done:]),
-            )

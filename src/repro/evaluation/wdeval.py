@@ -78,11 +78,6 @@ class EvaluationStatistics:
         self.cells_degraded_serial = 0
         self.deadline_trips = 0
 
-    def merge(self, other: "EvaluationStatistics") -> None:
-        """Accumulate *other*'s counters into this instance."""
-        for slot in self.__slots__:
-            setattr(self, slot, getattr(self, slot) + getattr(other, slot))
-
     def resilience_summary(self) -> str:
         """One line for ``batch --stats`` and the session accumulator."""
         return (

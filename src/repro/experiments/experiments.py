@@ -9,13 +9,12 @@ benchmark scripts pass larger values.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Sequence
 
 from .harness import ExperimentResult, register_experiment, time_batched_membership, time_callable
 from ..evaluation import Session, forest_contains, forest_contains_pebble
 from ..hom import ctw, tw, maps_to
-from ..patterns import WDPatternForest, wdpf
+from ..patterns import WDPatternForest
 from ..patterns.gtg import gtg
 from ..reductions import minimum_family_index, solve_clique_via_wdeval
 from ..rdf.terms import IRI

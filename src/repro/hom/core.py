@@ -20,7 +20,6 @@ from typing import Optional
 
 from .homomorphism import has_homomorphism
 from .tgraph import GeneralizedTGraph, TGraph
-from ..rdf.terms import Variable
 
 __all__ = ["core_of", "is_core", "is_core_of", "hom_equivalent"]
 

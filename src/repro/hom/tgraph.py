@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Set
 
 from ..rdf.graph import RDFGraph
-from ..rdf.terms import GroundTerm, IRI, Term, Variable, is_ground_term
-from ..rdf.triples import TriplePattern, Triple
+from ..rdf.terms import GroundTerm, IRI, Term, Variable
+from ..rdf.triples import TriplePattern
 from ..exceptions import ReproError
 
 __all__ = ["TGraph", "GeneralizedTGraph", "freeze_tgraph", "fresh_variable_renaming"]

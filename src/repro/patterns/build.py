@@ -17,7 +17,7 @@ The construction for a UNION-free well-designed pattern is the standard one:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .forest import WDPatternForest
 from .tree import WDPatternTree

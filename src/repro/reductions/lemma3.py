@@ -14,7 +14,7 @@ to inside the fpt-reduction of Theorem 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import networkx as nx
 

@@ -31,10 +31,8 @@ from ..evaluation.wdeval import forest_contains
 from ..hom.tgraph import freeze_tgraph
 from ..patterns.forest import WDPatternForest
 from ..rdf.graph import RDFGraph
-from ..rdf.terms import Variable
 from ..sparql.mappings import Mapping
 from ..workloads.families import hard_clique_tree
-from ..exceptions import ReductionError
 
 __all__ = ["ReductionInstance", "clique_reduction", "minimum_family_index", "solve_clique_via_wdeval"]
 

@@ -43,9 +43,9 @@ from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import monotonic
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union, cast
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Union, cast
 
 from ..evaluation.budget import Budget
 from ..evaluation.session import Session

@@ -10,8 +10,10 @@ service; this layer only frames bytes.
 Failure behaviour mirrors the service contract: protocol violations and
 admission rejections are answered with typed single-line errors on the
 same connection, and a client disconnect mid-response simply ends that
-connection's thread.  ``repro serve`` (:mod:`repro.cli`) is a thin wrapper
-around this class.
+connection's thread.  Lines are read in bounded chunks, so a line longer
+than :data:`~repro.service.protocol.MAX_LINE_BYTES` is refused as soon as
+it crosses the bound, without waiting for its newline.  ``repro serve``
+(:mod:`repro.cli`) is a thin wrapper around this class.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Iterator, Optional, Tuple
 from ..exceptions import ProtocolError, ReproError
 from .core import QueryService
 from .protocol import (
+    MAX_LINE_BYTES,
     decode_line,
     encode_line,
     error_line,
@@ -122,10 +125,24 @@ class ServiceServer:
     def _handle(self, connection: socket.socket) -> None:
         with connection:
             reader = connection.makefile("rb")
-            for raw in reader:
-                raw = raw.strip()
+            skipping = False  # inside the tail of an oversized line
+            while True:
+                # Bounded reads: a line over MAX_LINE_BYTES is answered as
+                # soon as the bound is crossed, not buffered until its
+                # newline, and the rest of it is then read and dropped.
+                raw = reader.readline(MAX_LINE_BYTES + 1)
                 if not raw:
+                    return  # client closed the connection
+                complete = raw.endswith(b"\n")
+                if skipping:
+                    skipping = not complete
                     continue
+                if len(raw) > MAX_LINE_BYTES and not complete:
+                    skipping = True  # decode_line refuses it by its length
+                else:
+                    raw = raw.strip()
+                    if not raw:
+                        continue
                 try:
                     for line in self._process(raw):
                         connection.sendall(line)

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Optional
 
 from .algebra import And, GraphPattern, Opt, Union
 from .filters import FilterCondition
-from .well_designed import WellDesignedViolation, union_operands
+from .well_designed import WellDesignedViolation
 from ..rdf.terms import Variable
 from ..exceptions import NotWellDesignedError
 

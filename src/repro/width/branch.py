@@ -18,7 +18,7 @@ from typing import Dict, Optional
 
 from ..hom.tgraph import GeneralizedTGraph
 from ..hom.treewidth import ctw
-from ..patterns.build import build_wdpt, wdpf
+from ..patterns.build import build_wdpt
 from ..patterns.tree import WDPatternTree
 from ..sparql.algebra import GraphPattern
 from ..exceptions import WidthComputationError

@@ -24,7 +24,6 @@ from ..hom.treewidth import ctw
 from ..patterns.build import wdpf
 from ..patterns.forest import WDPatternForest
 from ..patterns.gtg import gtg
-from ..patterns.tree import Subtree
 from ..sparql.algebra import GraphPattern
 from ..exceptions import WidthComputationError
 

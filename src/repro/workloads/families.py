@@ -26,13 +26,12 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from ..hom.tgraph import GeneralizedTGraph, TGraph
+from ..hom.tgraph import GeneralizedTGraph
 from ..patterns.forest import WDPatternForest
 from ..patterns.tree import WDPatternTree
 from ..rdf.generators import random_graph
 from ..rdf.graph import RDFGraph
 from ..rdf.namespace import EX
-from ..rdf.terms import IRI
 from ..rdf.triples import Triple
 from ..sparql.algebra import GraphPattern, conj, opt_chain, tp, union_of
 from ..sparql.parser import parse_pattern
@@ -351,11 +350,9 @@ def clique_query_data_graph(
     if not isinstance(host_graph, nx.Graph):
         raise TypeError("clique_query_data_graph expects a networkx Graph")
     graph = from_networkx(host_graph, predicate="r")
-    rng = random.Random(seed)
     nodes = sorted(host_graph.nodes())
     anchor_subject = EX.term("anchor")
     p = EX.term("p")
-    r = EX.term("r")
     for index in range(anchor_edges):
         target_node = nodes[index % len(nodes)] if nodes else 0
         target = EX.term(f"v{target_node}")

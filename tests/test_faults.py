@@ -24,7 +24,6 @@ from repro.evaluation import (
     FaultInjected,
     FaultPlan,
     Session,
-    TimeoutReport,
     WorkerCrashError,
 )
 from repro.exceptions import EvaluationError
@@ -81,18 +80,6 @@ def chain_pattern(k=5):
     for i in range(1, k):
         text = f"({text} AND (?v{i} p ?v{i + 1}))"
     return parse_pattern(text)
-
-
-def collect_iter(session, patterns, graph, **kwargs):
-    """Consume solutions_iter into {cell: set}; returns (cells, report|None)."""
-    got, report = {}, None
-    for item in session.solutions_iter(patterns, graph, **kwargs):
-        if isinstance(item, TimeoutReport):
-            report = item
-            break
-        cell, mu = item
-        got.setdefault(cell, set()).add(mu)
-    return got, report
 
 
 # --- Budget unit behaviour --------------------------------------------------
@@ -219,19 +206,25 @@ class TestDeadlines:
         assert isinstance(info.value.partial, tuple)
 
     def test_solutions_iter_serial_yields_report_within_bound(self):
-        """Acceptance: partial results + terminal report by deadline + 250ms."""
+        """Acceptance: Session.solutions_stream yields partial results, then
+        raises DeadlineExceeded by deadline + 250ms, counting one trip."""
         deadline = 0.3
         session = Session()
+        got = []
         started = time.monotonic()
-        got, report = collect_iter(
-            session, [chain_pattern(5)], dense_graph(12), deadline=deadline
-        )
+        with pytest.raises(DeadlineExceeded):
+            for mu in session.solutions_stream(
+                chain_pattern(5), dense_graph(12), deadline=deadline
+            ):
+                got.append(mu)
         elapsed = time.monotonic() - started
-        assert report is not None, "pathological cell must time out"
+        assert got, "the stream must yield partial results before the trip"
         assert elapsed < deadline + 0.25
-        assert report.cells_pending >= 1
-        assert report.solutions_yielded == sum(len(s) for s in got.values())
         assert session.statistics.deadline_trips == 1
+        # A pre-expired budget raises at the call, before any iteration.
+        with pytest.raises(DeadlineExceeded):
+            session.solutions_stream(chain_pattern(5), dense_graph(12), deadline=0.0)
+        assert session.statistics.deadline_trips == 2
 
     def test_check_many_pool_deadline_raises_and_reaps_workers(self):
         deadline = 0.3
@@ -250,16 +243,6 @@ class TestDeadlines:
         assert time.monotonic() - started < deadline + 1.0
         assert multiprocessing.active_children() == []
         assert session.statistics.deadline_trips == 1
-
-    def test_timeout_report_is_terminal(self):
-        session = Session()
-        items = list(
-            session.solutions_iter(
-                [chain_pattern(5)], dense_graph(12), deadline=0.3
-            )
-        )
-        reports = [i for i in items if isinstance(i, TimeoutReport)]
-        assert len(reports) == 1 and items[-1] is reports[0]
 
 
 # --- worker crashes ----------------------------------------------------------

@@ -1,7 +1,6 @@
 """Unit tests for core computation of generalised t-graphs."""
 
 from repro.hom import GeneralizedTGraph, core_of, hom_equivalent, is_core, is_core_of, maps_to
-from repro.rdf.terms import Variable
 from repro.workloads.families import example3_gtgraphs, kk_tgraph
 
 

@@ -7,12 +7,9 @@ transformation preserves the Lemma 1 semantics, including on trees that are
 *not* produced by the pattern translation (hand-built redundant trees).
 """
 
-import itertools
-
 import pytest
 
 from repro.evaluation import tree_solutions
-from repro.hom.tgraph import TGraph
 from repro.patterns import WDPatternTree, build_wdpt, pattern_of_tree
 from repro.evaluation import evaluate_pattern
 from repro.rdf.generators import random_graph

@@ -10,7 +10,7 @@ import pytest
 
 from repro.evaluation import Engine
 from repro.hom import ctw, tw, is_core, maps_to
-from repro.patterns import WDPatternForest, wdpf
+from repro.patterns import WDPatternForest
 from repro.width import (
     branch_treewidth,
     domination_width,

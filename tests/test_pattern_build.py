@@ -5,7 +5,7 @@ import pytest
 from repro.exceptions import NotWellDesignedError, PatternTreeError
 from repro.patterns import build_wdpt, pattern_of_forest, pattern_of_tree, wdpf
 from repro.rdf.terms import Variable
-from repro.sparql import parse_pattern, tp
+from repro.sparql import parse_pattern
 from repro.sparql.algebra import Union
 from repro.workloads.families import example1_patterns, example2_pattern, fk_pattern
 

@@ -134,7 +134,6 @@ class TestEdgeCases:
             graph = random_graph(4, 12, predicates=("edge",), seed=seed)
             domain_values = sorted(graph.domain(), key=str)
             for value in domain_values[:2]:
-                mu = Mapping({Variable("d"): value})
                 fixed = {Variable("d"): value}
                 triples = list(source.triples())
                 existential = sorted(source.existential_variables(), key=lambda v: v.name)

@@ -86,7 +86,6 @@ class TestExtendOnto:
         assert is_minor_map(grid, host, extended)
 
     def test_extension_preserves_connectivity_of_branch_sets(self):
-        grid = grid_graph(1, 2)
         host = nx.cycle_graph(6)
         gamma = {(1, 1): frozenset({0}), (1, 2): frozenset({1})}
         extended = extend_minor_map_onto(gamma, host)

@@ -37,7 +37,7 @@ from repro.service import (
     ServiceClient,
     ServiceServer,
 )
-from repro.service.protocol import mapping_to_wire
+from repro.service.protocol import MAX_LINE_BYTES, mapping_to_wire
 from repro.sparql import Mapping, parse_pattern
 
 KNOWS_QUERY = "(?x knows ?y)"
@@ -639,6 +639,21 @@ class TestSocketProtocol:
             line = json.loads(reader.readline())
             assert line["ok"] is False and line["error_type"] == "ProtocolError"
             conn.sendall(b'{"op": "stats"}\n')
+            line = json.loads(reader.readline())
+            assert line["ok"] is True and "completed" in line["result"]
+
+    def test_oversized_line_is_refused_before_its_newline(self, served):
+        (host, port), _service = served
+        with socket.create_connection((host, port), timeout=10.0) as conn:
+            reader = conn.makefile("rb")
+            conn.sendall(b"x" * (MAX_LINE_BYTES + 1))  # no newline yet
+            conn.settimeout(5.0)
+            line = json.loads(reader.readline())
+            assert line["ok"] is False and line["error_type"] == "ProtocolError"
+            assert "byte bound" in line["error"]
+            # The rest of the oversized line is dropped; the connection
+            # stays usable for the next request.
+            conn.sendall(b"x" * 4096 + b"\n" + b'{"op": "stats"}\n')
             line = json.loads(reader.readline())
             assert line["ok"] is True and "completed" in line["result"]
 

@@ -80,7 +80,7 @@ class TestEngines:
         p1 = parse_pattern("(?x p ?y)")
         p2 = parse_pattern("(?x q ?y)")
         e1, e2 = session.engine(p1), session.engine(p2)
-        # Routing the handles back in (as check_many / solutions_many do)
+        # Routing the handles back in (as check_many / solutions do)
         # must neither rebuild them nor burn LRU slots on duplicate keys.
         assert session.engine(e1) is e1
         assert session.engine(e2) is e2
@@ -180,8 +180,8 @@ class TestStreaming:
 
 class TestSolutionsMany:
     def test_randomized_parity_with_naive_enumeration(self):
-        """Session.solutions_many must be identical to per-pattern naive
-        enumeration on randomized patterns × graphs."""
+        """One Session.solutions per (pattern, graph) cell must be identical
+        to per-pattern naive enumeration on randomized patterns × graphs."""
         for seed in range(6):
             patterns = [
                 WDPatternForest([random_wd_tree(num_nodes=3, seed=seed * 7 + i)])
@@ -189,45 +189,39 @@ class TestSolutionsMany:
             ]
             graphs = [random_graph(5, 22, seed=seed * 11 + j) for j in range(2)]
             session = Session()
-            matrix = session.solutions_many(patterns, graphs)
+            matrix = [[session.solutions(forest, graph) for graph in graphs] for forest in patterns]
             expected = [
                 [Engine(forest=forest).solutions(graph, method="naive") for graph in graphs]
                 for forest in patterns
             ]
             assert matrix == expected, f"parity failure for seed {seed}"
 
-    def test_single_graph_returns_flat_list(self):
-        session = Session()
-        graph = tprime_data_graph(6, 20, seed=3)
-        patterns = [WDPatternForest([tprime_tree(2)]), WDPatternForest([tprime_tree(3)])]
-        answers = session.solutions_many(patterns, graph)
-        assert len(answers) == 2
-        for forest, answer in zip(patterns, answers):
-            assert answer == Engine(forest=forest).solutions(graph, method="naive")
-
     def test_duplicate_cells_share_one_engine_but_stay_independent(self):
+        """Session.solutions: structurally equal patterns share one engine,
+        and each call returns its own answer set."""
         session = Session()
         graph = random_graph(6, 30, seed=5)
         text = "((?x <http://example.org/p> ?y) OPT (?y <http://example.org/q> ?z))"
         pattern = parse_pattern(text)
         duplicate = parse_pattern(text)
-        answers = session.solutions_many([pattern, duplicate, pattern], graph)
-        assert answers[0] and answers[0] == answers[1] == answers[2]
-        # Structurally equal patterns share one engine (one enumeration)...
         assert session.engine(pattern) is session.engine(duplicate)
-        # ...but the returned sets are independent copies, like a loop of
-        # per-pattern Engine.solutions calls would produce.
-        assert answers[0] is not answers[1]
-        answers[0].clear()
-        assert answers[1] == answers[2]
+        first = session.solutions(pattern, graph)
+        second = session.solutions(duplicate, graph)
+        assert first and first == second
+        # The returned sets are independent, like the sets of a loop of
+        # per-pattern Engine.solutions calls.
+        first.clear()
+        assert second == session.solutions(pattern, graph)
 
     def test_shared_cache_is_exercised(self):
+        """The second Session.solutions of a forest replays the cache."""
         session = Session()
         graph = tprime_data_graph(6, 20, seed=1)
         forest = WDPatternForest([tprime_tree(2)])
-        session.solutions_many([forest, forest], graph)
-        stats = session.cache.statistics
-        assert stats.hits + stats.misses > 0
+        session.solutions(forest, graph)
+        before = session.cache.statistics.enum_hits
+        session.solutions(forest, graph)
+        assert session.cache.statistics.enum_hits > before
 
     def test_replayed_enumeration_matches_first_run(self):
         """A second enumeration replays the recorded answer lists (cache
@@ -243,65 +237,20 @@ class TestSolutionsMany:
 
 
 class TestSolutionsIter:
-    def _workload(self):
-        graphs = [tprime_data_graph(6, 20, seed=11), tprime_data_graph(5, 15, seed=12)]
-        repeated = WDPatternForest([tprime_tree(2)])
-        patterns = [
-            repeated,
-            WDPatternForest([tprime_tree(3)]),
-            WDPatternForest([tprime_tree(2)]),  # structurally equal, distinct object
-            repeated,  # duplicate cell: same forest object twice
-        ]
-        return patterns, graphs
-
-    def _collect(self, iterator):
-        got = {}
-        for cell, mu in iterator:
-            got.setdefault(cell, set()).add(mu)
-        return got
-
-    @pytest.mark.parametrize("order", ["submitted", "completed"])
-    def test_parity_with_solutions_many(self, order):
-        patterns, graphs = self._workload()
-        session = Session()
-        matrix = session.solutions_many(patterns, graphs)
-        got = self._collect(Session().solutions_iter(patterns, graphs, order=order))
-        for i in range(len(patterns)):
-            for j in range(len(graphs)):
-                assert got.get((i, j), set()) == matrix[i][j], (order, i, j)
-
-    def test_single_graph_cells_use_graph_index_zero(self):
-        patterns, graphs = self._workload()
-        session = Session()
-        flat = session.solutions_many(patterns, graphs[0])
-        got = self._collect(session.solutions_iter(patterns, graphs[0]))
-        assert all(cell[1] == 0 for cell in got)
-        for i in range(len(patterns)):
-            assert got.get((i, 0), set()) == flat[i]
-
-    def test_submitted_order_is_submission_order(self):
-        patterns, graphs = self._workload()
-        cells_seen = []
-        for cell, _mu in Session().solutions_iter(patterns, graphs, order="submitted"):
-            if not cells_seen or cells_seen[-1] != cell:
-                cells_seen.append(cell)
-        assert cells_seen == sorted(cells_seen)
-
     def test_serial_first_occurrence_streams_lazily(self):
-        """The first solutions arrive before later cells are evaluated."""
+        """Session.solutions_stream yields its first solution before the
+        enumeration is complete (nothing is recorded in the cache yet)."""
         session = Session()
         graph = tprime_data_graph(6, 20, seed=11)
-        full = WDPatternForest([tprime_tree(2)])
-        iterator = session.solutions_iter([full, WDPatternForest([tprime_tree(3)])], graph)
-        cell, mu = next(iterator)
-        assert cell == (0, 0)
-        assert mu in Engine(forest=full).solutions(graph, method="naive")
-
-    def test_invalid_order_rejected(self):
-        session = Session()
-        with pytest.raises(EvaluationError):
-            next(session.solutions_iter([WDPatternForest([tprime_tree(2)])],
-                                        tprime_data_graph(5, 15, seed=1), order="random"))
+        forest = WDPatternForest([tprime_tree(2)])
+        (tree,) = list(forest)
+        stream = session.solutions_stream(forest, graph, method="natural")
+        mu = next(stream)
+        assert mu in Engine(forest=forest).solutions(graph, method="naive")
+        assert session.cache.tree_solution_list(tree, graph) is None
+        rest = set(stream)
+        assert session.cache.tree_solution_list(tree, graph) is not None
+        assert rest | {mu} == Engine(forest=forest).solutions(graph, method="naive")
 
 
 class TestSolutionsAutoBugfix:
@@ -452,31 +401,31 @@ class TestMutationSafety:
         return Engine(forest=forest).solutions(graph, method="natural")
 
     def test_serial_solutions_iter_mutation_between_cells(self):
+        """A mutation between two patterns' Session.solutions_stream runs."""
         graph = tprime_data_graph(6, 20, seed=25)
         patterns = [WDPatternForest([tprime_tree(2)]), WDPatternForest([tprime_tree(3)])]
         session = Session()
-        iterator = session.solutions_iter(patterns, graph)
-        seen = {}
-        mutated = False
-        for cell, mu in iterator:
-            if cell[0] == 1 and not mutated:
-                # First solution of the second cell: mutate before draining.
-                self._mutate(graph)
-                mutated = True
-            seen.setdefault(cell, set()).add(mu)
+        assert set(session.solutions_stream(patterns[0], graph))
+        second = session.solutions_stream(patterns[1], graph)
+        next(second)
+        # First solution of the second pattern: mutate before draining.
+        self._mutate(graph)
+        for _ in second:
+            pass
         # The cache must answer for the graph as it is *now*: fresh
         # enumerations replay nothing stale.
-        for i, forest in enumerate(patterns):
+        for forest in patterns:
             assert session.solutions(forest, graph) == self._fresh_answers(forest, graph)
 
     def test_serial_solutions_iter_mutation_mid_cell_does_not_poison(self):
+        """An add mid-way through a Session.solutions_stream."""
         graph = tprime_data_graph(6, 20, seed=25)
         forest = WDPatternForest([tprime_tree(2)])
         session = Session()
-        iterator = session.solutions_iter([forest], graph)
-        next(iterator)
-        self._mutate(graph)  # mid-cell: the stream's recording must be aborted
-        for _ in iterator:
+        stream = session.solutions_stream(forest, graph)
+        next(stream)
+        self._mutate(graph)  # mid-stream: the stream's recording must be aborted
+        for _ in stream:
             pass
         (tree,) = list(forest)
         assert session.cache.tree_solution_list(tree, graph) is None
@@ -490,18 +439,19 @@ class TestMutationSafety:
         )
 
     def test_serial_solutions_iter_bulk_mutation_mid_cell_does_not_poison(self):
-        """Incremental index maintenance must not weaken the version fence:
-        an add_all mid-cell aborts the stream's recording exactly like a
-        chain of single adds used to."""
+        """An add_all mid-way through a Session.solutions_stream: incremental
+        index maintenance must not weaken the version fence — the batch
+        aborts the stream's recording exactly like a chain of single adds
+        used to."""
         graph = tprime_data_graph(6, 20, seed=25)
         forest = WDPatternForest([tprime_tree(2)])
         session = Session()
-        iterator = session.solutions_iter([forest], graph)
-        next(iterator)
+        stream = session.solutions_stream(forest, graph)
+        next(stream)
         version = graph.version
         self._mutate_bulk(graph)
         assert graph.version == version + 1  # the batch bumps exactly once
-        for _ in iterator:
+        for _ in stream:
             pass
         (tree,) = list(forest)
         assert session.cache.tree_solution_list(tree, graph) is None

@@ -1,7 +1,5 @@
 """Unit tests for the tractability classification API."""
 
-import pytest
-
 from repro.patterns import WDPatternForest
 from repro.sparql import parse_pattern
 from repro.width import classify_family, classify_forest, classify_pattern

@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import WidthComputationError
 from repro.hom import GeneralizedTGraph
-from repro.patterns import WDPatternForest, wdpf
+from repro.patterns import WDPatternForest
 from repro.sparql import parse_pattern
 from repro.width import (
     domination_width,
