@@ -7,8 +7,8 @@ questions — "is this helper only ever called with the cache lock held?",
 module builds the one shared answer machine:
 
 * every ``def`` in the project (module functions, methods, nested functions)
-  becomes a :class:`FunctionRef` keyed by ``(relpath, dotted qualname)``,
-  matching :func:`repro.analysis.framework.qualname_index`;
+  becomes a :class:`FunctionRef` keyed by ``(relpath, dotted qualname)``
+  (``Class.method``, ``outer.inner``);
 * call edges are resolved for the shapes that actually occur in this
   codebase: bare names (nested defs first, then module scope, then
   project-resolved imports, then class constructors → ``__init__``),

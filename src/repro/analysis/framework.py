@@ -283,23 +283,6 @@ def run_rules(
 
 # --- shared AST helpers used by several rules --------------------------------
 
-def qualname_index(tree: ast.Module) -> Dict[str, ast.AST]:
-    """Map dotted qualnames (``Class.method``, ``outer.inner``) to def nodes."""
-    index: Dict[str, ast.AST] = {}
-
-    def visit(node: ast.AST, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                qual = f"{prefix}.{child.name}" if prefix else child.name
-                index[qual] = child
-                visit(child, qual)
-            else:
-                visit(child, prefix)
-
-    visit(tree, "")
-    return index
-
-
 def own_statements(func: ast.AST) -> Iterator[ast.AST]:
     """Every statement lexically inside *func*, excluding nested defs.
 
@@ -316,18 +299,6 @@ def own_statements(func: ast.AST) -> Iterator[ast.AST]:
             yield from walk(child)
 
     yield from walk(func)
-
-
-def contains_call_named(node: ast.AST, names: Set[str]) -> bool:
-    """Is there a call ``f(...)`` / ``x.f(...)`` with ``f`` in *names*?"""
-    for child in ast.walk(node):
-        if isinstance(child, ast.Call):
-            func = child.func
-            if isinstance(func, ast.Name) and func.id in names:
-                return True
-            if isinstance(func, ast.Attribute) and func.attr in names:
-                return True
-    return False
 
 
 def attribute_root(node: ast.AST) -> Optional[ast.AST]:

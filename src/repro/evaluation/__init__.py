@@ -15,7 +15,6 @@ from .wdeval import (
     tree_solutions_stream,
     forest_solutions,
     forest_solutions_stream,
-    EvaluationStatistics,
 )
 from .pebble_eval import (
     tree_contains_pebble,
@@ -34,7 +33,7 @@ from .plan import (
     strategy_for,
 )
 from .engine import Engine
-from .session import Session
+from .session import EvaluationStatistics, Session
 
 __all__ = [
     "evaluate_pattern",

@@ -1,10 +1,8 @@
-"""The evaluation context: one bundle for cache, statistics and budget.
+"""The evaluation context: one bundle for cache and budget.
 
 :class:`EvalContext` is the environment every wdEVAL algorithm runs in:
 
 * ``cache`` — an optional :class:`~repro.evaluation.cache.EvaluationCache`;
-* ``statistics`` — an optional
-  :class:`~repro.evaluation.wdeval.EvaluationStatistics` accumulator;
 * ``budget`` — an optional :class:`~repro.evaluation.budget.Budget`.
 
 The context also owns the cache-or-direct helpers (`mu_subtree`,
@@ -12,14 +10,14 @@ The context also owns the cache-or-direct helpers (`mu_subtree`,
 `tree_solutions_list`, ...), so the algorithms in
 :mod:`~repro.evaluation.wdeval` / :mod:`~repro.evaluation.pebble_eval`
 contain the algorithm and nothing else, and the two code paths can never
-drift apart.  A context is immutable; derive variants with
-:meth:`with_statistics` / :meth:`with_budget`.
+drift apart.  A context is immutable; derive a bounded variant with
+:meth:`with_budget`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .budget import Budget
 from .cache import EvaluationCache
@@ -29,9 +27,6 @@ from ..patterns.tree import Subtree, WDPatternTree
 from ..pebble.game import pebble_game_winner
 from ..rdf.graph import RDFGraph
 from ..sparql.mappings import Mapping
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .wdeval import EvaluationStatistics
 
 __all__ = ["EvalContext"]
 
@@ -46,9 +41,6 @@ class EvalContext:
         Optional shared :class:`~repro.evaluation.cache.EvaluationCache`;
         when present the helpers below memoize through it, when absent they
         compute directly.  Answers are identical either way.
-    statistics:
-        Optional per-run counter accumulator; the ``note_*`` helpers are
-        no-ops when it is ``None``.
     budget:
         Optional :class:`~repro.evaluation.budget.Budget` bounding the
         evaluation; the hot loops tick it through the cache-or-direct
@@ -57,16 +49,9 @@ class EvalContext:
     """
 
     cache: Optional[EvaluationCache] = None
-    statistics: Optional["EvaluationStatistics"] = None
     budget: Optional[Budget] = None
 
     # --- construction --------------------------------------------------------
-    def with_statistics(self, statistics: Optional["EvaluationStatistics"]) -> "EvalContext":
-        """This context with *statistics* swapped in (no-op when unchanged)."""
-        if statistics is self.statistics:
-            return self
-        return replace(self, statistics=statistics)
-
     def with_budget(self, budget: Optional[Budget]) -> "EvalContext":
         """This context with *budget* swapped in (no-op when unchanged)."""
         if budget is self.budget:
@@ -84,19 +69,6 @@ class EvalContext:
         """Immediate budget check (no-op without a budget)."""
         if self.budget is not None:
             self.budget.check()
-
-    # --- statistics helpers ---------------------------------------------------
-    def note_tree_visited(self) -> None:
-        if self.statistics is not None:
-            self.statistics.trees_visited += 1
-
-    def note_subtree_found(self) -> None:
-        if self.statistics is not None:
-            self.statistics.subtree_found += 1
-
-    def note_child_check(self) -> None:
-        if self.statistics is not None:
-            self.statistics.child_checks += 1
 
     # --- cache-or-direct primitives --------------------------------------------
     def mu_subtree(self, tree: WDPatternTree, graph: RDFGraph, mu: Mapping) -> Optional[Subtree]:

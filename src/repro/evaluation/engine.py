@@ -12,10 +12,14 @@ and exposes the three evaluation strategies side by side:
   or can be computed cheaply, otherwise the natural algorithm.
 
 Method resolution lives in exactly one place: the engine's
-:class:`~repro.evaluation.plan.Planner`.  :meth:`contains` and the batched
-entry points all delegate to it, and :meth:`plan` / :meth:`explain` expose
-the resolved :class:`~repro.evaluation.plan.Plan` — including *why* the
-pebble strategy was (not) chosen.
+:class:`~repro.evaluation.plan.Planner`.  :meth:`contains` and the
+session's batch loop
+(:meth:`Session.check_iter <repro.evaluation.session.Session.check_iter>`)
+both delegate to it, and :meth:`plan` / :meth:`explain` expose the resolved
+:class:`~repro.evaluation.plan.Plan` — including *why* the pebble strategy
+was (not) chosen.  A check returns its verdict and nothing else; the only
+evaluation counters are the session's resilience counters
+(:attr:`Session.statistics <repro.evaluation.session.Session.statistics>`).
 
 The engine also enumerates complete answer sets and exposes the pattern's
 width measures, which is what the examples and the experiment harness use.
@@ -31,7 +35,6 @@ from .budget import Budget, budget_from
 from .cache import EvaluationCache
 from .context import EvalContext
 from .plan import Plan, Planner, PatternStats
-from .wdeval import EvaluationStatistics
 from ..patterns.build import pattern_of_forest, wdpf
 from ..patterns.forest import WDPatternForest
 from ..rdf.graph import RDFGraph
@@ -198,7 +201,6 @@ class Engine:
         mu: Mapping,
         method: str = "auto",
         width: Optional[int] = None,
-        statistics: Optional[EvaluationStatistics] = None,
         deadline: Optional[float] = None,
         budget: Optional[Budget] = None,
     ) -> bool:
@@ -209,43 +211,21 @@ class Engine:
         resolved plan is memoized, so tight loops over one graph pay the
         planning cost once).  ``deadline`` (seconds) or an explicit
         ``budget`` bounds the check; a violation raises
-        :class:`~repro.exceptions.DeadlineExceeded` carrying the statistics
-        snapshot accumulated so far.
+        :class:`~repro.exceptions.DeadlineExceeded`.
         """
         plan = self._planner.plan(method, width, graph=graph)
-        context = self._context.with_statistics(statistics).with_budget(
-            budget_from(deadline, budget)
-        )
-        try:
-            # Up-front check: a pre-expired budget must trip even when the
-            # instance is small enough to finish between amortized ticks.
-            context.check_budget()
-            return plan.strategy_obj.contains(
-                self._pattern, self._forest, graph, mu, plan, context
-            )
-        except DeadlineExceeded as exc:
-            if statistics is not None:
-                statistics.deadline_trips += 1
-                if exc.statistics is None:
-                    exc.statistics = statistics
-            raise
+        context = self._context.with_budget(budget_from(deadline, budget))
+        # Up-front check: a pre-expired budget must trip even when the
+        # instance is small enough to finish between amortized ticks.
+        context.check_budget()
+        return plan.strategy_obj.contains(self._pattern, self._forest, graph, mu, plan, context)
 
-    def contains_all_methods(
-        self,
-        graph: RDFGraph,
-        mu: Mapping,
-        statistics: Optional[EvaluationStatistics] = None,
-    ) -> Dict[str, bool]:
-        """Run every method on the same instance (used in tests/diagnostics).
-
-        A supplied *statistics* object accumulates the counters of the
-        natural and pebble runs, exactly as it would over two
-        :meth:`contains` calls (the naive method reports no statistics).
-        """
+    def contains_all_methods(self, graph: RDFGraph, mu: Mapping) -> Dict[str, bool]:
+        """Run every method on the same instance (used in tests/diagnostics)."""
         return {
             "naive": self.contains(graph, mu, method="naive"),
-            "natural": self.contains(graph, mu, method="natural", statistics=statistics),
-            "pebble": self.contains(graph, mu, method="pebble", statistics=statistics),
+            "natural": self.contains(graph, mu, method="natural"),
+            "pebble": self.contains(graph, mu, method="pebble"),
         }
 
     # --- enumeration -------------------------------------------------------------------------

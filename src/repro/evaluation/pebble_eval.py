@@ -18,8 +18,8 @@ polynomial time; on other inputs its answer may be a false negative, which
 :class:`~repro.evaluation.engine.Engine` reports as such.
 
 Both functions take a trailing
-:class:`~repro.evaluation.context.EvalContext` (cache, statistics, budget)
-that defaults to the empty context.
+:class:`~repro.evaluation.context.EvalContext` (cache and budget) that
+defaults to the empty context.
 """
 
 from __future__ import annotations
@@ -57,9 +57,7 @@ def tree_contains_pebble(
     subtree = context.mu_subtree(tree, graph, mu)
     if subtree is None:
         return False
-    context.note_subtree_found()
     for _child, extended in context.child_instances(tree, subtree):
-        context.note_child_check()
         if context.pebble_winner(extended, graph, mu, k + 1):
             return False
     return True
@@ -80,7 +78,6 @@ def forest_contains_pebble(
     if k < 1:
         raise ValueError("the width parameter k must be at least 1")
     for tree in forest:
-        context.note_tree_visited()
         if tree_contains_pebble(tree, graph, mu, k, context):
             return True
     return False

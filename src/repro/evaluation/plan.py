@@ -7,9 +7,11 @@ instead of a string compared in several places:
 
 * :class:`Strategy` — one executable evaluation strategy.  The three
   strategies (``naive``, ``natural``, ``pebble``) carry their own execution
-  hooks (``contains``, ``contains_many``, ``solutions_stream``, ``warm``),
-  so the callers dispatch on the strategy *object*, never on a method
-  string.
+  hooks (``contains``; ``contains_iter``, the lazy batch that the serial
+  path of :meth:`Session.check_iter
+  <repro.evaluation.session.Session.check_iter>` zips with the distinct
+  mappings; ``solutions_stream``; ``warm``), so the callers dispatch on the
+  strategy *object*, never on a method string.
 * :class:`Plan` — a frozen record of one resolved choice: the strategy, the
   width bound it runs with, whether that bound is *certified* (computed as
   the pattern's true domination width) or merely trusted, and a
@@ -118,7 +120,7 @@ class Strategy:
         """Decide ``µ ∈ ⟦P⟧G`` under *plan*."""
         raise NotImplementedError
 
-    def contains_many(
+    def contains_iter(
         self,
         pattern: GraphPattern,
         forest: WDPatternForest,
@@ -126,9 +128,11 @@ class Strategy:
         mappings: Iterable[Mapping],
         plan: "Plan",
         context: EvalContext,
-    ) -> List[bool]:
-        """Batched membership (already deduplicated by the caller)."""
-        return [self.contains(pattern, forest, graph, mu, plan, context) for mu in mappings]
+    ) -> Iterator[bool]:
+        """Lazy batched membership: one verdict per mapping, in order (the
+        caller deduplicates)."""
+        for mu in mappings:
+            yield self.contains(pattern, forest, graph, mu, plan, context)
 
     def solutions_stream(
         self,
@@ -171,10 +175,11 @@ class NaiveStrategy(Strategy):
     def contains(self, pattern, forest, graph, mu, plan, context):
         return pattern_contains(pattern, graph, mu, context.budget)
 
-    def contains_many(self, pattern, forest, graph, mappings, plan, context):
+    def contains_iter(self, pattern, forest, graph, mappings, plan, context):
         # One materialisation of the full answer set serves every mapping.
         answer_set = evaluate_pattern(pattern, graph, context.budget)
-        return [mu in answer_set for mu in mappings]
+        for mu in mappings:
+            yield mu in answer_set
 
     def solutions_stream(self, pattern, forest, graph, context):
         return iter(evaluate_pattern(pattern, graph, context.budget))

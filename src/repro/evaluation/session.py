@@ -11,10 +11,11 @@ candidate mappings, many patterns, many graphs — behind one shared cache.
 * every entry point resolves its ``method=`` through the pattern's
   :class:`~repro.evaluation.plan.Planner` — exactly once per batch — and
   :meth:`plan` / :meth:`explain` expose the decision;
-* :meth:`check_many` answers many mappings (deduplicated, optionally over a
-  worker-process pool) with answers guaranteed identical to a loop of
-  :meth:`Engine.contains <repro.evaluation.engine.Engine.contains>` calls,
-  and :meth:`check_iter` streams the same verdicts in input order;
+* :meth:`check_iter` is the one membership batch loop: it deduplicates the
+  mappings, decides them lazily in this process or over a worker-process
+  pool, and releases the verdicts in input order, identical to a loop of
+  :meth:`Engine.contains <repro.evaluation.engine.Engine.contains>` calls;
+  :meth:`check_many` is ``list(check_iter(...))``;
 * :meth:`solutions` enumerates one pattern's answer set and
   :meth:`solutions_stream` streams it lazily (a deduplicated generator);
   the natural strategy records each tree's answers in the shared cache,
@@ -23,8 +24,8 @@ candidate mappings, many patterns, many graphs — behind one shared cache.
   executor, the unfinished chunks are resubmitted once on a fresh one, and
   a second failure re-runs the remainder serially in the parent — answers
   are never lost and never duplicated, and the recovery is accounted in
-  :class:`~repro.evaluation.wdeval.EvaluationStatistics`
-  (``worker_crashes`` / ``cells_degraded_serial``);
+  :class:`EvaluationStatistics` (``worker_crashes`` /
+  ``cells_degraded_serial``);
 * wall-clock / step budgets (:class:`~repro.evaluation.budget.Budget`)
   travel with the chunks into the workers; every entry point reports a
   violated budget one way, by raising
@@ -49,7 +50,6 @@ from .cache import EvaluationCache
 from .context import EvalContext
 from .engine import Engine
 from .plan import Plan
-from .wdeval import EvaluationStatistics
 from ..patterns.forest import WDPatternForest
 from ..rdf.graph import RDFGraph
 from ..sparql.algebra import GraphPattern
@@ -61,7 +61,7 @@ from ..exceptions import (
     WorkerCrashError,
 )
 
-__all__ = ["Session", "PatternLike"]
+__all__ = ["Session", "PatternLike", "EvaluationStatistics"]
 
 #: Anything a session entry point accepts as "a pattern".
 PatternLike = Union[Engine, GraphPattern, WDPatternForest]
@@ -189,6 +189,35 @@ def _chunked(mappings: Sequence[Mapping], processes: int) -> List[List[Mapping]]
     return [list(mappings[start : start + size]) for start in range(0, len(mappings), size)]
 
 
+class EvaluationStatistics:
+    """The session's resilience counters (:attr:`Session.statistics`).
+
+    * ``worker_crashes`` — pool executors broken by a dead worker (SIGKILL,
+      OOM, ...);
+    * ``cells_degraded_serial`` — membership chunks re-run serially in the
+      parent after the pool lost them twice;
+    * ``deadline_trips`` — budget violations raised by a session entry point.
+    """
+
+    __slots__ = ("worker_crashes", "cells_degraded_serial", "deadline_trips")
+
+    def __init__(self) -> None:
+        self.worker_crashes = 0
+        self.cells_degraded_serial = 0
+        self.deadline_trips = 0
+
+    def resilience_summary(self) -> str:
+        """One line for ``batch --stats`` and the service's ``stats`` op."""
+        return (
+            f"{self.worker_crashes} worker crash(es), "
+            f"{self.cells_degraded_serial} cell(s) degraded serial, "
+            f"{self.deadline_trips} deadline trip(s)"
+        )
+
+    def __repr__(self) -> str:
+        return f"EvaluationStatistics({self.resilience_summary()})"
+
+
 class Session:
     """Evaluate many patterns against many graphs through one shared cache.
 
@@ -265,8 +294,7 @@ class Session:
         self._processes = processes
         self._max_engines = max_engines
         self._faults = faults
-        # Session-lifetime resilience counters; per-call `statistics=`
-        # arguments additionally receive the events of their own call.
+        # Session-lifetime resilience counters.
         self._statistics = EvaluationStatistics()
         # Engine memo: key -> (source object, engine), insertion-ordered by
         # recency (hits re-insert).  The source reference keeps id()-based
@@ -293,13 +321,11 @@ class Session:
 
     @property
     def statistics(self) -> EvaluationStatistics:
-        """Session-lifetime counters (resilience events accumulate here
-        across calls; see
-        :meth:`EvaluationStatistics.resilience_summary
-        <repro.evaluation.wdeval.EvaluationStatistics.resilience_summary>`)."""
+        """Session-lifetime resilience counters (worker crashes, serial
+        degradations, deadline trips), accumulated across calls."""
         # Documented live-counter publication: the object reference is fixed
         # for the session's lifetime (only the counters inside mutate, under
-        # _memo_lock via _note/_trip), so handing it out unlocked is safe.
+        # _memo_lock via _note), so handing it out unlocked is safe.
         return self._statistics  # repro: ignore[RP-GUARD]
 
     def __repr__(self) -> str:
@@ -335,25 +361,10 @@ class Session:
         return mode
 
     # --- resilience plumbing ------------------------------------------------
-    def _note(self, attr: str, statistics: Optional[EvaluationStatistics]) -> None:
-        """Bump a resilience counter on the session (and per-call) stats."""
+    def _note(self, attr: str) -> None:
+        """Bump one of the session's resilience counters."""
         with self._memo_lock:
             setattr(self._statistics, attr, getattr(self._statistics, attr) + 1)
-        if statistics is not None:
-            setattr(statistics, attr, getattr(statistics, attr) + 1)
-
-    def _trip(
-        self, statistics: Optional[EvaluationStatistics], exc: DeadlineExceeded
-    ) -> None:
-        """Account a deadline trip once, wherever it was first raised."""
-        with self._memo_lock:
-            self._statistics.deadline_trips += 1
-        if statistics is not None and exc.statistics is not statistics:
-            # Not yet accounted on this object by a lower layer (Engine
-            # attaches the statistics it bumped to the exception).
-            statistics.deadline_trips += 1
-            if exc.statistics is None:
-                exc.statistics = statistics
 
     # --- engines -----------------------------------------------------------
     def engine(self, pattern: PatternLike, width_bound: Optional[int] = None) -> Engine:
@@ -446,7 +457,6 @@ class Session:
         mu: Mapping,
         method: str = "auto",
         width: Optional[int] = None,
-        statistics: Optional[EvaluationStatistics] = None,
         deadline: Optional[float] = None,
         budget: Optional[Budget] = None,
     ) -> bool:
@@ -457,16 +467,10 @@ class Session:
         """
         try:
             return self.engine(pattern).contains(
-                graph,
-                mu,
-                method=method,
-                width=width,
-                statistics=statistics,
-                deadline=deadline,
-                budget=budget,
+                graph, mu, method=method, width=width, deadline=deadline, budget=budget
             )
-        except DeadlineExceeded as exc:
-            self._trip(statistics, exc)
+        except DeadlineExceeded:
+            self._note("deadline_trips")
             raise
 
     def _pool_size(
@@ -490,60 +494,30 @@ class Session:
         mappings: Iterable[Mapping],
         method: str = "auto",
         width: Optional[int] = None,
-        statistics: Optional[EvaluationStatistics] = None,
         processes: Optional[int] = None,
         deadline: Optional[float] = None,
         budget: Optional[Budget] = None,
     ) -> List[bool]:
         """Decide ``µ ∈ ⟦P⟧G`` for every mapping, in input order.
 
-        Guaranteed to return exactly the booleans a loop of
-        :meth:`Engine.contains` calls would, but sharing the cache across
-        instances, deduplicating repeated mappings, resolving the method
-        once per batch, and — when *processes* (or the session default) asks
-        for it — deciding chunks of the instances on worker processes.  The
-        pool is crash-tolerant: chunks lost to a dead worker are retried
-        once on a fresh executor and then re-run serially in the parent
-        (events are counted on *statistics* and on :attr:`statistics`).
-        ``deadline``/``budget`` bound the whole batch, parent and workers
-        alike; a violation raises
-        :class:`~repro.exceptions.DeadlineExceeded`.
-
-        The algorithmic counters of *statistics* (trees visited, child
-        checks, ...) are only accumulated on the serial path; worker-side
-        counters are not collected.
+        Exactly ``list(check_iter(...))`` over the same arguments: the
+        booleans a loop of :meth:`Engine.contains` calls would return, with
+        the cache shared across instances, repeated mappings deduplicated,
+        the method resolved once per batch and — when *processes* (or the
+        session default) asks for it — chunks decided on worker processes.
         """
-        engine = self.engine(pattern)
-        mappings = list(mappings)
-        if not mappings:
-            return []
-        run_budget = budget_from(deadline, budget)
-        plan = engine.plan(method, width, graph=graph)
-        unique = list(dict.fromkeys(mappings))
-        workers = self._pool_size(processes, unique, plan)
-        try:
-            if run_budget is not None:
-                run_budget.check()  # pre-expired budgets trip up front
-            if workers:
-                chunks = _chunked(unique, workers)
-                landed = dict(
-                    self._pool_map(engine, graph, plan, chunks, workers, run_budget, statistics)
-                )
-                verdicts = [
-                    answer for position in range(len(chunks)) for answer in landed[position]
-                ]
-            else:
-                context = EvalContext(
-                    cache=self._cache, statistics=statistics, budget=run_budget
-                )
-                verdicts = plan.strategy_obj.contains_many(
-                    engine.pattern, engine.forest, graph, unique, plan, context
-                )
-        except DeadlineExceeded as exc:
-            self._trip(statistics, exc)
-            raise
-        answers = dict(zip(unique, verdicts))
-        return [answers[mu] for mu in mappings]
+        return list(
+            self.check_iter(
+                pattern,
+                graph,
+                mappings,
+                method=method,
+                width=width,
+                processes=processes,
+                deadline=deadline,
+                budget=budget,
+            )
+        )
 
     def check_iter(
         self,
@@ -552,23 +526,22 @@ class Session:
         mappings: Iterable[Mapping],
         method: str = "auto",
         width: Optional[int] = None,
-        statistics: Optional[EvaluationStatistics] = None,
         processes: Optional[int] = None,
         deadline: Optional[float] = None,
         budget: Optional[Budget] = None,
     ) -> Iterator[bool]:
-        """Stream the verdicts of :meth:`check_many`, in input order.
+        """Stream the verdicts ``µ ∈ ⟦P⟧G``, in input order.
 
-        Yields exactly the booleans :meth:`check_many` would return over the
-        same arguments, but incrementally — each verdict as soon as it is
-        decided, instead of blocking until the whole batch is done (what
-        ``batch --stream`` prints).  Repeated mappings replay their first
-        verdict.  With *processes* (or the session default) the distinct
-        mappings are decided in chunks by the same crash-tolerant pool as
-        :meth:`check_many`, and each input mapping's verdict is released as
-        soon as its chunk lands; the algorithmic *statistics* counters are
-        only accumulated on the serial path.  ``deadline``/``budget`` bound
-        the whole stream and raise
+        The method is resolved once for the batch and each distinct mapping
+        is decided once; a repeated mapping replays its first verdict.
+        Serially the distinct mappings run through the strategy's lazy
+        :meth:`~repro.evaluation.plan.Strategy.contains_iter` hook (the
+        naive strategy materialises ``⟦P⟧G`` once per batch); with
+        *processes* (or the session default) they are decided in chunks by
+        the crash-tolerant pool of :meth:`_pool_map`.  Either way each
+        input mapping's verdict is released as soon as it is decided (what
+        ``batch --stream`` prints).  ``deadline``/``budget`` bound the whole
+        batch, parent and workers alike, and raise
         :class:`~repro.exceptions.DeadlineExceeded` mid-iteration.
         """
         engine = self.engine(pattern)
@@ -584,43 +557,47 @@ class Session:
             if run_budget is not None:
                 run_budget.check()  # pre-expired budgets trip up front
             if workers:
-                chunks = _chunked(unique, workers)
-                with closing(
-                    self._pool_map(engine, graph, plan, chunks, workers, run_budget, statistics)
-                ) as landed:
-                    for mu in mappings:
-                        while mu not in known:
-                            position, verdicts = next(landed)
-                            known.update(zip(chunks[position], verdicts))
-                        yield known[mu]
-                return
-            for mu in mappings:
-                if mu not in known:
-                    known[mu] = engine.contains(
-                        graph,
-                        mu,
-                        method=method,
-                        width=width,
-                        statistics=statistics,
-                        budget=run_budget,
-                    )
-                yield known[mu]
-        except DeadlineExceeded as exc:
-            self._trip(statistics, exc)
+                landed = self._pool_map(engine, graph, plan, unique, workers, run_budget)
+            else:
+                landed = self._decide(engine, graph, plan, unique, run_budget)
+            with closing(landed):
+                for mu in mappings:
+                    while mu not in known:
+                        decided, verdict = next(landed)
+                        known[decided] = verdict
+                    yield known[mu]
+        except DeadlineExceeded:
+            self._note("deadline_trips")
             raise
+
+    def _decide(
+        self,
+        engine: Engine,
+        graph: RDFGraph,
+        plan: Plan,
+        mappings: Sequence[Mapping],
+        budget: Optional[Budget],
+    ) -> Iterator[Tuple[Mapping, bool]]:
+        """Decide *mappings* in this process, yielding ``(µ, verdict)``
+        lazily, in order."""
+        context = EvalContext(cache=self._cache, budget=budget)
+        verdicts = plan.strategy_obj.contains_iter(
+            engine.pattern, engine.forest, graph, mappings, plan, context
+        )
+        yield from zip(mappings, verdicts)
 
     def _pool_map(
         self,
         engine: Engine,
         graph: RDFGraph,
         plan: Plan,
-        chunks: Sequence[List[Mapping]],
+        mappings: Sequence[Mapping],
         workers: int,
-        budget: Optional[Budget] = None,
-        statistics: Optional[EvaluationStatistics] = None,
-    ) -> Iterator[Tuple[int, List[bool]]]:
-        """Decide *chunks* on worker processes, yielding ``(position,
-        verdicts)`` exactly once per chunk, in completion order.
+        budget: Optional[Budget],
+    ) -> Iterator[Tuple[Mapping, bool]]:
+        """Decide *mappings* in chunks on worker processes, yielding
+        ``(µ, verdict)`` exactly once per mapping, chunk by chunk in
+        completion order.
 
         The crash ladder has three rungs:
 
@@ -635,6 +612,7 @@ class Session:
         busy; the executor then cancels its queued chunks, and the running
         ones trip their own copy of the budget.
         """
+        chunks = _chunked(mappings, workers)
         ctx = multiprocessing.get_context()
         warm_engine: Optional[Engine] = None
         if _start_method() == "fork":
@@ -692,18 +670,15 @@ class Session:
                         except BrokenProcessPool:
                             lost.append(futures[future])
                             continue
-                        yield futures[future], verdicts
+                        yield from zip(chunks[futures[future]], verdicts)
             finally:
                 executor.shutdown(wait=True, cancel_futures=True)
             if lost:
-                self._note("worker_crashes", statistics)
+                self._note("worker_crashes")
             unfinished = sorted(lost)
         for position in unfinished:
-            self._note("cells_degraded_serial", statistics)
-            yield position, [
-                engine.contains(graph, mu, method=plan.strategy, width=plan.width, budget=budget)
-                for mu in chunks[position]
-            ]
+            self._note("cells_degraded_serial")
+            yield from self._decide(engine, graph, plan, chunks[position], budget)
 
     def warm(
         self,
@@ -748,8 +723,8 @@ class Session:
         """
         try:
             stream = self.engine(pattern).solutions_stream(graph, method, deadline, budget)
-        except DeadlineExceeded as exc:
-            self._trip(None, exc)
+        except DeadlineExceeded:
+            self._note("deadline_trips")
             raise
         return self._counting_trips(stream)
 
@@ -757,8 +732,8 @@ class Session:
         """*stream*, accounting a mid-stream deadline trip on the session."""
         try:
             yield from stream
-        except DeadlineExceeded as exc:
-            self._trip(None, exc)
+        except DeadlineExceeded:
+            self._note("deadline_trips")
             raise
 
     def solutions(
@@ -777,6 +752,6 @@ class Session:
         """
         try:
             return self.engine(pattern).solutions(graph, method, deadline, budget)
-        except DeadlineExceeded as exc:
-            self._trip(None, exc)
+        except DeadlineExceeded:
+            self._note("deadline_trips")
             raise

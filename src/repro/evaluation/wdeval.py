@@ -16,12 +16,12 @@ exponential time in the query size in the worst case — it is the coNP
 baseline that the Theorem 1 algorithm relaxes.
 
 Every function takes a trailing
-:class:`~repro.evaluation.context.EvalContext` bundling the cache, the
-statistics accumulator and the budget; it defaults to the empty context
-(no cache, no counters, no budget).  The module also provides solution
-*enumeration* through Lemma 1 — both as sets and as deduplicated generators
-(:func:`tree_solutions_stream` / :func:`forest_solutions_stream`), which is
-what :meth:`~repro.evaluation.session.Session.solutions_stream` exposes.
+:class:`~repro.evaluation.context.EvalContext` bundling the cache and the
+budget; it defaults to the empty context (no cache, no budget).  The module
+also provides solution *enumeration* through Lemma 1 — both as sets and as
+deduplicated generators (:func:`tree_solutions_stream` /
+:func:`forest_solutions_stream`), which is what
+:meth:`~repro.evaluation.session.Session.solutions_stream` exposes.
 """
 
 from __future__ import annotations
@@ -42,62 +42,10 @@ __all__ = [
     "tree_solutions_stream",
     "forest_solutions",
     "forest_solutions_stream",
-    "EvaluationStatistics",
 ]
 
-#: The default context: no cache, no statistics, no budget.
+#: The default context: no cache, no budget.
 _PLAIN_CONTEXT = EvalContext()
-
-
-class EvaluationStatistics:
-    """Counters describing one evaluation run (used by the benchmarks).
-
-    Besides the algorithmic counters (trees visited, witness subtrees found,
-    child extension tests), the resilience layer accounts here too:
-
-    * ``worker_crashes`` — pool workers observed dead (SIGKILL, OOM, ...);
-    * ``cells_degraded_serial`` — membership chunks re-run serially in the
-      parent after the pool lost them twice;
-    * ``deadline_trips`` — budget violations surfaced by this run.
-    """
-
-    __slots__ = (
-        "trees_visited",
-        "subtree_found",
-        "child_checks",
-        "worker_crashes",
-        "cells_degraded_serial",
-        "deadline_trips",
-    )
-
-    def __init__(self) -> None:
-        self.trees_visited = 0
-        self.subtree_found = 0
-        self.child_checks = 0
-        self.worker_crashes = 0
-        self.cells_degraded_serial = 0
-        self.deadline_trips = 0
-
-    def resilience_summary(self) -> str:
-        """One line for ``batch --stats`` and the session accumulator."""
-        return (
-            f"{self.worker_crashes} worker crash(es), "
-            f"{self.cells_degraded_serial} cell(s) degraded serial, "
-            f"{self.deadline_trips} deadline trip(s)"
-        )
-
-    def __repr__(self) -> str:
-        extra = ""
-        if self.worker_crashes or self.cells_degraded_serial or self.deadline_trips:
-            extra = (
-                f", crashes={self.worker_crashes}, "
-                f"degraded={self.cells_degraded_serial}, "
-                f"deadline_trips={self.deadline_trips}"
-            )
-        return (
-            f"EvaluationStatistics(trees={self.trees_visited}, "
-            f"subtrees={self.subtree_found}, child_checks={self.child_checks}{extra})"
-        )
 
 
 def find_mu_subtree(tree: WDPatternTree, graph: RDFGraph, mu: Mapping) -> Optional[Subtree]:
@@ -145,14 +93,12 @@ def tree_contains(
 
     The *context* supplies the cache (witness-subtree lookups and child
     extension tests are then memoized per graph version — identical answers,
-    see :mod:`repro.evaluation.cache`) and the statistics accumulator.
+    see :mod:`repro.evaluation.cache`) and the budget.
     """
     subtree = context.mu_subtree(tree, graph, mu)
     if subtree is None:
         return False
-    context.note_subtree_found()
     for child in context.children_of(tree, subtree):
-        context.note_child_check()
         if context.extension_exists(tree.pat(child), graph, mu):
             return False
     return True
@@ -163,7 +109,6 @@ def forest_contains(
 ) -> bool:
     """``µ ∈ ⟦F⟧G = ⟦T1⟧G ∪ ... ∪ ⟦Tm⟧G`` via the natural algorithm."""
     for tree in forest:
-        context.note_tree_visited()
         if tree_contains(tree, graph, mu, context):
             return True
     return False

@@ -51,8 +51,6 @@ class DeadlineExceeded(EvaluationError):
     Carries whatever progress information the raising layer had at hand:
 
     * ``elapsed`` — seconds the evaluation ran before tripping;
-    * ``statistics`` — the ``EvaluationStatistics`` snapshot, attached by
-      the entry point that owned the statistics object (``None`` below it);
     * ``partial`` — for enumeration, the solutions already produced before
       the trip (an empty tuple elsewhere);
     * ``budget`` — the violated budget object itself, when known.
@@ -62,12 +60,10 @@ class DeadlineExceeded(EvaluationError):
         self,
         message: str,
         elapsed: float | None = None,
-        statistics: object | None = None,
         partial: tuple = (),
         budget: object | None = None,
     ) -> None:
         self.elapsed = elapsed
-        self.statistics = statistics
         self.partial = partial
         self.budget = budget
         super().__init__(message)

@@ -685,9 +685,10 @@ class QueryService:
                 if triple in graph:
                     graph.discard(triple)
                     removed += 1
-            added = sum(1 for triple in adds if triple not in graph)
+            size = len(graph)
             if adds:
                 graph.add_all(adds)
+            added = len(graph) - size
             version = graph.version
         self._stats.note_update(added, removed)
         return Response(

@@ -6,12 +6,10 @@ import pickle
 
 import pytest
 
-from repro.evaluation import (
-    Engine,
-    EvaluationCache,
-    EvaluationStatistics,
-    Session,
-)
+import repro.evaluation.naive as naive_module
+import repro.evaluation.plan as plan_module
+
+from repro.evaluation import Engine, EvaluationCache, Session
 from repro.exceptions import EvaluationError
 from repro.rdf import RDFGraph, Triple
 from repro.rdf.namespace import EX
@@ -69,32 +67,40 @@ class TestContainsMany:
         # per-call override too
         assert check_many(forest, graph, queries, method="pebble", processes=2) == expected
 
-    def test_statistics_accumulated_serially(self, setting):
-        forest, graph, _, queries = setting
-        statistics = EvaluationStatistics()
-        check_many(forest, graph, queries, method="natural", statistics=statistics)
-        assert statistics.trees_visited > 0
-
     def test_auto_resolved_once(self, setting):
         forest, graph, engine, queries = setting
         expected = [engine.contains(graph, mu, method="auto") for mu in queries]
         assert check_many(forest, graph, queries, method="auto") == expected
 
-    def test_naive_batched_materialises_once(self, setting):
+    def test_naive_batched_materialises_once(self, setting, monkeypatch):
+        """One top-level ⟦P⟧G materialisation per batch, through both
+        ``check_many`` and ``check_iter``."""
         forest, graph, engine, queries = setting
-        expected = [engine.contains(graph, mu, method="naive") for mu in queries]
-        assert check_many(forest, graph, queries, method="naive") == expected
+        distinct = queries[-6:]
+        assert len(set(distinct)) == 6
+        batch = distinct + distinct
+        expected = [engine.contains(graph, mu, method="naive") for mu in batch]
+        materialise = naive_module.evaluate_pattern
+        calls = []
+
+        def counting(pattern, graph, budget=None):
+            calls.append(pattern)
+            return materialise(pattern, graph, budget)
+
+        # The recursion runs through the naive module's global, so only calls
+        # on the whole pattern are top-level materialisations.
+        monkeypatch.setattr(naive_module, "evaluate_pattern", counting)
+        monkeypatch.setattr(plan_module, "evaluate_pattern", counting)
+        session = Session()
+        handle = session.engine(forest, width_bound=1)
+        assert session.check_many(handle, graph, batch, method="naive") == expected
+        assert calls.count(handle.pattern) == 1
+        calls.clear()
+        assert list(session.check_iter(handle, graph, batch, method="naive")) == expected
+        assert calls.count(handle.pattern) == 1
 
 
 class TestConstruction:
-    def test_requires_pattern_or_forest(self):
-        with pytest.raises(EvaluationError):
-            Engine()
-
-    def test_invalid_processes(self):
-        with pytest.raises(EvaluationError):
-            Session(processes=0)
-
     def test_creates_cache_by_default(self):
         session = Session()
         assert isinstance(session.cache, EvaluationCache)
@@ -129,17 +135,6 @@ class TestResolveMethod:
         assert self.resolved(engine, "pebble") == ("pebble", 1)
         assert self.resolved(engine, "auto") == ("pebble", 1)
         assert self.resolved(engine, "auto", width=2) == ("pebble", 2)
-
-    def test_auto_without_bound_is_natural(self):
-        engine = Engine(forest=fk_forest(2))
-        assert self.resolved(engine, "auto") == ("natural", None)
-        # Once the domination width has been computed, auto upgrades to pebble.
-        engine.domination_width()
-        assert self.resolved(engine, "auto") == ("pebble", 1)
-
-    def test_unknown_method(self):
-        with pytest.raises(EvaluationError):
-            Engine(forest=fk_forest(2)).plan("quantum")
 
 
 class TestManyPatterns:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.evaluation import Engine, EvaluationCache, EvaluationStatistics
+from repro.evaluation import Engine, EvaluationCache
 from repro.exceptions import EvaluationError
 from repro.patterns import WDPatternForest
 from repro.rdf import RDFGraph, Triple
@@ -86,21 +86,6 @@ class TestMembershipMethods:
             "natural": False,
             "pebble": False,
         }
-
-    def test_contains_all_methods_threads_statistics(self, setting):
-        engine, graph, solutions = setting
-        mu = sorted(solutions, key=repr)[0]
-        statistics = EvaluationStatistics()
-        answers = engine.contains_all_methods(graph, mu, statistics=statistics)
-        assert answers == {"naive": True, "natural": True, "pebble": True}
-        # The counters must match two explicit single-method runs.
-        expected = EvaluationStatistics()
-        engine.contains(graph, mu, method="natural", statistics=expected)
-        engine.contains(graph, mu, method="pebble", statistics=expected)
-        assert statistics.trees_visited == expected.trees_visited
-        assert statistics.subtree_found == expected.subtree_found
-        assert statistics.child_checks == expected.child_checks
-        assert statistics.trees_visited > 0
 
     def test_engine_with_cache_matches_plain(self, setting):
         engine, graph, solutions = setting

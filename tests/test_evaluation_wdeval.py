@@ -6,8 +6,6 @@ import itertools
 import pytest
 
 from repro.evaluation import (
-    EvalContext,
-    EvaluationStatistics,
     evaluate_pattern,
     find_mu_subtree,
     forest_contains,
@@ -82,14 +80,6 @@ class TestTreeMembership:
         tree = fk_forest(2)[0]  # K_2 child IS satisfied (m1 -r-> m2)
         mu = Mapping({Variable("x"): EX.a, Variable("y"): EX.b, Variable("z"): EX.c})
         assert not tree_contains(tree, fk_graph, mu)
-
-    def test_statistics_counters(self, fk_graph):
-        stats = EvaluationStatistics()
-        forest = fk_forest(2)
-        mu = Mapping({Variable("x"): EX.a, Variable("y"): EX.b})
-        forest_contains(forest, fk_graph, mu, EvalContext(statistics=stats))
-        assert stats.trees_visited >= 1
-        assert "EvaluationStatistics" in repr(stats)
 
 
 class TestAgainstNaiveSemantics:

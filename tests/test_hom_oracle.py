@@ -11,7 +11,12 @@ against definitions instead, on small seeded random instances:
   target never interned (a :class:`Variable` image among them);
 * ``Session`` enumeration — cold, warm and after a mutation — against the
   reference semantics of :func:`repro.evaluation.naive.evaluate_pattern` on
-  random wdPTs, with two runs yielding the same order.
+  random wdPTs, with two runs yielding the same order;
+* ``Session`` membership — ``check_many``, ``check_iter`` and ``check``
+  under every method, cold, warm and after a mutation — against membership
+  in that reference answer set: exact for ``naive``, ``natural``, ``auto``
+  and ``pebble`` at the pattern's domination width, and never accepting a
+  non-member with one pebble fewer than needed.
 """
 
 import itertools
@@ -23,13 +28,14 @@ import pytest
 
 import repro.hom.homomorphism as homomorphism_module
 
-from repro.evaluation import Session
+from repro.evaluation import Engine, Session
 from repro.evaluation.naive import evaluate_pattern
 from repro.hom import TGraph, all_homomorphisms, find_homomorphism, target_index
 from repro.rdf import RDFGraph, Triple, TriplePattern
 from repro.rdf.generators import random_graph
 from repro.rdf.namespace import EX
 from repro.rdf.terms import Variable, term_sort_key
+from repro.sparql import Mapping
 from repro.workloads.random_patterns import random_wd_pattern
 
 NODES = [EX.term(f"n{i}") for i in range(4)]
@@ -183,6 +189,23 @@ def mutate(graph, rng):
         graph.discard(triple)
 
 
+def membership_candidates(answers, rng):
+    """Up to 6 members of *answers*, each with one binding replaced by an IRI
+    the graph lacks and with one binding dropped, the empty mapping, and 3
+    repeats."""
+    members = sorted(answers, key=repr)[:6]
+    mappings = list(members)
+    for mu in members:
+        bindings = mu.as_dict()
+        if not bindings:
+            continue
+        variable = rng.choice(sorted(bindings, key=lambda v: v.name))
+        mappings.append(Mapping({**bindings, variable: ABSENT}))
+        mappings.append(Mapping({v: t for v, t in bindings.items() if v != variable}))
+    mappings.append(Mapping.EMPTY)
+    return mappings + mappings[:3]
+
+
 class TestSessionAgainstNaive:
     @pytest.mark.parametrize("seed", range(10))
     def test_cold_warm_and_mutated_enumeration(self, seed):
@@ -204,3 +227,40 @@ class TestSessionAgainstNaive:
         assert set(after) == evaluate_pattern(pattern, graph)
         assert list(Session().solutions_stream(pattern, graph)) == after
         assert session.solutions(pattern, graph) == set(after)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_membership_batches_match_naive(self, seed):
+        rng = random.Random(seed)
+        graph = random_graph(6, 24, predicates=("p", "q"), seed=seed)
+        pattern = random_wd_pattern(
+            num_nodes=rng.randint(1, 4), seed=seed, predicates=tuple(p.value for p in PREDS)
+        )
+        width = max(1, Engine(pattern).domination_width())
+        session = Session()
+
+        def check_every_path(mappings):
+            answers = evaluate_pattern(pattern, graph)
+            expected = [mu in answers for mu in mappings]
+            for method, bound in [("naive", None), ("natural", None), ("auto", None), ("pebble", width)]:
+                kwargs = {"method": method, "width": bound}
+                assert session.check_many(pattern, graph, mappings, **kwargs) == expected
+                assert list(session.check_iter(pattern, graph, mappings, **kwargs)) == expected
+                assert [session.check(pattern, graph, mu, **kwargs) for mu in mappings] == expected
+            relaxed = session.check_many(pattern, graph, mappings, method="pebble", width=1)
+            assert not any(accepted and not member for accepted, member in zip(relaxed, expected))
+            if seed == 0:
+                pooled = session.check_many(
+                    pattern, graph, mappings, method="natural", processes=2
+                )
+                assert pooled == expected
+                streamed = session.check_iter(
+                    pattern, graph, mappings, method="pebble", width=width, processes=2
+                )
+                assert list(streamed) == expected
+
+        mappings = membership_candidates(evaluate_pattern(pattern, graph), rng)
+        check_every_path(mappings)  # cold
+        check_every_path(mappings)  # warm
+        mutate(graph, rng)
+        check_every_path(mappings + membership_candidates(evaluate_pattern(pattern, graph), rng))
+

@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from repro.evaluation import EvalContext, Engine, EvaluationStatistics, forest_contains
+from repro.evaluation import Engine, forest_contains
 from repro.hom import homomorphism_count, all_homomorphisms, TGraph
 from repro.patterns import wdpf
 from repro.rdf.generators import social_network_graph, random_graph
@@ -70,18 +70,15 @@ class TestSocialNetworkWorkload:
 
 
 class TestExample2Pipeline:
-    def test_statistics_and_membership(self):
+    def test_solutions_and_membership(self):
         pattern = example2_pattern(2)
         forest = wdpf(pattern)
         graph = fk_data_graph(6, 30, clique_size=2, seed=4)
         engine = Engine(pattern, width_bound=1)
         solutions = engine.solutions(graph, method="natural")
         assert solutions == engine.solutions(graph, method="naive")
-        stats = EvaluationStatistics()
-        context = EvalContext(statistics=stats)
         for mu in sorted(solutions, key=repr)[:3]:
-            assert forest_contains(forest, graph, mu, context)
-        assert stats.trees_visited >= 1
+            assert forest_contains(forest, graph, mu)
 
 
 class TestHomomorphismEnumerationCompleteness:

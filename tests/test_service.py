@@ -404,7 +404,8 @@ class TestStatsEndpoint:
         with QueryService(graph) as service:
             service.check(KNOWS_QUERY, Mapping.of(x="p0", y="p1"))
             service.solutions(KNOWS_QUERY)
-            service.update(add=[Triple.of("x", "knows", "y")])
+            new = Triple.of("x", "knows", "y")
+            assert service.update(add=[new, new])["added"] == 1
             service.request(check_request(deadline=0.0), timeout=30.0)
             response = service.request(Request(op="stats"), timeout=30.0)
             assert response.ok
