@@ -52,7 +52,6 @@ _EVAL_ENTRYPOINTS = {
     "check_many",
     "check_iter",
     "contains",
-    "contains_many",
     "solutions",
     "solutions_stream",
     "evaluate",

@@ -12,9 +12,10 @@ lived in docstrings.  This rule makes it checkable:
 * any ``self.<attr>`` read or write of a guarded attribute that is not
   lexically inside the matching ``with self.<lock>:`` is a finding —
   *unless* the enclosing function is a private helper (or a nested def)
-  that the call graph proves is only ever called with the lock held
-  (``EvaluationCache._evict_tree_table`` is the canonical example: no lock
-  of its own, every call site inside ``_tree_table``'s locked region).
+  that the call graph proves is only ever called with the lock held (no
+  lock of its own, every call site inside a locked region — the shape
+  ``tests/test_analysis.py::test_guard_rule_proves_helper_called_under_lock``
+  pins down).
 
 ``__init__`` is exempt: construction happens-before publication, so the
 single-threaded initial assignments need no lock.  ``lambda`` bodies are
@@ -53,7 +54,7 @@ __all__ = ["GuardedByRule", "GUARDED_BY"]
 #: instead.  Extend this table when a new shared mutable attribute lands.
 GUARDED_BY: Tuple[Tuple[str, str, str, str], ...] = (
     ("evaluation/cache.py", "EvaluationCache", "_graphs", "_lock"),
-    ("evaluation/cache.py", "EvaluationCache", "_trees", "_lock"),
+    ("evaluation/cache.py", "EvaluationCache", "_statistics", "_lock"),
     ("evaluation/session.py", "Session", "_engines", "_memo_lock"),
     ("evaluation/session.py", "Session", "_statistics", "_memo_lock"),
     ("service/core.py", "QueryService", "_backlog", "_lock"),

@@ -2,11 +2,12 @@
 
 Answering many wdEVAL instances against one RDF graph repeats a lot of work:
 every extension test of the natural algorithm rebuilds a triple index over
-the whole graph, distinct mappings that agree on the variables a child
+the whole graph, and distinct mappings that agree on the variables a child
 actually shares with the witness subtree re-run the identical homomorphism
-search, and the subtree bookkeeping (children, ``pat(T')``, ``vars(T')``) is
-recomputed per call even though it only depends on the (immutable) pattern
-tree.  :class:`EvaluationCache` memoizes all of it:
+search.  :class:`EvaluationCache` memoizes the graph-dependent part of it
+(the graph-independent subtree facts — children, ``pat(T')``, ``vars(T')``
+and the per-child instances — are memoized on the pattern tree itself, see
+:class:`~repro.patterns.tree.Subtree`):
 
 * **homomorphism tests** — keyed on the canonicalized instance
   ``(triples, fixed-bindings)``, where the fixed bindings are ``µ``
@@ -29,9 +30,7 @@ tree.  :class:`EvaluationCache` memoizes all of it:
 * **µ-subtree lookups** — the witness subtree ``T^µ`` per ``(tree, µ)``;
 * **target indexes** — one prebuilt
   :class:`~repro.hom.homomorphism.TargetIndex` per graph, shared by every
-  memoized search and every kernel;
-* **subtree tables** — per-tree maps from a subtree's node set to its
-  children / pattern / variables, shared across graphs.
+  memoized search and every kernel.
 
 Graph-dependent entries live in per-graph stores keyed on
 ``RDFGraph.version``; mutating a graph (``add`` / ``discard``) bumps the
@@ -43,9 +42,9 @@ tree solution lists cost ``1 + len(list)`` (one unit per stored answer, so
 bounded caches evict large answer lists first), kernels cost roughly the
 number of values/support pairs they hold, every hit refreshes the entry's
 recency, and the least recently used entries are evicted first — so hot
-entries survive eviction pressure.  The same limit also caps the number of
-per-tree structure tables (which pin their trees), so a bounded cache stays
-bounded even over a stream of distinct patterns.  With the default
+entries survive eviction pressure.  Entries about one pattern tree key on
+the tree object itself (trees hash by identity), so an entry keeps its tree
+alive and evicting the entry releases it.  With the default
 ``max_entries_per_graph=None`` the cache grows without limit and holds
 strong references to every tree it has seen — prefer a bound for long-lived
 shared caches.
@@ -59,7 +58,7 @@ engine, so patterns with common structure benefit from each other's work.
 threads (the query service evaluates requests on a thread pool over one
 shared session).  An internal re-entrant lock serializes every
 *structural* operation — store lookup (an LRU hit reorders the recency
-list), insertion, eviction and tree-table management — while the
+list), insertion, eviction and every hit/miss counter bump — while the
 *computations* (homomorphism searches, kernel construction) deliberately
 run outside the lock: two threads
 missing on the same key may duplicate a computation, but the values are
@@ -75,7 +74,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from ..hom.homomorphism import TargetIndex, find_homomorphism, target_index
 from ..hom.tgraph import GeneralizedTGraph, TGraph
@@ -209,36 +208,8 @@ class _GraphStore:
         del self.entries[full_key]
         self.total_cost -= self.costs.pop(full_key)
 
-    def drop_matching(self, kind: str, predicate) -> None:
-        """Drop every *kind* entry whose key satisfies *predicate*."""
-        stale = [
-            full_key
-            for full_key in self.entries
-            if full_key[0] == kind and predicate(full_key[1])
-        ]
-        for full_key in stale:
-            del self.entries[full_key]
-            self.total_cost -= self.costs.pop(full_key)
-
     def entry_count(self) -> int:
         return len(self.entries)
-
-
-class _TreeTable:
-    """Graph-independent structure tables of one pattern tree.
-
-    Holds a strong reference to the tree so that the ``id()``-based key
-    stays valid for the lifetime of the table.
-    """
-
-    __slots__ = ("tree", "children", "pat", "variables", "extended")
-
-    def __init__(self, tree: WDPatternTree) -> None:
-        self.tree = tree
-        self.children: Dict[FrozenSet[int], Tuple[int, ...]] = {}
-        self.pat: Dict[FrozenSet[int], TGraph] = {}
-        self.variables: Dict[FrozenSet[int], FrozenSet[Variable]] = {}
-        self.extended: Dict[Tuple[FrozenSet[int], int], GeneralizedTGraph] = {}
 
 
 class EvaluationCache:
@@ -258,7 +229,6 @@ class EvaluationCache:
             raise ValueError("max_entries_per_graph must be positive")
         self._max_entries = max_entries_per_graph
         self._graphs: Dict[int, _GraphStore] = {}
-        self._trees: Dict[int, _TreeTable] = {}
         self._statistics = CacheStatistics()
         # Guards every structural operation (lookups reorder the LRU list,
         # inserts evict) so the cache is safe under the service's thread
@@ -270,7 +240,10 @@ class EvaluationCache:
     @property
     def statistics(self) -> CacheStatistics:
         """The live hit/miss counters of this cache."""
-        return self._statistics
+        # Documented live-counter publication: the object reference is fixed
+        # for the cache's lifetime (only the counters inside mutate, under
+        # _lock), so handing it out unlocked is safe.
+        return self._statistics  # repro: ignore[RP-GUARD]
 
     def __repr__(self) -> str:
         with self._lock:
@@ -279,10 +252,9 @@ class EvaluationCache:
 
     # --- lifecycle ---------------------------------------------------------
     def clear(self) -> None:
-        """Drop every memoized entry (graph stores and tree tables)."""
+        """Drop every memoized entry."""
         with self._lock:
             self._graphs.clear()
-            self._trees.clear()
 
     def invalidate(self, graph: Optional[RDFGraph] = None) -> None:
         """Explicitly drop the entries of *graph* (or of every graph).
@@ -314,33 +286,6 @@ class EvaluationCache:
                 store.reset(graph.version)
                 self._statistics.invalidations += 1
             return store
-
-    def _tree_table(self, tree: WDPatternTree) -> _TreeTable:
-        with self._lock:
-            table = self._trees.get(id(tree))
-            if table is None:
-                if (
-                    self._max_entries is not None
-                    and len(self._trees) >= self._max_entries
-                ):
-                    self._evict_tree_table()
-                table = _TreeTable(tree)
-                self._trees[id(tree)] = table
-            return table
-
-    def _evict_tree_table(self) -> None:
-        """Drop the oldest tree table (and with it the strong pin on its tree).
-
-        The evicted table's tree may be garbage collected afterwards, so its
-        ``id()`` can be recycled; every memoized subtree entry keyed on that
-        id must go with it.
-        """
-        tree_id = next(iter(self._trees))
-        del self._trees[tree_id]
-        for store in self._graphs.values():
-            store.drop_matching("subtree", lambda key: key[0] == tree_id)
-            store.drop_matching("treesol", lambda key: key[0] == tree_id)
-        self._statistics.evictions += 1
 
     def _bounded_insert(
         self,
@@ -517,22 +462,16 @@ class EvaluationCache:
         """Memoized witness subtree ``T^µ`` (``None`` when none exists)."""
         from .wdeval import find_mu_subtree  # deferred: wdeval imports this module
 
-        key = (id(tree), frozenset(mu.items()))
+        key = (tree, frozenset(mu.items()))
         with self._lock:
-            store = self._store(graph)
-            self._tree_table(tree)  # pin the tree so the id() key stays valid
-            cached = store.get("subtree", key)
-        if cached is not _MISSING:
-            self._statistics.subtree_hits += 1
-            nodes = cached
-        else:
+            cached = self._store(graph).get("subtree", key)
+            if cached is not _MISSING:
+                self._statistics.subtree_hits += 1
+                return cached  # type: ignore[return-value]
             self._statistics.subtree_misses += 1
-            subtree = find_mu_subtree(tree, graph, mu)
-            nodes = subtree.nodes if subtree is not None else None
-            self._bounded_insert(self._store(graph), "subtree", key, nodes)
-        if nodes is None:
-            return None
-        return Subtree(tree, nodes)
+        subtree = find_mu_subtree(tree, graph, mu)
+        self._bounded_insert(self._store(graph), "subtree", key, subtree)
+        return subtree
 
     def tree_solution_list(
         self, tree: WDPatternTree, graph: RDFGraph
@@ -544,9 +483,7 @@ class EvaluationCache:
         version, so mutation invalidates transparently.
         """
         with self._lock:
-            store = self._store(graph)
-            self._tree_table(tree)  # pin the tree so the id() key stays valid
-            cached = store.get("treesol", (id(tree),))
+            cached = self._store(graph).get("treesol", (tree,))
             if cached is _MISSING:
                 self._statistics.enum_misses += 1
                 return None
@@ -559,13 +496,9 @@ class EvaluationCache:
         """Record the complete answer list of *tree* over *graph* (charged
         roughly one cost unit per solution, like homomorphism lists)."""
         solutions = tuple(solutions)
-        with self._lock:
-            store = self._store(graph)
-            self._tree_table(tree)
-            self._bounded_insert(
-                store, "treesol", (id(tree),), solutions,
-                cost=1 + len(solutions),
-            )
+        self._bounded_insert(
+            self._store(graph), "treesol", (tree,), solutions, cost=1 + len(solutions)
+        )
 
     # --- warm-up ------------------------------------------------------------
     def warm_pebble(
@@ -593,64 +526,14 @@ class EvaluationCache:
             mappings = list(mappings)
         count = 0
         for tree in forest:
-            node_sets = set()
             if mappings is None:
-                node_sets.add(frozenset({tree.root}))
+                witnesses = [tree.root_subtree()]
             else:
-                for mu in mappings:
-                    subtree = self.mu_subtree(tree, graph, mu)
-                    if subtree is not None:
-                        node_sets.add(subtree.nodes)
-            for nodes in node_sets:
-                for child in self.subtree_children(tree, nodes):
-                    extended = self.extended_child_graph(tree, nodes, child)
-                    self.pebble_kernel(extended, graph, pebbles)
+                witnesses = [self.mu_subtree(tree, graph, mu) for mu in mappings]
+            # The distinct witnesses in first-seen order, so the kernels are
+            # built (and, in a bounded cache, evicted) in a reproducible order.
+            for subtree in dict.fromkeys(w for w in witnesses if w is not None):
+                for child in subtree.children():
+                    self.pebble_kernel(subtree.child_instance(child), graph, pebbles)
                     count += 1
         return count
-
-    # --- per-tree structure tables ------------------------------------------
-    # The table dicts are filled with deterministic, tree-only values through
-    # GIL-atomic get/set, so concurrent fillers can at worst duplicate a
-    # computation — no lock needed beyond _tree_table() itself.
-    def subtree_children(self, tree: WDPatternTree, nodes: FrozenSet[int]) -> Tuple[int, ...]:
-        """Memoized ``Subtree.children()`` for the subtree on *nodes*."""
-        table = self._tree_table(tree)
-        children = table.children.get(nodes)
-        if children is None:
-            children = Subtree(tree, nodes).children()
-            table.children[nodes] = children
-        return children
-
-    def subtree_pat(self, tree: WDPatternTree, nodes: FrozenSet[int]) -> TGraph:
-        """Memoized ``pat(T')`` for the subtree on *nodes*."""
-        table = self._tree_table(tree)
-        pat = table.pat.get(nodes)
-        if pat is None:
-            pat = tree.pat_of_nodes(nodes)
-            table.pat[nodes] = pat
-        return pat
-
-    def subtree_variables(self, tree: WDPatternTree, nodes: FrozenSet[int]) -> FrozenSet[Variable]:
-        """Memoized ``vars(T')`` for the subtree on *nodes*."""
-        table = self._tree_table(tree)
-        variables = table.variables.get(nodes)
-        if variables is None:
-            variables = self.subtree_pat(tree, nodes).variables()
-            table.variables[nodes] = variables
-        return variables
-
-    def extended_child_graph(
-        self, tree: WDPatternTree, nodes: FrozenSet[int], child: int
-    ) -> GeneralizedTGraph:
-        """Memoized ``(pat(T') ∪ pat(n), vars(T'))`` for a child *n* of the
-        subtree on *nodes* — the instance the Theorem 1 pebble test runs on."""
-        table = self._tree_table(tree)
-        key = (nodes, child)
-        extended = table.extended.get(key)
-        if extended is None:
-            base = self.subtree_pat(tree, nodes)
-            extended = GeneralizedTGraph(
-                base.union(tree.pat(child)), self.subtree_variables(tree, nodes)
-            )
-            table.extended[key] = extended
-        return extended

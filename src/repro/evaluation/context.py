@@ -6,11 +6,14 @@
 * ``budget`` — an optional :class:`~repro.evaluation.budget.Budget`.
 
 The context also owns the cache-or-direct helpers (`mu_subtree`,
-`children_of`, `extension_exists`, `pebble_winner`, `homomorphisms`,
+`extension_exists`, `pebble_winner`, `homomorphisms`,
 `tree_solutions_list`, ...), so the algorithms in
 :mod:`~repro.evaluation.wdeval` / :mod:`~repro.evaluation.pebble_eval`
 contain the algorithm and nothing else, and the two code paths can never
-drift apart.  A context is immutable; derive a bounded variant with
+drift apart.  The graph-independent subtree facts (children, ``pat(T')``,
+``vars(T')``, the per-child instances) need no helper: every path reads
+them from :class:`~repro.patterns.tree.Subtree`, which memoizes them on the
+tree.  A context is immutable; derive a bounded variant with
 :meth:`with_budget`.
 """
 
@@ -79,34 +82,11 @@ class EvalContext:
 
         return find_mu_subtree(tree, graph, mu)
 
-    def children_of(self, tree: WDPatternTree, subtree: Subtree) -> Tuple[int, ...]:
-        """The children of *subtree* (shared per-tree table when cached)."""
-        if self.cache is not None:
-            return self.cache.subtree_children(tree, subtree.nodes)
-        return subtree.children()
-
     def extension_exists(self, triples: TGraph, graph: RDFGraph, mu: Mapping) -> bool:
         """Lemma 1's child test: does *triples* extend into *graph* under µ?"""
         if self.cache is not None:
             return self.cache.extension_exists(triples, graph, mu, self.budget)
         return extends_into(triples, graph, mu, budget=self.budget) is not None
-
-    def child_instances(
-        self, tree: WDPatternTree, subtree: Subtree
-    ) -> Iterator[Tuple[int, GeneralizedTGraph]]:
-        """The per-child pebble instances ``(pat(T') ∪ pat(n), vars(T'))``.
-
-        Yields ``(child, extended)`` pairs; with a cache both the child list
-        and the extended instances come from the shared per-tree tables.
-        """
-        if self.cache is not None:
-            for child in self.cache.subtree_children(tree, subtree.nodes):
-                yield child, self.cache.extended_child_graph(tree, subtree.nodes, child)
-            return
-        base = subtree.pat()
-        distinguished = subtree.variables()
-        for child in subtree.children():
-            yield child, GeneralizedTGraph(base.union(tree.pat(child)), distinguished)
 
     def pebble_winner(
         self, extended: GeneralizedTGraph, graph: RDFGraph, mu: Mapping, pebbles: int

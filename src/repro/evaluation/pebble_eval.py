@@ -47,8 +47,9 @@ def tree_contains_pebble(
     ``(k+1)``-pebble extension test.  Sound for every input; complete when
     ``dw ≤ k``.
 
-    With a caching *context*, the witness-subtree lookup, the per-child
-    instance construction and the pebble-game verdicts are memoized per graph
+    The per-child instances are memoized on the tree (see
+    :class:`~repro.patterns.tree.Subtree`).  With a caching *context*, the
+    witness-subtree lookup and the pebble-game verdicts are memoized per graph
     version, and each child instance is answered through a shared
     :class:`~repro.pebble.kernel.ConsistencyKernel` — the µ-independent part
     of the pebble game is built once per ``(subtree, child)`` instead of once
@@ -57,8 +58,8 @@ def tree_contains_pebble(
     subtree = context.mu_subtree(tree, graph, mu)
     if subtree is None:
         return False
-    for _child, extended in context.child_instances(tree, subtree):
-        if context.pebble_winner(extended, graph, mu, k + 1):
+    for child in subtree.children():
+        if context.pebble_winner(subtree.child_instance(child), graph, mu, k + 1):
             return False
     return True
 

@@ -258,7 +258,7 @@ class Session:
         given); see :class:`~repro.evaluation.cache.EvaluationCache`.
     max_engines:
         Bound on the engine memo; the least recently used engines (and the
-        pins on their source patterns) are evicted first.  ``None`` (the
+        source patterns their memo keys hold) are evicted first.  ``None`` (the
         default) means unbounded — like the cache, prefer a bound for
         long-lived sessions serving a stream of distinct ad-hoc patterns.
     faults:
@@ -296,10 +296,12 @@ class Session:
         self._faults = faults
         # Session-lifetime resilience counters.
         self._statistics = EvaluationStatistics()
-        # Engine memo: key -> (source object, engine), insertion-ordered by
-        # recency (hits re-insert).  The source reference keeps id()-based
-        # keys valid while the entry lives; eviction drops both.
-        self._engines: Dict[object, Tuple[object, Engine]] = {}
+        # Engine memo: (source pattern, width bound) -> engine,
+        # insertion-ordered by recency (hits re-insert).  GraphPattern keys
+        # compare structurally; Engine and WDPatternForest keys hash by
+        # identity, and the key itself keeps its source alive while the
+        # entry lives.
+        self._engines: Dict[Tuple[PatternLike, Optional[int]], Engine] = {}
         # Guards the engine memo (the LRU hit pops and re-inserts) and the
         # session-lifetime resilience counters: the query service drives one
         # session from many threads, and the shared EvaluationCache already
@@ -380,23 +382,19 @@ class Session:
                 # Already wired to this session (typically one of our own
                 # memoized engines routed back in): use it as-is.  No memo
                 # entry — the caller holds the reference, and re-memoizing
-                # under a second id-based key would defeat the LRU bound.
+                # it under a second key would defeat the LRU bound.
                 return pattern
-            key = ("engine", id(pattern), width_bound)
-        elif isinstance(pattern, GraphPattern):
-            key = ("pattern", pattern, width_bound)
-        elif isinstance(pattern, WDPatternForest):
-            key = ("forest", id(pattern), width_bound)
-        else:
+        elif not isinstance(pattern, (GraphPattern, WDPatternForest)):
             raise EvaluationError(
                 f"expected an Engine, GraphPattern or WDPatternForest, "
                 f"got {type(pattern).__name__}"
             )
+        key = (pattern, width_bound)
         with self._memo_lock:
             hit = self._engines.pop(key, None)
             if hit is not None:
                 self._engines[key] = hit  # re-insert at the recent end (LRU)
-                return hit[1]
+                return hit
         if isinstance(pattern, Engine):
             engine = Engine(
                 pattern.pattern,
@@ -415,11 +413,11 @@ class Session:
             hit = self._engines.pop(key, None)
             if hit is not None:
                 self._engines[key] = hit
-                return hit[1]
+                return hit
             if self._max_engines is not None:
                 while len(self._engines) >= self._max_engines:
                     self._engines.pop(next(iter(self._engines)))
-            self._engines[key] = (pattern, engine)
+            self._engines[key] = engine
         return engine
 
     # --- planning ----------------------------------------------------------

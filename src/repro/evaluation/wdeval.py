@@ -98,7 +98,7 @@ def tree_contains(
     subtree = context.mu_subtree(tree, graph, mu)
     if subtree is None:
         return False
-    for child in context.children_of(tree, subtree):
+    for child in subtree.children():
         if context.extension_exists(tree.pat(child), graph, mu):
             return False
     return True
@@ -141,7 +141,7 @@ def tree_solutions_stream(
     recorded: Optional[list] = [] if context.cache is not None else None
     seen: Set[Mapping] = set()
     for subtree in tree.subtrees():
-        child_pats = [tree.pat(child) for child in context.children_of(tree, subtree)]
+        child_pats = [tree.pat(child) for child in subtree.children()]
         for hom in context.homomorphisms(subtree.pat(), graph):
             context.tick()
             mu = Mapping(hom)

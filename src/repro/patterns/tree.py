@@ -12,14 +12,19 @@ additionally requires:
 
 :class:`WDPatternTree` is an immutable tree over integer node identifiers;
 :class:`Subtree` represents the rooted subtrees the paper quantifies over
-(always containing the root, closed under taking parents).
+(always containing the root, closed under taking parents).  A subtree's
+facts — its children, ``pat(T')``, ``vars(T')`` and the per-child instances
+``(pat(T') ∪ pat(n), vars(T'))`` — depend on the pattern alone, so they are
+memoized on the tree and every evaluation path, cached or not, shares them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
-from ..hom.tgraph import TGraph
+from ..hom.tgraph import GeneralizedTGraph, TGraph
 from ..rdf.terms import Variable
 from ..exceptions import PatternTreeError
 
@@ -34,7 +39,7 @@ class WDPatternTree:
     condition of wdPTs.
     """
 
-    __slots__ = ("_labels", "_parent", "_children", "_root", "_order")
+    __slots__ = ("_labels", "_parent", "_children", "_root", "_order", "_facts")
 
     def __init__(
         self,
@@ -86,6 +91,9 @@ class WDPatternTree:
         object.__setattr__(self, "_children", {n: tuple(c) for n, c in children.items()})
         object.__setattr__(self, "_root", root)
         object.__setattr__(self, "_order", tuple(order))
+        # Memo of the Subtree facts (children, pat, vars, child instances),
+        # keyed per node set; not pickled, a restored tree refills it.
+        object.__setattr__(self, "_facts", {})
 
         if check_connectivity:
             self._check_variable_connectivity()
@@ -338,27 +346,50 @@ class Subtree:
         return isinstance(other, Subtree) and self.tree is other.tree and self.nodes == other.nodes
 
     def __hash__(self) -> int:
-        return hash((id(self.tree), self.nodes))
+        return hash((self.tree, self.nodes))
 
     def __repr__(self) -> str:
         return f"Subtree(nodes={sorted(self.nodes)})"
 
+    # The tree's memo is filled through GIL-atomic dict get/set of
+    # deterministic values, so it needs no lock: concurrent fillers can at
+    # worst duplicate a computation.
+    def _fact(self, key: Tuple, compute: Callable[[], Any]) -> Any:
+        facts = self.tree._facts
+        value = facts.get(key)
+        if value is None:
+            value = compute()
+            facts[key] = value
+        return value
+
     def pat(self) -> TGraph:
         """``pat(T')`` — union of the labels of the subtree's nodes."""
-        return self.tree.pat_of_nodes(self.nodes)
+        return self._fact(("pat", self.nodes), lambda: self.tree.pat_of_nodes(self.nodes))
 
     def variables(self) -> FrozenSet[Variable]:
         """``vars(T')``."""
-        return self.pat().variables()
+        return self._fact(("vars", self.nodes), lambda: self.pat().variables())
 
     def children(self) -> Tuple[int, ...]:
         """The children of the subtree: nodes outside it whose parent is inside."""
-        result = [
-            node
-            for node in self.tree.node_ids()
-            if node not in self.nodes and self.tree.parent_of(node) in self.nodes
-        ]
-        return tuple(sorted(result))
+
+        def compute() -> Tuple[int, ...]:
+            result = [
+                node
+                for node in self.tree.node_ids()
+                if node not in self.nodes and self.tree.parent_of(node) in self.nodes
+            ]
+            return tuple(sorted(result))
+
+        return self._fact(("children", self.nodes), compute)
+
+    def child_instance(self, child: int) -> GeneralizedTGraph:
+        """``(pat(T') ∪ pat(n), vars(T'))`` for a child *n* — the instance the
+        Theorem 1 pebble test runs on."""
+        return self._fact(
+            ("instance", self.nodes, child),
+            lambda: GeneralizedTGraph(self.pat().union(self.tree.pat(child)), self.variables()),
+        )
 
     def extend(self, node: int) -> "Subtree":
         """The subtree obtained by adding one child node."""

@@ -777,6 +777,27 @@ def test_hold_rule_condition_wait_still_blocks_other_locks():
     assert "TwoLocks._cond" not in findings[0].message  # released by wait()
 
 
+def test_hold_rule_flags_evaluation_entry_point_under_lock():
+    proj = project(
+        src__repro__frontdoor="""
+        import threading
+
+        class FrontDoor:
+            def __init__(self, session):
+                self._lock = threading.Lock()
+                self._session = session
+
+            def answer(self, pattern, graph, mappings):
+                with self._lock:
+                    return self._session.check_many(pattern, graph, mappings)
+        """
+    )
+    findings = rule_findings(HoldWhileBlockingRule(), proj)
+    assert len(findings) == 1
+    assert "evaluation entry point .check_many()" in findings[0].message
+    assert "FrontDoor._lock" in findings[0].message
+
+
 # --- RP-YIELD -----------------------------------------------------------------
 
 def test_yield_rule_flags_yield_under_lock_only():

@@ -10,7 +10,6 @@ import repro.evaluation.naive as naive_module
 import repro.evaluation.plan as plan_module
 
 from repro.evaluation import Engine, EvaluationCache, Session
-from repro.exceptions import EvaluationError
 from repro.rdf import RDFGraph, Triple
 from repro.rdf.namespace import EX
 from repro.rdf.terms import IRI, Variable
@@ -41,22 +40,12 @@ def check_many(forest, graph, queries, **kwargs):
 
 
 class TestContainsMany:
-    @pytest.mark.parametrize("method", ["naive", "natural", "pebble", "auto"])
-    def test_identical_to_single_shot(self, setting, method):
-        forest, graph, engine, queries = setting
-        expected = [engine.contains(graph, mu, method=method) for mu in queries]
-        assert check_many(forest, graph, queries, method=method) == expected
-
     def test_preserves_order_and_duplicates(self, setting):
         forest, graph, engine, queries = setting
         doubled = queries + list(reversed(queries))
         answers = check_many(forest, graph, doubled)
         assert answers == [engine.contains(graph, mu) for mu in doubled]
         assert answers[: len(queries)] == list(reversed(answers[len(queries) :]))
-
-    def test_empty_input(self, setting):
-        forest, graph, _, _ = setting
-        assert Session().check_many(forest, graph, []) == []
 
     def test_parallel_identical(self, setting):
         forest, graph, engine, queries = setting
@@ -66,11 +55,6 @@ class TestContainsMany:
         assert session.check_many(handle, graph, queries, method="pebble") == expected
         # per-call override too
         assert check_many(forest, graph, queries, method="pebble", processes=2) == expected
-
-    def test_auto_resolved_once(self, setting):
-        forest, graph, engine, queries = setting
-        expected = [engine.contains(graph, mu, method="auto") for mu in queries]
-        assert check_many(forest, graph, queries, method="auto") == expected
 
     def test_naive_batched_materialises_once(self, setting, monkeypatch):
         """One top-level ⟦P⟧G materialisation per batch, through both
@@ -189,10 +173,6 @@ class TestManyPatterns:
         for pattern in (forest, forest):
             session.check(pattern, graph, mu, method="natural")
         assert cache.statistics.hits + cache.statistics.misses > 0
-
-    def test_rejects_non_pattern(self):
-        with pytest.raises(EvaluationError):
-            Session().check(42, RDFGraph(), Mapping.EMPTY)
 
 
 class TestPicklability:

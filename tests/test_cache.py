@@ -232,8 +232,9 @@ class TestCacheInternals:
         assert cache.statistics.evictions >= 2
 
     def test_max_entries_bounds_tree_tables(self):
-        # The per-tree structure tables pin their trees; a bounded cache must
-        # also bound them, with correct answers after eviction.
+        # Subtree and tree-solution entries key on (and so pin) their trees;
+        # a bounded cache must bound how many trees it holds, with correct
+        # answers after eviction.
         cache = EvaluationCache(max_entries_per_graph=2)
         graph = fk_data_graph(5, 25, clique_size=2, seed=4)
         queries = None
@@ -246,7 +247,9 @@ class TestCacheInternals:
                 assert engine.contains(graph, mu, method="natural") == plain.contains(
                     graph, mu, method="natural"
                 )
-        assert len(cache._trees) <= 2
+        store = cache._graphs[id(graph)]
+        trees = {key[0] for kind, key in store.entries if kind in ("subtree", "treesol")}
+        assert len(trees) <= 2
 
     def test_max_entries_validation(self):
         with pytest.raises(ValueError):
@@ -355,7 +358,7 @@ class TestSizeAccounting:
         Engine(forest=forest, cache=cache).solutions(graph, method="natural")
         recorded = cache.tree_solution_list(tree, graph)
         assert recorded is not None
-        key = ("treesol", (id(tree),))
+        key = ("treesol", (tree,))
         assert self._store(cache, graph).costs[key] == 1 + len(recorded)
 
     def test_plain_memo_entries_charged_one(self):

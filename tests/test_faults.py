@@ -204,7 +204,7 @@ class TestDeadlines:
         # whatever was found before the trip rides on the exception
         assert isinstance(info.value.partial, tuple)
 
-    def test_solutions_iter_serial_yields_report_within_bound(self):
+    def test_solutions_stream_serial_raises_within_bound(self):
         """Acceptance: Session.solutions_stream yields partial results, then
         raises DeadlineExceeded by deadline + 250ms, counting one trip."""
         deadline = 0.3

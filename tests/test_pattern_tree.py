@@ -1,11 +1,16 @@
 """Unit tests for well-designed pattern trees and subtrees."""
 
+import pickle
+import sys
+import threading
+
 import pytest
 
 from repro.exceptions import PatternTreeError
-from repro.hom.tgraph import TGraph
+from repro.hom.tgraph import GeneralizedTGraph, TGraph
 from repro.patterns import Subtree, WDPatternTree
 from repro.rdf.terms import Variable
+from repro.workloads.families import fk_forest
 
 
 def simple_tree() -> WDPatternTree:
@@ -167,3 +172,55 @@ class TestSubtrees:
         sub = tree.subtree({0, 1})
         assert sub.variables() == {Variable("x"), Variable("y"), Variable("z")}
         assert len(sub.pat()) == 2
+
+    def test_facts_memoized_on_the_tree(self):
+        tree = fk_forest(2)[0]
+        first, second = tree.root_subtree(), Subtree(tree, frozenset({tree.root}))
+        assert first is not second
+        children = first.children()
+        assert children
+        assert second.children() is children
+        assert second.pat() is first.pat()
+        for child in children:
+            instance = first.child_instance(child)
+            assert second.child_instance(child) is instance
+            assert instance == GeneralizedTGraph(
+                first.pat().union(tree.pat(child)), first.variables()
+            )
+        restored = pickle.loads(pickle.dumps(tree)).root_subtree()
+        assert restored.children() == children
+        assert restored.pat() == first.pat()
+        assert restored.variables() == first.variables()
+        assert [restored.child_instance(c) for c in children] == [
+            first.child_instance(c) for c in children
+        ]
+
+    def test_facts_filled_concurrently_equal_serial_facts(self):
+        """The query service's threads share one tree and fill its memo
+        concurrently; a race may duplicate a computation, never store a
+        wrong fact."""
+        star = WDPatternTree.from_node_specs(
+            [(None, [("?x", "p", "?y")])] + [(0, [("?y", f"q{i}", f"?z{i}")]) for i in range(5)]
+        )
+
+        def facts(tree):
+            return [
+                (s.children(), s.pat(), s.variables(), [s.child_instance(c) for c in s.children()])
+                for s in tree.subtrees()
+            ]
+
+        expected = facts(pickle.loads(pickle.dumps(star)))
+        assert len(expected) == 32
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: results.append(facts(star))) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 8
