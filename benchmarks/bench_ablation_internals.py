@@ -38,9 +38,9 @@ def _pebble_inputs(num_vars: int, graph_size: int, seed: int):
 def bench_pebble_fast_path(benchmark, graph_size):
     triples, fixed, existential, domain_values, graph = _pebble_inputs(5, graph_size, seed=1)
     fast = benchmark(
-        lambda: _winner_two_pebbles(triples, fixed, existential, domain_values, graph, None)
+        lambda: _winner_two_pebbles(triples, fixed, existential, domain_values, graph)
     )
-    generic = _winner_generic(triples, fixed, existential, domain_values, graph, 2, None)
+    generic = _winner_generic(triples, fixed, existential, domain_values, graph, 2)
     assert fast == generic
 
 
@@ -48,7 +48,7 @@ def bench_pebble_fast_path(benchmark, graph_size):
 def bench_pebble_generic_fixpoint(benchmark, graph_size):
     triples, fixed, existential, domain_values, graph = _pebble_inputs(5, graph_size, seed=1)
     benchmark.pedantic(
-        lambda: _winner_generic(triples, fixed, existential, domain_values, graph, 2, None),
+        lambda: _winner_generic(triples, fixed, existential, domain_values, graph, 2),
         rounds=1,
         iterations=1,
         warmup_rounds=0,

@@ -7,7 +7,7 @@ A small CLI so that the library can be used without writing Python::
     python -m repro batch    --graph data.nt --query QUERY --bindings-file mappings.txt
     python -m repro batch    --graph data.nt --query QUERY --bindings-file mappings.txt --timeout 5
     python -m repro explain  --query QUERY --width-bound 1
-    python -m repro explain  --query QUERY --graph data.nt --cost
+    python -m repro explain  --query QUERY --graph data.nt
     python -m repro classify --query QUERY
     python -m repro validate --query QUERY
 
@@ -24,18 +24,21 @@ Sub-commands
     :class:`~repro.evaluation.session.Session`.  The bindings file holds
     one candidate mapping per line as whitespace-separated ``var=iri``
     pairs (the empty mapping is written as ``-``; a line starting with
-    ``#`` is a comment).
+    ``#`` is a comment).  Each verdict is printed as soon as it is decided.
 ``explain``
     Print the evaluation :class:`~repro.evaluation.plan.Plan` the planner
     resolves for the query — chosen strategy, width bound, certification
-    status and rationale — without evaluating anything.  With ``--cost``
-    (and ``--graph``), the plan is resolved **per cell** through the cost
-    model and the per-strategy estimates are printed.
+    status and rationale — without evaluating anything.  With ``--graph``,
+    the plan is resolved **per cell** through the cost model and the
+    per-strategy estimates are printed.
 ``classify``
     Print the width profile (domination width, branch treewidth, local width)
     and the Theorem 3 verdict.
 ``validate``
     Check well-designedness and report the violation if any.
+``lint``
+    Run the AST invariant linter; every argument after ``lint`` goes to
+    :func:`repro.analysis.runner.main` unparsed.
 """
 
 from __future__ import annotations
@@ -124,13 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats", action="store_true", help="print the plan and cache statistics after the run"
     )
     batch.add_argument(
-        "--stream",
-        action="store_true",
-        help="print each verdict as soon as it is computed (combines with "
-        "--processes: verdicts stream back from the worker pool in input "
-        "order)",
-    )
-    batch.add_argument(
         "--timeout",
         type=float,
         default=None,
@@ -165,14 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--graph",
         default=None,
-        help="N-Triples style data file the cost model estimates against "
-        "(only used together with --cost)",
-    )
-    explain.add_argument(
-        "--cost",
-        action="store_true",
-        help="print the cost model's per-strategy estimates for the graph "
-        "(requires --graph) and let 'auto' pick per cell",
+        help="N-Triples style data file: print the cost model's per-strategy "
+        "estimates for it and let 'auto' pick per cell",
     )
 
     classify = subparsers.add_parser("classify", help="width profile and tractability verdict")
@@ -181,23 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
     validate = subparsers.add_parser("validate", help="check well-designedness")
     add_query_argument(validate)
 
-    lint = subparsers.add_parser(
+    # The linter's own parser reads every argument after `lint` (see main).
+    subparsers.add_parser(
         "lint",
+        add_help=False,
         help="run the AST invariant linter (same as `python -m repro.analysis`)",
-    )
-    lint.add_argument("paths", nargs="*", help="directories to scan")
-    lint.add_argument("--root", help="repo root (default: auto-detected)")
-    lint.add_argument("--baseline", help="baseline JSON file")
-    lint.add_argument("--format", choices=("text", "github"), default="text")
-    lint.add_argument("--list-rules", action="store_true")
-    lint.add_argument("--rules", help="comma-separated rule ids to run")
-    lint.add_argument(
-        "--changed",
-        action="store_true",
-        help="report findings only for files in `git diff --name-only`",
-    )
-    lint.add_argument(
-        "--timings", action="store_true", help="print per-rule wall time"
     )
 
     serve = subparsers.add_parser(
@@ -321,36 +299,16 @@ def _command_batch(args: argparse.Namespace) -> int:
     pattern = session.engine(parse_pattern(args.query), width_bound=args.width)
     timed_out = False
     answers = []
+    verdicts = session.check_iter(
+        pattern, graph, mappings, method=args.method, width=args.width, deadline=args.timeout
+    )
     try:
-        if args.stream:
-            # Stream each verdict as soon as it is decided — serially
-            # through the shared session cache, or (with --processes) from
-            # the worker pool in input order.  Verdicts are identical to
-            # the batched path.
-            for mu, answer in zip(
-                mappings,
-                session.check_iter(
-                    pattern,
-                    graph,
-                    mappings,
-                    method=args.method,
-                    width=args.width,
-                    deadline=args.timeout,
-                ),
-            ):
-                answers.append(answer)
-                print(f"{'IN    ' if answer else 'NOT-IN'} {_render_mapping(mu)}", flush=True)
-        else:
-            answers = session.check_many(
-                pattern,
-                graph,
-                mappings,
-                method=args.method,
-                width=args.width,
-                deadline=args.timeout,
-            )
-            for mu, answer in zip(mappings, answers):
-                print(f"{'IN    ' if answer else 'NOT-IN'} {_render_mapping(mu)}")
+        # Each verdict is printed as it is decided — serially through the
+        # shared session cache, or (with --processes) from the worker pool
+        # in input order — so a timeout keeps the verdicts decided before it.
+        for mu, answer in zip(mappings, verdicts):
+            answers.append(answer)
+            print(f"{'IN    ' if answer else 'NOT-IN'} {_render_mapping(mu)}", flush=True)
     except DeadlineExceeded as error:
         timed_out = True
         elapsed = f" after {error.elapsed:.2f}s" if error.elapsed is not None else ""
@@ -375,17 +333,11 @@ def _command_batch(args: argparse.Namespace) -> int:
 
 
 def _command_explain(args: argparse.Namespace) -> int:
-    if args.cost and args.graph is None:
-        raise ReproError("--cost estimates strategy costs for a concrete graph; "
-                         "supply the data file with --graph")
-    if args.graph is not None and not args.cost:
-        raise ReproError("--graph only affects explain together with --cost "
-                         "(the graph-free plan ignores it)")
     pattern = parse_pattern(args.query)
     engine = Engine(pattern, width_bound=args.width_bound)
     if args.compute_width:
         engine.domination_width()
-    graph = load_graph(args.graph) if args.cost else None
+    graph = load_graph(args.graph) if args.graph is not None else None
     plan = engine.plan(method=args.method, graph=graph)
     print(f"query            : {to_text(pattern)}")
     print(plan.explain())
@@ -415,27 +367,6 @@ def _command_validate(args: argparse.Namespace) -> int:
         return 0
     print(f"NOT well-designed: {violation.describe()}")
     return 1
-
-
-def _command_lint(args: argparse.Namespace) -> int:
-    # Lazy import: the linter is tooling, not query-path code.
-    from .analysis import runner
-
-    argv: List[str] = list(args.paths)
-    if args.root:
-        argv += ["--root", args.root]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    argv += ["--format", args.format]
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.rules:
-        argv += ["--rules", args.rules]
-    if args.changed:
-        argv.append("--changed")
-    if args.timings:
-        argv.append("--timings")
-    return runner.main(argv)
 
 
 def _command_serve(args: argparse.Namespace) -> int:
@@ -482,7 +413,6 @@ _COMMANDS = {
     "explain": _command_explain,
     "classify": _command_classify,
     "validate": _command_validate,
-    "lint": _command_lint,
     "serve": _command_serve,
 }
 
@@ -490,7 +420,16 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # parse_known_args rather than REMAINDER: a subparser's REMAINDER does not
+    # capture a leading --option, and `lint` forwards every argument.
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        # Lazy import: the linter is tooling, not query-path code.
+        from .analysis import runner
+
+        return runner.main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         return _COMMANDS[args.command](args)
     except (ReproError, OSError) as error:

@@ -506,34 +506,22 @@ class EvaluationCache:
         forest: Iterable[WDPatternTree],
         graph: RDFGraph,
         pebbles: int,
-        mappings: Optional[Iterable[Mapping]] = None,
     ) -> int:
         """Precompute the µ-independent pebble state for *forest* over *graph*.
 
         Builds the shared target index, the sorted graph domain, and one
-        consistency kernel per ``(witness subtree, child)`` instance the
-        given *mappings* reach (per root subtree when no mappings are given —
-        the witness of every root-shaped mapping).  Returns the number of
-        kernel instances ensured.  Purely a performance feature: warming
-        changes no verdicts, it only front-loads work so that subsequent
-        lookups (or forked worker processes) find hot state.
+        consistency kernel per child of each tree's root subtree — the
+        witness of every root-shaped mapping.  Returns the number of kernel
+        instances ensured.  Purely a performance feature: warming changes no
+        verdicts, it only front-loads work so that subsequent lookups (or
+        forked worker processes) find hot state.
         """
         self.target_index(graph)
         graph.sorted_domain()
-        # Materialise up front: the mappings are re-walked once per tree, and
-        # a one-shot iterable would otherwise only warm the first tree.
-        if mappings is not None:
-            mappings = list(mappings)
         count = 0
         for tree in forest:
-            if mappings is None:
-                witnesses = [tree.root_subtree()]
-            else:
-                witnesses = [self.mu_subtree(tree, graph, mu) for mu in mappings]
-            # The distinct witnesses in first-seen order, so the kernels are
-            # built (and, in a bounded cache, evicted) in a reproducible order.
-            for subtree in dict.fromkeys(w for w in witnesses if w is not None):
-                for child in subtree.children():
-                    self.pebble_kernel(subtree.child_instance(child), graph, pebbles)
-                    count += 1
+            subtree = tree.root_subtree()
+            for child in subtree.children():
+                self.pebble_kernel(subtree.child_instance(child), graph, pebbles)
+                count += 1
         return count

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 
 from .budget import Budget
 from .cache import EvaluationCache
-from ..hom.homomorphism import TargetIndex, all_homomorphisms, extends_into
+from ..hom.homomorphism import all_homomorphisms, extends_into
 from ..hom.tgraph import GeneralizedTGraph, TGraph
 from ..patterns.tree import Subtree, WDPatternTree
 from ..pebble.game import pebble_game_winner
@@ -96,12 +96,6 @@ class EvalContext:
         if self.cache is not None:
             return self.cache.pebble_winner(extended, graph, mu, pebbles, self.budget)
         return pebble_game_winner(extended, graph, mu, pebbles, budget=self.budget)
-
-    def target_index(self, graph: RDFGraph) -> Optional[TargetIndex]:
-        """The shared triple index of *graph*, or ``None`` without a cache."""
-        if self.cache is not None:
-            return self.cache.target_index(graph)
-        return None
 
     def tree_solutions_list(
         self, tree: WDPatternTree, graph: RDFGraph

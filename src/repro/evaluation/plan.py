@@ -29,7 +29,7 @@ statistics (graph size, ``sorted_domain()`` cardinality, the pattern's
 node/OPT-children counts and fresh-variable branching, the free width bound)
 and picks the cheapest admissible strategy *per cell* instead of a fixed
 preference.  The estimate rides on the resolved :class:`Plan` and is rendered
-by :meth:`Plan.explain` (CLI ``explain --cost``).  Without a graph the
+by :meth:`Plan.explain` (CLI ``explain --graph``).  Without a graph the
 graph-free rules apply:
 
 * ``naive`` / ``natural`` run as requested, no width involved;
@@ -152,7 +152,6 @@ class Strategy:
         graph: RDFGraph,
         plan: "Plan",
         cache: "EvaluationCache",
-        mappings: Optional[Iterable[Mapping]] = None,
     ) -> int:
         """Precompute µ-independent state for batched runs; returns the
         number of consistency kernels ensured (0 for kernel-free strategies)."""
@@ -203,7 +202,7 @@ class NaturalStrategy(Strategy):
 
         return forest_solutions_stream(forest, graph, context)
 
-    def warm(self, forest, graph, plan, cache, mappings=None):
+    def warm(self, forest, graph, plan, cache):
         cache.target_index(graph)
         return 0
 
@@ -221,10 +220,8 @@ class PebbleStrategy(Strategy):
 
         return forest_contains_pebble(forest, graph, mu, plan.width, context)
 
-    def warm(self, forest, graph, plan, cache, mappings=None):
-        return cache.warm_pebble(
-            forest, graph, plan.width + 1, list(mappings) if mappings is not None else None
-        )
+    def warm(self, forest, graph, plan, cache):
+        return cache.warm_pebble(forest, graph, plan.width + 1)
 
 
 NAIVE = NaiveStrategy()
@@ -388,7 +385,12 @@ class CostEstimate:
         )
 
 
-@dataclass(frozen=True)
+#: The cost formulas cap every exponent and clamp every estimate, so the
+#: ranking stays overflow-free.
+_EXPONENT_CAP = 8
+_COST_CEILING = 1e30
+
+
 class CostModel:
     """Estimate naive / natural / pebble cost per ``(pattern, graph)`` cell.
 
@@ -407,15 +409,12 @@ class CostModel:
     * **pebble membership** replaces each child search with the polynomial
       ``(k+1)``-pebble game over ``|dom(G)| ** (k+1)`` positions.
 
-    Exponents are capped (``exponent_cap``) and every estimate is clamped to
-    ``ceiling`` so the ranking stays overflow-free.
+    Exponents are capped at ``_EXPONENT_CAP`` and every estimate is clamped
+    to ``_COST_CEILING`` so the ranking stays overflow-free.
     """
 
-    exponent_cap: int = 8
-    ceiling: float = 1e30
-
     def _power(self, base: float, exponent: int) -> float:
-        return min(self.ceiling, base ** min(exponent, self.exponent_cap))
+        return min(_COST_CEILING, base ** min(exponent, _EXPONENT_CAP))
 
     def estimate(
         self,
@@ -439,28 +438,26 @@ class CostModel:
         pattern_work = pattern.nodes * max(1, pattern.triples)
         search = self._power(n, pattern.max_new_vars)
         materialise = min(
-            self.ceiling,
+            _COST_CEILING,
             pattern.nodes * search + self._power(n, pattern.max_branch_vars),
         )
         costs: List[Tuple[str, float]] = []
         if task == "membership":
             if width is not None:
                 pebble = min(
-                    self.ceiling,
+                    _COST_CEILING,
                     pattern_work
                     + pattern.opt_children
                     * max(1, pattern.triples)
                     * self._power(d, width + 1),
                 )
                 costs.append((PEBBLE.name, pebble))
-            natural = min(
-                self.ceiling, pattern_work + pattern.opt_children * search
-            )
+            natural = min(_COST_CEILING, pattern_work + pattern.opt_children * search)
             costs.append((NATURAL.name, natural))
             costs.append((NAIVE.name, materialise))
         else:
             natural = min(
-                self.ceiling,
+                _COST_CEILING,
                 pattern.subtree_bound * (search + 1.0 + pattern.opt_children),
             )
             costs.append((NATURAL.name, natural))
@@ -473,6 +470,10 @@ class CostModel:
             pattern_nodes=pattern.nodes,
             opt_children=pattern.opt_children,
         )
+
+
+#: The model every :class:`Planner` ranks strategies with.
+_COST_MODEL = CostModel()
 
 
 # --- plans -----------------------------------------------------------------------
@@ -500,7 +501,7 @@ class Plan:
     cost:
         The :class:`CostEstimate` the decision was based on, when the planner
         knew the graph (``None`` for graph-free plans).  Rendered by
-        :meth:`explain` and the CLI's ``explain --cost``.
+        :meth:`explain` and the CLI's ``explain --graph``.
     """
 
     requested: str
@@ -575,9 +576,9 @@ class Planner:
         (engines memoize this per pattern).  Without it the planner cannot
         estimate costs and graph-aware calls fall back to the graph-free
         rules.
-    cost_model:
-        The :class:`CostModel` ranking strategies per ``(pattern, graph)``
-        cell; a default model is used when omitted.
+
+    Every planner ranks strategies with the one module-level
+    :class:`CostModel`.
 
     Resolved plans are memoized per ``(method, width, known domination
     width)`` — plus ``(|G|, |dom(G)|)`` for graph-aware plans — so hot loops
@@ -592,7 +593,6 @@ class Planner:
         known_width: Optional[Callable[[], Optional[int]]] = None,
         width_oracle: Optional[Callable[[], int]] = None,
         pattern_stats: Optional[Callable[[], PatternStats]] = None,
-        cost_model: Optional[CostModel] = None,
     ) -> None:
         if width_bound is not None and width_bound < 1:
             raise EvaluationError("width_bound must be at least 1")
@@ -600,7 +600,6 @@ class Planner:
         self._known_width = known_width if known_width is not None else lambda: None
         self._width_oracle = width_oracle
         self._pattern_stats = pattern_stats
-        self._cost_model = cost_model if cost_model is not None else CostModel()
         self._memo: Dict[Tuple, Plan] = {}
 
     # --- plan memoization ------------------------------------------------------
@@ -619,7 +618,7 @@ class Planner:
         """The cost estimate for this cell, or ``None`` without graph/stats."""
         if graph is None or self._pattern_stats is None:
             return None
-        return self._cost_model.estimate(
+        return _COST_MODEL.estimate(
             self._pattern_stats(),
             len(graph),
             len(graph.sorted_domain()),

@@ -248,14 +248,12 @@ class Session:
     ----------
     cache:
         The shared :class:`~repro.evaluation.cache.EvaluationCache`; a fresh
-        one is created when omitted (bounded by *max_entries_per_graph*).
+        unbounded one is created when omitted.  Pass
+        ``EvaluationCache(max_entries_per_graph)`` to bound it.
     processes:
         Default worker-pool size of :meth:`check_many` / :meth:`check_iter`;
         ``None`` (or 1) keeps everything serial.  Per-call ``processes=``
         overrides it.
-    max_entries_per_graph:
-        Budget for the implicitly created cache (ignored when *cache* is
-        given); see :class:`~repro.evaluation.cache.EvaluationCache`.
     max_engines:
         Bound on the engine memo; the least recently used engines (and the
         source patterns their memo keys hold) are evicted first.  ``None`` (the
@@ -280,7 +278,6 @@ class Session:
         self,
         cache: Optional[EvaluationCache] = None,
         processes: Optional[int] = None,
-        max_entries_per_graph: Optional[int] = None,
         max_engines: Optional[int] = None,
         faults: Optional[object] = None,
     ) -> None:
@@ -288,9 +285,7 @@ class Session:
             raise EvaluationError("processes must be a positive integer")
         if max_engines is not None and max_engines < 1:
             raise EvaluationError("max_engines must be a positive integer")
-        self._cache = (
-            cache if cache is not None else EvaluationCache(max_entries_per_graph)
-        )
+        self._cache = cache if cache is not None else EvaluationCache()
         self._processes = processes
         self._max_engines = max_engines
         self._faults = faults
@@ -538,7 +533,7 @@ class Session:
         *processes* (or the session default) they are decided in chunks by
         the crash-tolerant pool of :meth:`_pool_map`.  Either way each
         input mapping's verdict is released as soon as it is decided (what
-        ``batch --stream`` prints).  ``deadline``/``budget`` bound the whole
+        ``repro batch`` prints).  ``deadline``/``budget`` bound the whole
         batch, parent and workers alike, and raise
         :class:`~repro.exceptions.DeadlineExceeded` mid-iteration.
         """
@@ -615,8 +610,8 @@ class Session:
         warm_engine: Optional[Engine] = None
         if _start_method() == "fork":
             # Build the µ-independent state once in the parent so the workers
-            # fork with warm kernels/indexes instead of rebuilding them.  No
-            # mappings here on purpose: per-mapping witness-subtree lookups
+            # fork with warm kernels/indexes instead of rebuilding them.  Only
+            # the root-subtree instances: per-mapping witness-subtree lookups
             # would serialise in the parent (Amdahl); workers do those in
             # parallel against the copy-on-write shared kernels.
             plan.strategy_obj.warm(engine.forest, graph, plan, self._cache)
@@ -682,24 +677,21 @@ class Session:
         self,
         pattern: PatternLike,
         graph: RDFGraph,
-        mappings: Optional[Iterable[Mapping]] = None,
         method: str = "auto",
         width: Optional[int] = None,
     ) -> int:
         """Precompute the µ-independent evaluation state for *graph*.
 
         For the pebble strategy this builds the shared target index, the
-        graph domain, and the consistency kernels of every ``(witness
-        subtree, child)`` instance the given *mappings* reach (the
-        root-subtree instances when no mappings are given); for the natural
-        strategy it builds the target index.  Returns the number of kernels
-        ensured.  Warming is a pure performance feature — answers are
-        identical with and without it — and is what :meth:`check_many` does
-        before forking a worker pool.
+        graph domain, and the consistency kernels of every root-subtree
+        child instance; for the natural strategy it builds the target
+        index.  Returns the number of kernels ensured.  Warming is a pure
+        performance feature — answers are identical with and without it —
+        and is what :meth:`check_many` does before forking a worker pool.
         """
         engine = self.engine(pattern)
         plan = engine.plan(method, width, graph=graph)
-        return plan.strategy_obj.warm(engine.forest, graph, plan, self._cache, mappings)
+        return plan.strategy_obj.warm(engine.forest, graph, plan, self._cache)
 
     # --- enumeration -------------------------------------------------------
     def solutions_stream(

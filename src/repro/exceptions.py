@@ -118,3 +118,15 @@ class WidthComputationError(ReproError):
 class ReductionError(ReproError):
     """Raised when the hardness-reduction machinery receives inputs it cannot
     handle (for instance no grid minor map can be found)."""
+
+
+def error_class(name: object) -> type[ReproError]:
+    """The :class:`ReproError` subclass called *name*, else :class:`ServiceError`.
+
+    This is how a service response's ``error_type`` re-raises as its library
+    exception, in process and over the wire alike.
+    """
+    kind = globals().get(name) if isinstance(name, str) else None
+    if isinstance(kind, type) and issubclass(kind, ReproError):
+        return kind
+    return ServiceError

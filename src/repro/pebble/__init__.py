@@ -1,7 +1,6 @@
 """The existential k-pebble game (the polynomial relaxation of homomorphism)."""
 
 from .game import (
-    PebbleGameStatistics,
     pebble_game_winner,
     pebble_maps_into,
     reference_pebble_game_winner,
@@ -12,6 +11,5 @@ __all__ = [
     "pebble_game_winner",
     "reference_pebble_game_winner",
     "pebble_maps_into",
-    "PebbleGameStatistics",
     "ConsistencyKernel",
 ]

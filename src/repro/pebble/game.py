@@ -39,7 +39,7 @@ test suite:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from ..hom.tgraph import GeneralizedTGraph
 from ..rdf.graph import RDFGraph
@@ -52,29 +52,11 @@ __all__ = [
     "pebble_game_winner",
     "reference_pebble_game_winner",
     "pebble_maps_into",
-    "PebbleGameStatistics",
 ]
 
 #: A partial assignment of non-distinguished variables, as a sorted tuple of
 #: (variable, value) pairs so that it can live in sets.
 _PartialHom = Tuple[Tuple[Variable, GroundTerm], ...]
-
-
-class PebbleGameStatistics:
-    """Counters describing a single pebble-game computation (for benchmarks)."""
-
-    __slots__ = ("candidate_partial_homs", "removed", "rounds")
-
-    def __init__(self) -> None:
-        self.candidate_partial_homs = 0
-        self.removed = 0
-        self.rounds = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"PebbleGameStatistics(candidates={self.candidate_partial_homs}, "
-            f"removed={self.removed}, rounds={self.rounds})"
-        )
 
 
 def _as_tuple(assignment: Dict[Variable, GroundTerm]) -> _PartialHom:
@@ -99,7 +81,6 @@ def pebble_game_winner(
     graph: RDFGraph,
     mu: Mapping,
     k: int,
-    statistics: Optional[PebbleGameStatistics] = None,
     budget=None,
 ) -> bool:
     """Decide whether the Duplicator wins the existential k-pebble game.
@@ -113,7 +94,7 @@ def pebble_game_winner(
     """
     from .kernel import ConsistencyKernel  # deferred: kernel imports this module
 
-    return ConsistencyKernel(gtgraph, graph, k).winner(mu, statistics, budget)
+    return ConsistencyKernel(gtgraph, graph, k).winner(mu, budget)
 
 
 def reference_pebble_game_winner(
@@ -121,7 +102,6 @@ def reference_pebble_game_winner(
     graph: RDFGraph,
     mu: Mapping,
     k: int,
-    statistics: Optional[PebbleGameStatistics] = None,
 ) -> bool:
     """The per-call k-consistency computation (no precomputation, no sharing).
 
@@ -157,8 +137,8 @@ def reference_pebble_game_winner(
         return False
 
     if k == 2:
-        return _winner_two_pebbles(triples, fixed, existential, domain_values, graph, statistics)
-    return _winner_generic(triples, fixed, existential, domain_values, graph, k, statistics)
+        return _winner_two_pebbles(triples, fixed, existential, domain_values, graph)
+    return _winner_generic(triples, fixed, existential, domain_values, graph, k)
 
 
 def pebble_maps_into(
@@ -182,7 +162,6 @@ def _winner_two_pebbles(
     existential: List[Variable],
     domain_values: List[GroundTerm],
     graph: RDFGraph,
-    statistics: Optional[PebbleGameStatistics],
 ) -> bool:
     """Existential 2-pebble game via pairwise consistency.
 
@@ -236,11 +215,6 @@ def _winner_two_pebbles(
         neighbours[u].add(v)
         neighbours[v].add(u)
 
-    if statistics is not None:
-        statistics.candidate_partial_homs = sum(len(d) for d in domains.values()) + sum(
-            len(bs) for rel in supports.values() for bs in rel.values()
-        )
-
     def supported(u: Variable, a: GroundTerm, v: Variable) -> bool:
         """Does value a of u have a surviving partner in v's domain?"""
         if (u, v) in supports:
@@ -252,14 +226,10 @@ def _winner_two_pebbles(
     # AC-3 style propagation.
     queue: List[Variable] = list(existential)
     while queue:
-        if statistics is not None:
-            statistics.rounds += 1
         var = queue.pop()
         for value in list(domains[var]):
             if any(not supported(var, value, other) for other in neighbours[var]):
                 domains[var].discard(value)
-                if statistics is not None:
-                    statistics.removed += 1
                 if not domains[var]:
                     return False
                 for other in neighbours[var]:
@@ -280,7 +250,6 @@ def _winner_generic(
     domain_values: List[GroundTerm],
     graph: RDFGraph,
     k: int,
-    statistics: Optional[PebbleGameStatistics],
 ) -> bool:
     """Generic k-consistency fixpoint (used for k >= 3)."""
     triples_of_var: Dict[Variable, List[TriplePattern]] = defaultdict(list)
@@ -313,14 +282,10 @@ def _winner_generic(
     family: Set[_PartialHom] = set()
     for level in levels:
         family.update(level)
-    if statistics is not None:
-        statistics.candidate_partial_homs = len(family)
 
     changed = True
     while changed:
         changed = False
-        if statistics is not None:
-            statistics.rounds += 1
         for item in list(family):
             if item not in family:
                 continue
@@ -350,8 +315,6 @@ def _winner_generic(
                         break
             if remove:
                 family.discard(item)
-                if statistics is not None:
-                    statistics.removed += 1
                 changed = True
 
     return () in family

@@ -29,11 +29,7 @@ makes that split explicit:
   precomputed level-0 family for ``k ≥ 3``.
 
 Verdicts are identical to the per-call implementation
-(:func:`~repro.pebble.game.reference_pebble_game_winner`) on every input;
-:class:`~repro.pebble.game.PebbleGameStatistics` counters keep their
-meaning (``candidate_partial_homs`` counts the same domains/supports or
-family members, ``removed`` the values/partial homomorphisms pruned,
-``rounds`` the propagation steps).
+(:func:`~repro.pebble.game.reference_pebble_game_winner`) on every input.
 
 A kernel notices graph mutations through :attr:`RDFGraph.version` and
 transparently rebuilds its graph-dependent state, so a long-lived kernel
@@ -51,7 +47,7 @@ from __future__ import annotations
 import weakref
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from .game import PebbleGameStatistics, _as_tuple, _satisfies
+from .game import _as_tuple, _satisfies
 from ..hom.homomorphism import TargetIndex
 from ..hom.tgraph import GeneralizedTGraph
 from ..rdf.graph import RDFGraph
@@ -382,12 +378,7 @@ class ConsistencyKernel:
         return domains
 
     # --- solving ------------------------------------------------------------
-    def winner(
-        self,
-        mu: Mapping,
-        statistics: Optional[PebbleGameStatistics] = None,
-        budget=None,
-    ) -> bool:
+    def winner(self, mu: Mapping, budget=None) -> bool:
         """Decide ``(S, X) →µ_k G`` — the Duplicator-wins relation.
 
         Requires ``dom(µ) = X``; identical verdicts to
@@ -420,15 +411,14 @@ class ConsistencyKernel:
             # Duplicator loses immediately.
             return False
         if self._k == 2:
-            return self._solve_two_pebbles(graph, fixed, statistics, budget)
-        return self._solve_generic(graph, fixed, statistics, budget)
+            return self._solve_two_pebbles(graph, fixed, budget)
+        return self._solve_generic(graph, fixed, budget)
 
     # --- k = 2: worklist arc consistency ----------------------------------
     def _solve_two_pebbles(
         self,
         graph: RDFGraph,
         fixed: Dict[Variable, GroundTerm],
-        statistics: Optional[PebbleGameStatistics],
         budget=None,
     ) -> bool:
         domains = self._restricted_domains(graph, fixed)
@@ -458,11 +448,6 @@ class ConsistencyKernel:
             supports[pair] = forward
             reverse[pair] = backward
 
-        if statistics is not None:
-            statistics.candidate_partial_homs = sum(
-                len(d) for d in domains.values()
-            ) + sum(len(bs) for relation in supports.values() for bs in relation.values())
-
         def supported(var: Variable, value: GroundTerm, other: Variable) -> bool:
             """Does *value* of *var* still have a partner in *other*'s domain?"""
             if (var, other) in supports:
@@ -477,8 +462,6 @@ class ConsistencyKernel:
         queue: List[Variable] = list(self._existential)
         queued: Set[Variable] = set(queue)
         while queue:
-            if statistics is not None:
-                statistics.rounds += 1
             var = queue.pop()
             queued.discard(var)
             if budget is not None:
@@ -486,8 +469,6 @@ class ConsistencyKernel:
             for value in list(domains[var]):
                 if any(not supported(var, value, other) for other in self._neighbours[var]):
                     domains[var].discard(value)
-                    if statistics is not None:
-                        statistics.removed += 1
                     if not domains[var]:
                         return False
                     for other in self._neighbours[var]:
@@ -501,7 +482,6 @@ class ConsistencyKernel:
         self,
         graph: RDFGraph,
         fixed: Dict[Variable, GroundTerm],
-        statistics: Optional[PebbleGameStatistics],
         budget=None,
     ) -> bool:
         k = self._k
@@ -533,14 +513,10 @@ class ConsistencyKernel:
                     combined.pop(var, None)
 
         family: Set[Tuple] = set().union(*levels)
-        if statistics is not None:
-            statistics.candidate_partial_homs = len(family)
 
         changed = True
         while changed:
             changed = False
-            if statistics is not None:
-                statistics.rounds += 1
             for item in list(family):
                 if budget is not None:
                     budget.tick()
@@ -574,8 +550,6 @@ class ConsistencyKernel:
                             break
                 if remove:
                     family.discard(item)
-                    if statistics is not None:
-                        statistics.removed += 1
                     changed = True
 
         return () in family

@@ -19,18 +19,10 @@ from __future__ import annotations
 import socket
 from typing import Dict, List, Optional, Sequence, Union
 
-from .. import exceptions as _exceptions
-from ..exceptions import ProtocolError, ReproError, ServiceError
+from ..exceptions import ProtocolError, ServiceError, error_class
 from .protocol import decode_line, encode_line
 
 __all__ = ["ServiceClient"]
-
-
-def _raise_wire_error(line: dict) -> None:
-    kind = getattr(_exceptions, str(line.get("error_type")), None)
-    if not (isinstance(kind, type) and issubclass(kind, ReproError)):
-        kind = ServiceError
-    raise kind(line.get("error") or "service request failed")
 
 
 class ServiceClient:
@@ -66,7 +58,7 @@ class ServiceClient:
                 solutions.extend(chunk)
                 continue
             if not line.get("ok"):
-                _raise_wire_error(line)
+                raise error_class(line.get("error_type"))(line.get("error") or "service request failed")
             if line.get("op") == "solutions":
                 line["solutions"] = solutions
             return line

@@ -41,6 +41,7 @@ response, including during shutdown (drained requests answer with
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 from dataclasses import dataclass
@@ -54,13 +55,13 @@ from ..rdf.triples import Triple
 from ..sparql.algebra import GraphPattern
 from ..sparql.mappings import Mapping
 from ..sparql.parser import parse_pattern
-from .. import exceptions as _exceptions
 from ..exceptions import (
     DeadlineExceeded,
     ReproError,
     ServiceClosedError,
     ServiceError,
     ServiceOverloadedError,
+    error_class,
 )
 from .gate import ReadWriteGate
 
@@ -76,6 +77,13 @@ __all__ = [
 
 #: The implicit graph name when a service is built over a single graph.
 DEFAULT_GRAPH = "default"
+
+#: Latency samples kept per operation (oldest dropped first).
+_MAX_LATENCY_SAMPLES = 4096
+#: Bound on the query-text parse memo (oldest dropped first).
+_MAX_PATTERNS = 256
+#: Solutions per streamed ``chunk`` line when a request names no size.
+_CHUNK_SIZE = 256
 
 #: The operations the service understands (also the protocol's ``op`` field).
 OPERATIONS = ("check", "solutions", "explain", "update", "stats")
@@ -126,16 +134,12 @@ class Response:
     def raise_for_error(self) -> "Response":
         """Re-raise a typed error response as its library exception.
 
-        The ``error_type`` name resolves into the :class:`ReproError`
-        taxonomy (:mod:`repro.exceptions`); unknown names fall back to
-        :class:`ServiceError`.  Returns ``self`` when ``ok``.
+        The ``error_type`` name resolves through
+        :func:`~repro.exceptions.error_class`.  Returns ``self`` when ``ok``.
         """
         if self.ok:
             return self
-        kind = getattr(_exceptions, self.error_type or "", None)
-        if not (isinstance(kind, type) and issubclass(kind, ReproError)):
-            kind = ServiceError
-        raise kind(self.error or "service request failed")
+        raise error_class(self.error_type)(self.error or "service request failed")
 
 
 class PendingResponse:
@@ -180,8 +184,8 @@ def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
     """Nearest-rank percentile of an already-sorted sample (0.0 if empty)."""
     if not sorted_values:
         return 0.0
-    rank = min(len(sorted_values) - 1, max(0, int(fraction * len(sorted_values))))
-    return sorted_values[rank]
+    rank = max(1, math.ceil(fraction * len(sorted_values)))
+    return sorted_values[rank - 1]
 
 
 class ServiceStats:
@@ -192,9 +196,8 @@ class ServiceStats:
     dropped first), so a long-lived service's stats stay O(1) in memory.
     """
 
-    def __init__(self, max_latency_samples: int = 4096) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._max_samples = max_latency_samples  # immutable after init
         self._started_at = monotonic()  # immutable after init
         self.admitted: Dict[str, int] = {}  # guarded-by: _lock
         self.completed = 0  # guarded-by: _lock
@@ -236,8 +239,8 @@ class ServiceStats:
                     self.deadline_trips += 1
             samples = self._latencies.setdefault(response.op, [])
             samples.append(response.elapsed)
-            if len(samples) > self._max_samples:
-                del samples[: len(samples) - self._max_samples]
+            if len(samples) > _MAX_LATENCY_SAMPLES:
+                del samples[: len(samples) - _MAX_LATENCY_SAMPLES]
 
     def note_update(self, added: int, removed: int) -> None:
         with self._lock:
@@ -301,7 +304,7 @@ class QueryService:
     session:
         The shared :class:`~repro.evaluation.session.Session`; a fresh one
         is created when omitted.  Long-lived services should bound it
-        (``Session(max_entries_per_graph=..., max_engines=...)``).
+        (``Session(cache=EvaluationCache(max_entries_per_graph), max_engines=...)``).
     max_inflight:
         Worker threads — the number of requests evaluating concurrently.
     max_pending:
@@ -310,11 +313,6 @@ class QueryService:
     default_deadline:
         Per-request wall-clock allowance in seconds applied when a request
         carries none (``None`` = unbounded).
-    chunk_size:
-        How many solutions the socket layer bundles per streamed chunk
-        line (protocol requests may override per call).
-    max_patterns:
-        Bound on the query-text parse memo (oldest dropped first).
     faults:
         Test-only :class:`~repro.evaluation.faults.FaultPlan`; fired by
         request **position** (the submission sequence number) before the
@@ -335,8 +333,6 @@ class QueryService:
         max_inflight: int = 4,
         max_pending: int = 64,
         default_deadline: Optional[float] = None,
-        chunk_size: int = 256,
-        max_patterns: int = 256,
         faults: Optional[object] = None,
     ) -> None:
         if isinstance(graphs, RDFGraph):
@@ -347,8 +343,6 @@ class QueryService:
             raise ServiceError("max_inflight must be a positive integer")
         if max_pending < 0:
             raise ServiceError("max_pending must be >= 0")
-        if chunk_size < 1:
-            raise ServiceError("chunk_size must be a positive integer")
         self._graphs: Dict[str, RDFGraph] = dict(graphs)
         self._session = session if session is not None else Session()
         self._gate = ReadWriteGate()
@@ -356,8 +350,6 @@ class QueryService:
         self._max_inflight = max_inflight
         self._max_pending = max_pending
         self._default_deadline = default_deadline
-        self.chunk_size = chunk_size
-        self._max_patterns = max_patterns
         self._faults = faults
         self._queue: "queue.Queue[object]" = queue.Queue()
         self._lock = threading.Lock()
@@ -619,7 +611,7 @@ class QueryService:
             return pattern
         pattern = parse_pattern(request.query)
         with self._lock:
-            while len(self._patterns) >= self._max_patterns:
+            while len(self._patterns) >= _MAX_PATTERNS:
                 self._patterns.pop(next(iter(self._patterns)))
             self._patterns[request.query] = pattern
         return pattern
@@ -710,11 +702,11 @@ class QueryService:
         The evaluation already ran (pinned to one graph version under the
         read gate); chunking happens from memory, so a slow consumer never
         holds the gate.  This is what the socket layer streams as
-        ``chunk`` lines.
+        ``chunk`` lines; *chunk_size* defaults to 256 solutions per chunk.
         """
         if not response.ok or response.op != "solutions":
             raise ServiceError("solution_chunks() needs a successful solutions response")
-        size = chunk_size if chunk_size is not None else self.chunk_size
+        size = chunk_size if chunk_size is not None else _CHUNK_SIZE
         answers: List[Mapping] = sorted(response.result, key=repr)  # type: ignore[arg-type]
         for start in range(0, len(answers), size):
             yield answers[start : start + size]

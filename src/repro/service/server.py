@@ -64,7 +64,6 @@ class ServiceServer:
         self._served = 0  # guarded-by: _lock
         self._lock = threading.Lock()
         self._closing = False  # guarded-by: _lock
-        self._threads: list = []  # guarded-by: _lock
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -89,12 +88,7 @@ class ServiceServer:
             if closing:
                 connection.close()
                 break
-            thread = threading.Thread(
-                target=self._handle, args=(connection,), daemon=True
-            )
-            with self._lock:
-                self._threads.append(thread)
-            thread.start()
+            threading.Thread(target=self._handle, args=(connection,), daemon=True).start()
 
     def shutdown(self) -> None:
         """Stop accepting; live connection threads drain on their own."""

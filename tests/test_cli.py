@@ -212,6 +212,35 @@ class TestBatchCommand:
         assert "IN" in out and "y=http://example.org/ns#thing" in out
         assert "# 1 of 1 mapping(s) are solutions" in out
 
+    def test_timeout_prints_verdicts_decided_before_the_trip(self, tmp_path, capsys):
+        # The Turán graph T(30,5) has no 6-clique, so the probe's OPT child is
+        # an exhaustive search for every mapping whose root edge exists.
+        turan = RDFGraph(
+            [Triple.of(f"n{i}", "p", f"n{j}") for i in range(30) for j in range(30) if i % 5 != j % 5]
+        )
+        graph_path = tmp_path / "turan.nt"
+        save_graph(turan, graph_path)
+        names = [f"?c{i}" for i in range(6)]
+        clique = "(?x p ?c0)"
+        for a in names:
+            for b in names:
+                if a != b:
+                    clique = f"({clique} AND ({a} p {b}))"
+        # n0 and n5 lie in one part: no root edge, so that verdict is
+        # immediate; n0 and n1 need the whole clique search.
+        bindings = tmp_path / "clique-bindings.txt"
+        bindings.write_text("x=n0 y=n5\nx=n0 y=n1\n")
+        exit_code = main(
+            [
+                "batch", "--graph", str(graph_path), "--query", f"((?x p ?y) OPT {clique})",
+                "--bindings-file", str(bindings), "--method", "natural", "--timeout", "0.5",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 3
+        assert "NOT-IN x=n0 y=n5" in captured.out.splitlines()
+        assert "1 of 2 verdict(s) decided" in captured.err
+
     def test_batch_malformed_line_reports_location(self, graph_file, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("x=http://example.org/alice\nnonsense-line\n")
@@ -261,21 +290,9 @@ class TestExplainCommand:
         assert exit_code == 0
         assert "chosen strategy  : naive" in out
 
-    def test_cost_requires_graph(self, capsys):
-        exit_code = main(["explain", "--query", QUERY, "--cost"])
-        err = capsys.readouterr().err
-        assert exit_code == 2
-        assert "--graph" in err
-
-    def test_graph_requires_cost(self, graph_file, capsys):
-        exit_code = main(["explain", "--query", QUERY, "--graph", graph_file])
-        err = capsys.readouterr().err
-        assert exit_code == 2
-        assert "--cost" in err
-
     def test_cost_snapshot(self, graph_file, capsys):
-        """Snapshot of `explain --cost`: the full cost-annotated plan."""
-        exit_code = main(["explain", "--query", QUERY, "--graph", graph_file, "--cost"])
+        """Snapshot of `explain --graph`: the full cost-annotated plan."""
+        exit_code = main(["explain", "--query", QUERY, "--graph", graph_file])
         out = capsys.readouterr().out
         assert exit_code == 0
         assert out == (
@@ -294,7 +311,7 @@ class TestExplainCommand:
 
     def test_cost_with_width_bound_admits_pebble(self, graph_file, capsys):
         exit_code = main(
-            ["explain", "--query", QUERY, "--graph", graph_file, "--cost", "--width-bound", "1"]
+            ["explain", "--query", QUERY, "--graph", graph_file, "--width-bound", "1"]
         )
         out = capsys.readouterr().out
         assert exit_code == 0
@@ -313,21 +330,13 @@ class TestBatchStream:
         )
         return str(path)
 
-    def test_stream_output_matches_batched(self, graph_file, bindings_file, capsys):
-        argv = ["batch", "--graph", graph_file, "--query", QUERY, "--bindings-file", bindings_file]
-        assert main(argv) == 0
-        batched = capsys.readouterr().out
-        assert main(argv + ["--stream"]) == 0
-        streamed = capsys.readouterr().out
-        assert streamed == batched
-
     def test_stream_with_processes_matches_batched(self, graph_file, bindings_file, capsys):
-        """--stream now combines with --processes: verdicts stream back from
-        the worker pool in input order, identical to the batched output."""
+        """With --processes, verdicts stream back from the worker pool in
+        input order, identical to the serial output."""
         argv = ["batch", "--graph", graph_file, "--query", QUERY, "--bindings-file", bindings_file]
         assert main(argv) == 0
         batched = capsys.readouterr().out
-        assert main(argv + ["--stream", "--processes", "2"]) == 0
+        assert main(argv + ["--processes", "2"]) == 0
         streamed = capsys.readouterr().out
         assert streamed == batched
 
@@ -335,7 +344,7 @@ class TestBatchStream:
         exit_code = main(
             [
                 "batch", "--graph", graph_file, "--query", QUERY,
-                "--bindings-file", bindings_file, "--stream", "--processes", "0",
+                "--bindings-file", bindings_file, "--processes", "0",
             ]
         )
         assert exit_code == 2

@@ -9,7 +9,7 @@ import pytest
 
 from repro.exceptions import EvaluationError
 from repro.hom import GeneralizedTGraph, ctw, maps_into
-from repro.pebble import PebbleGameStatistics, pebble_game_winner, pebble_maps_into
+from repro.pebble import pebble_game_winner, pebble_maps_into
 from repro.rdf import RDFGraph, Triple
 from repro.rdf.generators import clique_graph, path_graph
 from repro.rdf.namespace import EX
@@ -115,13 +115,6 @@ class TestEdgeCases:
         source = GeneralizedTGraph.of([("?a", EDGE, "?a")], [])
         assert not pebble_game_winner(source, path_graph(3), Mapping.EMPTY, 2)
 
-    def test_statistics_populated(self):
-        source = GeneralizedTGraph.of(edges(("a", "b"), ("b", "c")), [])
-        stats = PebbleGameStatistics()
-        pebble_game_winner(source, clique_graph(3), Mapping.EMPTY, 2, statistics=stats)
-        assert stats.candidate_partial_homs > 0
-        assert "PebbleGameStatistics" in repr(stats)
-
     def test_generic_and_fast_path_agree(self):
         """The k=2 arc-consistency fast path and the generic fixpoint must agree."""
         from repro.pebble.game import _winner_generic, _winner_two_pebbles
@@ -137,8 +130,8 @@ class TestEdgeCases:
                 fixed = {Variable("d"): value}
                 triples = list(source.triples())
                 existential = sorted(source.existential_variables(), key=lambda v: v.name)
-                fast = _winner_two_pebbles(triples, fixed, existential, domain_values, graph, None)
-                generic = _winner_generic(triples, fixed, existential, domain_values, graph, 2, None)
+                fast = _winner_two_pebbles(triples, fixed, existential, domain_values, graph)
+                generic = _winner_generic(triples, fixed, existential, domain_values, graph, 2)
                 assert fast == generic
 
     def test_alias(self):

@@ -4,6 +4,7 @@ cost model, plan memoization)."""
 import pytest
 
 from repro.evaluation import CostModel, Engine, PatternStats, Planner, method_names, strategy_for
+from repro.evaluation import plan as plan_module
 from repro.exceptions import EvaluationError
 from repro.patterns.build import wdpf
 from repro.rdf.generators import random_graph
@@ -209,7 +210,7 @@ class TestCostModel:
         estimate = CostModel().estimate(stats, 50, 15, None, task="enumeration")
         assert estimate.cheapest() == "natural"
 
-    def test_ties_break_toward_preference_order(self):
+    def test_ties_break_toward_preference_order(self, monkeypatch):
         class FlatModel(CostModel):
             def estimate(self, pattern, graph_triples, graph_domain, width, task="membership"):
                 estimate = super().estimate(pattern, graph_triples, graph_domain, width, task)
@@ -223,13 +224,14 @@ class TestCostModel:
                     opt_children=estimate.opt_children,
                 )
 
+        monkeypatch.setattr(plan_module, "_COST_MODEL", FlatModel())
         stats = lambda: self._stats()  # noqa: E731
         graph = random_graph(6, 20, seed=1)
         # Membership with a free bound: PR 3 chose pebble; so does a tie.
-        tied = Planner(width_bound=1, pattern_stats=stats, cost_model=FlatModel())
+        tied = Planner(width_bound=1, pattern_stats=stats)
         assert tied.plan("auto", graph=graph).strategy == "pebble"
         # Membership without any bound: PR 3 chose natural; so does a tie.
-        unbound = Planner(pattern_stats=stats, cost_model=FlatModel())
+        unbound = Planner(pattern_stats=stats)
         assert unbound.plan("auto", graph=graph).strategy == "natural"
         # Enumeration: PR 3 always chose natural; so does a tie.
         assert tied.plan_enumeration("auto", graph=graph).strategy == "natural"

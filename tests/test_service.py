@@ -12,12 +12,14 @@ update is built to bump the version deterministically, so the concurrent
 run is checkable bit-for-bit no matter how the threads interleave.
 """
 
+import gc
 import json
 import multiprocessing
 import random
 import socket
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -36,6 +38,7 @@ from repro.service import (
     Response,
     ServiceClient,
     ServiceServer,
+    ServiceStats,
 )
 from repro.service.protocol import MAX_LINE_BYTES, mapping_to_wire
 from repro.sparql import Mapping, parse_pattern
@@ -430,6 +433,16 @@ class TestStatsEndpoint:
             assert isinstance(snapshot["resilience"], str)
             assert snapshot["engines"] == service.session.engine_count
 
+    def test_latency_percentiles_are_nearest_rank(self):
+        stats = ServiceStats()
+        for ms in range(1, 101):
+            stats.note_completed(Response(op="check", ok=True, elapsed=ms / 1000.0))
+        check = stats.latency_summary()["check"]
+        assert check["count"] == 100
+        assert (check["p50_ms"], check["p95_ms"], check["p99_ms"]) == pytest.approx(
+            (50.0, 95.0, 99.0)
+        )
+
 
 # --- fault injection through the service --------------------------------------
 
@@ -585,6 +598,28 @@ class TestSocketProtocol:
             assert "strategy" in client.explain(OPT_QUERY)
             snapshot = client.stats()
             assert snapshot["completed"] >= 5 and snapshot["graphs"]
+
+    def test_closed_connections_leave_no_thread_behind(self, served, monkeypatch):
+        (host, port), _service = served
+        handlers = []
+        handle = ServiceServer._handle
+
+        def recording_handle(server, connection):
+            handlers.append(weakref.ref(threading.current_thread()))
+            handle(server, connection)
+
+        monkeypatch.setattr(ServiceServer, "_handle", recording_handle)
+        for _ in range(5):
+            with ServiceClient(host, port) as client:
+                client.stats()
+
+        def finished(ref):
+            thread = ref()
+            return thread is None or not thread.is_alive()
+
+        assert wait_until(lambda: len(handlers) == 5 and all(map(finished, handlers)))
+        gc.collect()
+        assert all(ref() is None for ref in handlers)
 
     def test_wire_errors_reraise_their_library_types(self, served):
         (host, port), service = served
