@@ -19,10 +19,7 @@ The moving parts:
 * Suppressions — ``# repro: ignore[RULE-ID]`` on the finding's exact line
   silences that rule there; a comment naming an unknown rule id is itself
   a finding (``RP-SUPPRESS``), so typos cannot silently disable a check.
-* Baseline — a checked-in JSON file of grandfathered findings, each with a
-  mandatory rationale.  Baselined findings do not fail the run; a baseline
-  entry that no longer fires is reported as *stale* so the file shrinks
-  monotonically (see :mod:`repro.analysis.runner`).
+  This comment is the only way to silence a finding.
 """
 
 from __future__ import annotations
@@ -61,19 +58,13 @@ class Finding:
     """One rule violation, anchored to a file and line.
 
     ``path`` is repo-relative with forward slashes (the format GitHub
-    annotations want); ``line`` is 1-based.  The baseline matches on
-    :meth:`key`, which deliberately excludes the line number so that
-    unrelated edits moving a grandfathered finding do not churn the
-    baseline file.
+    annotations want); ``line`` is 1-based.
     """
 
     path: str
     line: int
     rule: str
     message: str
-
-    def key(self) -> Tuple[str, str, str]:
-        return (self.rule, self.path, self.message)
 
     def format_text(self) -> str:
         return f"{self.path}:{self.line}: {self.rule}: {self.message}"
@@ -232,10 +223,6 @@ class RunResult:
 
     findings: List[Finding]
     suppressed: List[Finding]
-
-    @property
-    def clean(self) -> bool:
-        return not self.findings
 
 
 def run_rules(

@@ -10,13 +10,10 @@ RP-YIELD (:mod:`repro.analysis.rules.guards` and friends):
   discipline, which is exactly the granularity a lock-order or guarded-by
   contract wants.
 * **Guarded-attribute mapping** — which mutable attributes a lock protects,
-  declared either centrally (the ``GUARDED_BY`` registry in
-  ``rules/guards.py``) or at the definition site with a
-  ``# guarded-by: <lock_attr>`` comment on the attribute's assignment line
-  (same comment-anchored style as RP-FORKSTATE's ``# fork-safe:``).  Stale
-  or contradictory declarations are surfaced as errors, mirroring
-  RP-TICK's stale-registry discipline: a typo must not silently disable a
-  check.
+  declared at the definition site with a ``# guarded-by: <lock_attr>``
+  comment on the attribute's assignment line (same comment-anchored style
+  as RP-FORKSTATE's ``# fork-safe:``).  Stale or contradictory declarations
+  are surfaced as errors: a typo must not silently disable a check.
 * **Held-lock tracking** — :func:`iter_with_held` walks a function body
   yielding ``(node, frozenset of held lock attrs)``, entering
   ``with self.<lock>:`` blocks and *not* descending into nested
@@ -38,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .callgraph import CallGraph
-from .framework import Project
+from .framework import SourceFile
 
 __all__ = [
     "LOCK_KINDS",
@@ -94,17 +91,11 @@ class GuardMap:
     #: (path, line, message) — converted to findings by the consuming rule.
     errors: List[Tuple[str, int, str]] = field(default_factory=list)
 
-    def by_class(self) -> Dict[str, Dict[str, LockDef]]:
-        result: Dict[str, Dict[str, LockDef]] = {}
-        for (cls, attr), lock in self.guarded.items():
-            result.setdefault(cls, {})[attr] = lock
-        return result
-
 
 def _self_attr_assignments(
     graph: CallGraph,
-) -> Iterator[Tuple[str, str, ast.AST, ast.AST]]:
-    """(class name, attr, assignment node, value) for every
+) -> Iterator[Tuple[str, SourceFile, str, ast.AST, ast.AST]]:
+    """(class name, file, attr, assignment node, value) for every
     ``self.<attr> = ...`` in a method body across the project."""
     for info in graph.functions.values():
         if info.class_name is None:
@@ -123,7 +114,7 @@ def _self_attr_assignments(
                     and isinstance(target.value, ast.Name)
                     and target.value.id == "self"
                 ):
-                    yield info.class_name, target.attr, node, value or node
+                    yield info.class_name, info.file, target.attr, node, value or node
 
 
 def discover_locks(graph: CallGraph) -> Dict[Tuple[str, str], LockDef]:
@@ -133,7 +124,7 @@ def discover_locks(graph: CallGraph) -> Dict[Tuple[str, str], LockDef]:
     if cached is not None:
         return cached
     locks: Dict[Tuple[str, str], LockDef] = {}
-    for cls, attr, node, value in _self_attr_assignments(graph):
+    for cls, _file, attr, node, value in _self_attr_assignments(graph):
         kind = CallGraph._constructor_name(value)
         if kind in LOCK_KINDS:
             info = graph.classes.get(cls)
@@ -153,137 +144,39 @@ def locks_by_class(locks: Dict[Tuple[str, str], LockDef]) -> Dict[str, Dict[str,
     return result
 
 
-def _class_attribute_names(graph: CallGraph, cls: str) -> Set[str]:
-    """Every ``self.<attr>`` mentioned anywhere in *cls*'s methods."""
-    names: Set[str] = set()
-    for info in graph.functions.values():
-        if info.class_name != cls:
-            continue
-        for node in ast.walk(info.node):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-            ):
-                names.add(node.attr)
-    return names
+def build_guard_map(graph: CallGraph) -> GuardMap:
+    """Read every ``# guarded-by: <lock>`` comment on a ``self.<attr> = ...``
+    line of a method into a :class:`GuardMap`.
 
-
-def build_guard_map(
-    project: Project,
-    graph: CallGraph,
-    registry: Sequence[Tuple[str, str, str, str]],
-) -> GuardMap:
-    """Combine the central registry with ``# guarded-by:`` comments.
-
-    *registry* rows are ``(module suffix, class, attribute, lock attr)``.
-    A row whose module is absent from the project is skipped (fixture
-    projects carry only the module under test); a row whose module is
-    present but whose class / lock no longer resolves is an error.
-    Contradictory declarations (registry vs. comment) are errors too.
+    A comment naming something that is not a lock of the class, a lock
+    guarded by another lock, and one attribute guarded by two locks are
+    errors rather than silently ignored declarations.
     """
     result = GuardMap()
     locks = discover_locks(graph)
     per_class = locks_by_class(locks)
-
-    def declare(cls: str, attr: str, lock: LockDef, path: str, line: int) -> None:
-        existing = result.guarded.get((cls, attr))
-        if existing is not None and existing != lock:
-            result.errors.append(
-                (
-                    path,
-                    line,
-                    f"{cls}.{attr} declared guarded by both "
-                    f"{existing.name} and {lock.name}; pick one",
-                )
-            )
-            return
-        result.guarded[(cls, attr)] = lock
-
-    # definition-site comments
-    for info in graph.functions.values():
-        cls = info.class_name
-        if cls is None:
+    for cls, file, attr, node, _value in _self_attr_assignments(graph):
+        match = _GUARDED_BY.search(file.line_text(node.lineno))
+        if match is None:
             continue
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Assign):
-                targets: Sequence[ast.AST] = node.targets
-            elif isinstance(node, ast.AnnAssign):
-                targets = [node.target]
-            else:
-                continue
-            text = info.file.line_text(node.lineno)
-            match = _GUARDED_BY.search(text)
-            if match is None:
-                continue
-            lock_attr = match.group(1)
-            for target in targets:
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    continue
-                lock = per_class.get(cls, {}).get(lock_attr)
-                if lock is None:
-                    result.errors.append(
-                        (
-                            info.file.relpath,
-                            node.lineno,
-                            f"guarded-by comment names {cls}.{lock_attr}, which is "
-                            "not a lock attribute of the class",
-                        )
-                    )
-                elif (cls, target.attr) in locks:
-                    result.errors.append(
-                        (
-                            info.file.relpath,
-                            node.lineno,
-                            f"{cls}.{target.attr} is itself a lock and cannot be "
-                            "guarded-by another lock",
-                        )
-                    )
-                else:
-                    declare(cls, target.attr, lock, info.file.relpath, node.lineno)
-
-    # central registry
-    for suffix, cls, attr, lock_attr in registry:
-        module = project.module(suffix)
-        if module is None:
-            continue  # fixture projects carry only the module under test
-        class_info = graph.classes.get(cls)
-        if class_info is None or class_info.path != module.relpath:
-            result.errors.append(
-                (
-                    module.relpath,
-                    1,
-                    f"GUARDED_BY registry names class {cls!r}, not found in "
-                    f"{suffix}; update repro/analysis/rules/guards.py",
-                )
-            )
-            continue
+        lock_attr = match.group(1)
         lock = per_class.get(cls, {}).get(lock_attr)
         if lock is None:
-            result.errors.append(
-                (
-                    module.relpath,
-                    1,
-                    f"GUARDED_BY registry says {cls}.{attr} is guarded by "
-                    f"{cls}.{lock_attr}, but no such lock is constructed",
-                )
+            message = (
+                f"guarded-by comment names {cls}.{lock_attr}, which is "
+                "not a lock attribute of the class"
             )
-            continue
-        if attr not in _class_attribute_names(graph, cls):
-            result.errors.append(
-                (
-                    module.relpath,
-                    1,
-                    f"GUARDED_BY registry names attribute {cls}.{attr}, which no "
-                    "longer exists; update repro/analysis/rules/guards.py",
-                )
+        elif (cls, attr) in locks:
+            message = f"{cls}.{attr} is itself a lock and cannot be guarded-by another lock"
+        else:
+            existing = result.guarded.setdefault((cls, attr), lock)
+            if existing == lock:
+                continue
+            message = (
+                f"{cls}.{attr} declared guarded by both "
+                f"{existing.name} and {lock.name}; pick one"
             )
-            continue
-        declare(cls, attr, lock, module.relpath, 1)
+        result.errors.append((file.relpath, node.lineno, message))
     return result
 
 

@@ -6,9 +6,8 @@ the service's backlog state, the stats samples, the session's resilience
 counters) are each guarded by a specific lock — a contract that previously
 lived in docstrings.  This rule makes it checkable:
 
-* the :data:`GUARDED_BY` registry below (plus ``# guarded-by: <lock>``
-  comments on attribute assignment lines, for classes whose guarded surface
-  is wide — see ``ServiceStats``) maps each mutable attribute to its lock;
+* a ``# guarded-by: <lock>`` comment on an attribute's assignment line
+  maps that mutable attribute to its lock;
 * any ``self.<attr>`` read or write of a guarded attribute that is not
   lexically inside the matching ``with self.<lock>:`` is a finding —
   *unless* the enclosing function is a private helper (or a nested def)
@@ -45,27 +44,7 @@ from ..locks import (
     locks_by_class,
 )
 
-__all__ = ["GuardedByRule", "GUARDED_BY"]
-
-#: (module suffix, class, attribute, guarding lock attribute).
-#: The central declarations for the four concurrency-bearing modules;
-#: classes with many guarded attributes (ServiceStats, ServiceServer)
-#: declare them at the definition site with ``# guarded-by:`` comments
-#: instead.  Extend this table when a new shared mutable attribute lands.
-GUARDED_BY: Tuple[Tuple[str, str, str, str], ...] = (
-    ("evaluation/cache.py", "EvaluationCache", "_graphs", "_lock"),
-    ("evaluation/cache.py", "EvaluationCache", "_statistics", "_lock"),
-    ("evaluation/session.py", "Session", "_engines", "_memo_lock"),
-    ("evaluation/session.py", "Session", "_statistics", "_memo_lock"),
-    ("service/core.py", "QueryService", "_backlog", "_lock"),
-    ("service/core.py", "QueryService", "_inflight", "_lock"),
-    ("service/core.py", "QueryService", "_sequence", "_lock"),
-    ("service/core.py", "QueryService", "_closed", "_lock"),
-    ("service/core.py", "QueryService", "_patterns", "_lock"),
-    ("service/gate.py", "ReadWriteGate", "_readers", "_cond"),
-    ("service/gate.py", "ReadWriteGate", "_writer_active", "_cond"),
-    ("service/gate.py", "ReadWriteGate", "_writers_waiting", "_cond"),
-)
+__all__ = ["GuardedByRule"]
 
 #: Functions whose bare name exempts their body: construction and teardown
 #: happen-before/after any sharing, so their assignments need no lock.
@@ -78,10 +57,10 @@ class GuardedByRule(Rule):
 
     def run(self, project: Project) -> Iterator[Finding]:
         graph = project_callgraph(project)
-        guard_map = build_guard_map(project, graph, GUARDED_BY)
+        guard_map = build_guard_map(graph)
         for path, line, message in guard_map.errors:
             yield Finding(path=path, line=line, rule=self.id, message=message)
-        guarded_by_class = guard_map.by_class()
+        guarded_by_class = locks_by_class(guard_map.guarded)
         if not guarded_by_class:
             return
         lock_attrs_by_class = {

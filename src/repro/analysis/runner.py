@@ -1,25 +1,15 @@
-"""CLI driver: scan a tree, apply the baseline, report, set the exit code.
+"""CLI driver: scan ``<root>/src/repro``, report, set the exit code.
 
-Exit codes: 0 — clean (suppressed/baselined findings allowed); 1 — new
-findings, stale baseline entries, or baseline entries without a rationale;
-2 — usage errors (bad baseline JSON, missing scan directory).
-
-The baseline file (default ``analysis-baseline.json`` at the repo root) is
-the grandfathering mechanism: entries match findings on (rule, path,
-message) — line numbers deliberately excluded so unrelated edits do not
-churn the file — and every entry must carry a ``rationale``.  An entry
-whose finding no longer fires is reported as *stale* and fails the run, so
-the baseline can only shrink.
+Exit codes: 0 — clean (suppressed findings allowed); 1 — findings;
+2 — usage errors (no ``src/repro`` under the root).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .framework import (
     PARSE_RULE_ID,
@@ -30,9 +20,7 @@ from .framework import (
 )
 from .rules import default_rules
 
-__all__ = ["main", "build_parser", "rule_registry", "load_baseline", "DEFAULT_BASELINE"]
-
-DEFAULT_BASELINE = "analysis-baseline.json"
+__all__ = ["main", "build_parser", "rule_registry"]
 
 #: Rule ids owned by the framework itself (no Rule instance behind them).
 FRAMEWORK_RULE_IDS: Dict[str, str] = {
@@ -56,50 +44,17 @@ def find_repo_root(start: Path) -> Optional[Path]:
     return None
 
 
-def load_baseline(path: Path) -> Tuple[List[Dict[str, str]], List[str]]:
-    """Parse the baseline file → (entries, structural errors)."""
-    errors: List[str] = []
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as error:
-        return [], [f"{path}: invalid JSON: {error}"]
-    entries = data.get("entries") if isinstance(data, dict) else None
-    if not isinstance(entries, list):
-        return [], [f"{path}: expected an object with an 'entries' list"]
-    valid: List[Dict[str, str]] = []
-    for index, entry in enumerate(entries):
-        if not isinstance(entry, dict) or not {"rule", "path", "message"} <= set(entry):
-            errors.append(f"{path}: entry {index} needs rule/path/message keys")
-            continue
-        if not str(entry.get("rationale", "")).strip():
-            errors.append(
-                f"{path}: entry {index} ({entry['rule']} at {entry['path']}) "
-                "has no rationale; every grandfathered finding must explain itself"
-            )
-            continue
-        valid.append(entry)
-    return valid, errors
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="AST invariant linter for the repro codebase "
-        "(concurrency, caching, and versioning contracts).",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="directories to scan (default: the repo's src/repro)",
+        "(concurrency, caching, and versioning contracts).  Scans "
+        "<root>/src/repro in full.",
     )
     parser.add_argument(
         "--root",
-        help="repo root for relative paths and the default baseline "
-        "(default: auto-detected from the working directory)",
-    )
-    parser.add_argument(
-        "--baseline",
-        help=f"baseline JSON file (default: <root>/{DEFAULT_BASELINE} when present)",
+        help="repo root: the directory holding src/repro, and the base of "
+        "reported paths (default: auto-detected from the working directory)",
     )
     parser.add_argument(
         "--format",
@@ -113,52 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="print every rule id and its invariant, then exit",
     )
     parser.add_argument(
-        "--rules",
-        help="comma-separated rule ids to run (e.g. RP-GUARD,RP-HOLD); "
-        "RP-PARSE/RP-SUPPRESS always apply.  Partial runs skip the "
-        "stale-baseline check — CI's full run still enforces it",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="report findings only for files changed per `git diff "
-        "--name-only HEAD` (plus untracked files).  Rules still scan the "
-        "whole project — the interprocedural rules need full context — "
-        "but the output and exit code consider changed files only; the "
-        "stale-baseline check is skipped (see --rules)",
-    )
-    parser.add_argument(
         "--timings",
         action="store_true",
         help="print per-rule wall time to stderr (the CI lint job sets "
         "this so a pathologically slow rule is visible in the logs)",
     )
     return parser
-
-
-def _changed_files(root: Path) -> Optional[List[str]]:
-    """Repo-relative paths touched per git (tracked diffs + untracked), or
-    ``None`` when git is unavailable / not a work tree."""
-    changed: List[str] = []
-    for command in (
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            completed = subprocess.run(
-                command,
-                cwd=root,
-                capture_output=True,
-                text=True,
-                check=True,
-                timeout=30,
-            )
-        except (OSError, subprocess.SubprocessError):
-            return None
-        changed.extend(
-            line.strip() for line in completed.stdout.splitlines() if line.strip()
-        )
-    return changed
 
 
 def _emit(findings: List[Finding], fmt: str, stream) -> None:
@@ -180,90 +95,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: could not locate a repo root (no src/repro found); "
               "pass --root", file=sys.stderr)
         return 2
-
-    targets = [Path(p) for p in args.paths] if args.paths else [root / "src" / "repro"]
-    files = []
-    for target in targets:
-        directory = target if target.is_absolute() else root / target
-        if not directory.is_dir():
-            print(f"error: not a directory: {directory}", file=sys.stderr)
-            return 2
-        files.extend(Project.from_directory(directory, root=root).files)
-    project = Project(files)
-
-    rules = default_rules()
-    if args.rules:
-        wanted = {part.strip() for part in args.rules.split(",") if part.strip()}
-        known = {rule.id for rule in rules} | set(FRAMEWORK_RULE_IDS)
-        unknown = sorted(wanted - known)
-        if unknown:
-            print(
-                f"error: unknown rule id(s): {', '.join(unknown)} "
-                "(see --list-rules)",
-                file=sys.stderr,
-            )
-            return 2
-        rules = [rule for rule in rules if rule.id in wanted]
+    directory = root / "src" / "repro"
+    if not directory.is_dir():
+        print(f"error: not a directory: {directory}", file=sys.stderr)
+        return 2
+    project = Project.from_directory(directory, root=root)
 
     timings: Optional[Dict[str, float]] = {} if args.timings else None
-    result = run_rules(project, rules, timings=timings)
+    result = run_rules(project, default_rules(), timings=timings)
 
-    changed: Optional[List[str]] = None
-    if args.changed:
-        changed = _changed_files(root)
-        if changed is None:
-            print(
-                "error: --changed needs git and a work tree (git diff failed)",
-                file=sys.stderr,
-            )
-            return 2
-
-    baseline_path = Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE
-    entries: List[Dict[str, str]] = []
-    baseline_errors: List[str] = []
-    if args.baseline or baseline_path.exists():
-        if not baseline_path.exists():
-            print(f"error: baseline file not found: {baseline_path}", file=sys.stderr)
-            return 2
-        entries, baseline_errors = load_baseline(baseline_path)
-
-    baseline_keys = {(e["rule"], e["path"], e["message"]) for e in entries}
-    new_findings = [f for f in result.findings if f.key() not in baseline_keys]
-    matched_keys = {f.key() for f in result.findings if f.key() in baseline_keys}
-    # A partial run (rule subset / changed-files filter) cannot tell a stale
-    # entry from one its filters excluded; only full runs enforce shrinkage.
-    partial = bool(args.rules or args.changed)
-    stale = [] if partial else sorted(baseline_keys - matched_keys)
-    if changed is not None:
-        changed_set = set(changed)
-        new_findings = [f for f in new_findings if f.path in changed_set]
-
-    _emit(new_findings, args.format, sys.stdout)
-    for error in baseline_errors:
-        print(f"baseline error: {error}", file=sys.stderr)
-    for rule_id, path, message in stale:
-        print(
-            f"stale baseline entry: {rule_id} at {path} no longer fires; "
-            f"remove it from {baseline_path.name} ({message})",
-            file=sys.stderr,
-        )
-
+    _emit(result.findings, args.format, sys.stdout)
     if timings is not None:
         for rule_id, seconds in sorted(
             timings.items(), key=lambda item: item[1], reverse=True
         ):
             print(f"timing: {rule_id}: {seconds * 1000.0:.1f} ms", file=sys.stderr)
-
-    scanned = len(project.files)
-    summary = (
-        f"{scanned} files scanned: {len(new_findings)} finding(s), "
-        f"{len(matched_keys)} baselined, {len(result.suppressed)} suppressed, "
-        f"{len(stale)} stale baseline entr{'y' if len(stale) == 1 else 'ies'}"
+    print(
+        f"{len(project.files)} files scanned: {len(result.findings)} finding(s), "
+        f"{len(result.suppressed)} suppressed",
+        file=sys.stderr,
     )
-    if changed is not None:
-        summary += f" (changed-files filter: {len(set(changed))} path(s))"
-    print(summary, file=sys.stderr)
-
-    if new_findings or stale or baseline_errors:
-        return 1
-    return 0
+    return 1 if result.findings else 0

@@ -254,7 +254,7 @@ def _command_evaluate(args: argparse.Namespace) -> int:
 
 def _command_check(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
-    engine = Engine(parse_pattern(args.query), width_bound=args.width)
+    engine = Engine(parse_pattern(args.query))
     mu = _parse_bindings(args.binding)
     answer = engine.contains(graph, mu, method=args.method, width=args.width)
     print("IN" if answer else "NOT-IN")
@@ -296,7 +296,7 @@ def _command_batch(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
     mappings = _load_bindings_file(args.bindings_file)
     session = Session(processes=args.processes)
-    pattern = session.engine(parse_pattern(args.query), width_bound=args.width)
+    pattern = session.engine(parse_pattern(args.query))
     timed_out = False
     answers = []
     verdicts = session.check_iter(

@@ -70,7 +70,7 @@ class Budget:
         steps: Optional[int] = None,
         check_interval: int = DEFAULT_CHECK_INTERVAL,
     ) -> None:
-        if deadline is not None and deadline < 0:
+        if deadline is not None and not deadline >= 0:  # NaN never expires
             raise EvaluationError(f"budget deadline must be >= 0, got {deadline!r}")
         if steps is not None and steps < 0:
             raise EvaluationError(f"budget step limit must be >= 0, got {steps!r}")

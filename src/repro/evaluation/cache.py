@@ -228,8 +228,8 @@ class EvaluationCache:
         if max_entries_per_graph is not None and max_entries_per_graph < 1:
             raise ValueError("max_entries_per_graph must be positive")
         self._max_entries = max_entries_per_graph
-        self._graphs: Dict[int, _GraphStore] = {}
-        self._statistics = CacheStatistics()
+        self._graphs: Dict[int, _GraphStore] = {}  # guarded-by: _lock
+        self._statistics = CacheStatistics()  # guarded-by: _lock
         # Guards every structural operation (lookups reorder the LRU list,
         # inserts evict) so the cache is safe under the service's thread
         # pool; re-entrant because primitives call each other (for instance

@@ -290,13 +290,13 @@ class Session:
         self._max_engines = max_engines
         self._faults = faults
         # Session-lifetime resilience counters.
-        self._statistics = EvaluationStatistics()
+        self._statistics = EvaluationStatistics()  # guarded-by: _memo_lock
         # Engine memo: (source pattern, width bound) -> engine,
         # insertion-ordered by recency (hits re-insert).  GraphPattern keys
         # compare structurally; Engine and WDPatternForest keys hash by
         # identity, and the key itself keeps its source alive while the
         # entry lives.
-        self._engines: Dict[Tuple[PatternLike, Optional[int]], Engine] = {}
+        self._engines: Dict[Tuple[PatternLike, Optional[int]], Engine] = {}  # guarded-by: _memo_lock
         # Guards the engine memo (the LRU hit pops and re-inserts) and the
         # session-lifetime resilience counters: the query service drives one
         # session from many threads, and the shared EvaluationCache already

@@ -107,8 +107,6 @@ def time_batched_membership(
     queries: Sequence,
     method: str = "natural",
     width: Optional[int] = None,
-    width_bound: Optional[int] = None,
-    processes: Optional[int] = None,
     repeat: int = 1,
 ) -> tuple[float, List[bool]]:
     """Time a whole membership workload through a cached evaluation session.
@@ -124,9 +122,8 @@ def time_batched_membership(
     from ..evaluation import Session
 
     def run() -> List[bool]:
-        session = Session(processes=processes)
-        engine = session.engine(forest, width_bound=width_bound)
-        return session.check_many(engine, graph, queries, method=method, width=width)
+        session = Session()
+        return session.check_many(forest, graph, queries, method=method, width=width)
 
     return time_callable(run, repeat)
 

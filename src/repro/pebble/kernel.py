@@ -484,7 +484,12 @@ class ConsistencyKernel:
         fixed: Dict[Variable, GroundTerm],
         budget=None,
     ) -> bool:
-        k = self._k
+        # No partial homomorphism assigns more than |existential| variables,
+        # so every level past that is empty; capping k keeps an absurd width
+        # from allocating and walking millions of empty levels unticked.  A
+        # full-size assignment has no missing variable for the forth check,
+        # so the verdict is the uncapped one.
+        k = min(self._k, len(self._existential))
         # The precomputed level-0 family: per-variable domains already pruned
         # by every unary constraint, so the level-wise generation only has to
         # re-check the triples linking the new variable to the rest.

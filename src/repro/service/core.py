@@ -353,11 +353,11 @@ class QueryService:
         self._faults = faults
         self._queue: "queue.Queue[object]" = queue.Queue()
         self._lock = threading.Lock()
-        self._backlog = 0
-        self._inflight = 0
-        self._sequence = 0
-        self._closed = False
-        self._patterns: Dict[str, GraphPattern] = {}
+        self._backlog = 0  # guarded-by: _lock
+        self._inflight = 0  # guarded-by: _lock
+        self._sequence = 0  # guarded-by: _lock
+        self._closed = False  # guarded-by: _lock
+        self._patterns: Dict[str, GraphPattern] = {}  # guarded-by: _lock
         self._threads = [
             threading.Thread(
                 target=self._serve_loop, name=f"repro-service-{i}", daemon=True

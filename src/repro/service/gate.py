@@ -38,9 +38,9 @@ class ReadWriteGate:
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
-        self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
+        self._readers = 0  # guarded-by: _cond
+        self._writer_active = False  # guarded-by: _cond
+        self._writers_waiting = 0  # guarded-by: _cond
 
     # --- introspection -----------------------------------------------------
     @property

@@ -45,6 +45,7 @@ pure data plumbing — no sockets; :mod:`repro.service.server` and
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import ParseError, ProtocolError
@@ -203,8 +204,10 @@ def request_from_wire(message: dict) -> Tuple[Request, object, Optional[int]]:
     if chunk_size is not None and chunk_size < 1:
         raise ProtocolError("field 'chunk_size' must be a positive integer")
     deadline = _field(message, "deadline", float, None)
-    if deadline is not None and deadline <= 0:
-        raise ProtocolError("field 'deadline' must be a positive number of seconds")
+    # `json` reads NaN and Infinity; neither bounds the request, and a
+    # request's deadline replaces the server's default.
+    if deadline is not None and not 0 < deadline < math.inf:
+        raise ProtocolError("field 'deadline' must be a finite positive number of seconds")
     width = _field(message, "width", int, None)
     if width is not None and width < 1:
         raise ProtocolError("field 'width' must be a positive integer")

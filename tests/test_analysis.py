@@ -1,13 +1,11 @@
 """The invariant linter: every rule fires on a known violation and stays
-silent on the fixed form; the suppression/baseline machinery behaves.
+silent on the fixed form; suppressions and the runner behave.
 
 Fixture projects are built in memory with :meth:`Project.from_sources`
 using relpaths that match the real tree's layout, because several rules
 scope themselves by path (``evaluation/cache.py``, ``session.py``, …).
 """
 
-import json
-import subprocess
 import textwrap
 
 import pytest
@@ -889,7 +887,7 @@ def test_syntax_error_becomes_parse_finding():
     assert [f.rule for f in result.findings] == ["RP-PARSE"]
 
 
-# --- baseline machinery (through the CLI driver) ------------------------------
+# --- the CLI driver -----------------------------------------------------------
 
 @pytest.fixture
 def fake_repo(tmp_path):
@@ -900,45 +898,10 @@ def fake_repo(tmp_path):
     return tmp_path
 
 
-def baseline_entry():
-    return {
-        "rule": "RP-MONO",
-        "path": "src/repro/clock.py",
-        "message": "time.time() is wall clock; deadline/budget code "
-        "must use time.monotonic()",
-        "rationale": "historic wall-clock stamp kept for log compatibility",
-    }
-
-
-def write_baseline(root, entries):
-    (root / "analysis-baseline.json").write_text(json.dumps({"entries": entries}))
-
-
 def test_runner_reports_findings_and_exit_code(fake_repo, capsys):
     assert lint_main(["--root", str(fake_repo)]) == 1
     out = capsys.readouterr().out
     assert "RP-MONO" in out and "src/repro/clock.py:5" in out
-
-
-def test_runner_baselined_finding_passes(fake_repo):
-    write_baseline(fake_repo, [baseline_entry()])
-    assert lint_main(["--root", str(fake_repo)]) == 0
-
-
-def test_runner_reports_stale_baseline_entry(fake_repo, capsys):
-    entry = baseline_entry()
-    entry["message"] = "a finding that never fires"
-    write_baseline(fake_repo, [baseline_entry(), entry])
-    assert lint_main(["--root", str(fake_repo)]) == 1
-    assert "stale baseline entry" in capsys.readouterr().err
-
-
-def test_runner_requires_baseline_rationale(fake_repo, capsys):
-    entry = baseline_entry()
-    entry["rationale"] = "   "
-    write_baseline(fake_repo, [entry])
-    assert lint_main(["--root", str(fake_repo)]) == 1
-    assert "no rationale" in capsys.readouterr().err
 
 
 def test_runner_github_format(fake_repo, capsys):
@@ -947,45 +910,9 @@ def test_runner_github_format(fake_repo, capsys):
     assert "::error file=src/repro/clock.py,line=5,title=RP-MONO::" in out
 
 
-def test_runner_rules_filter_selects_rules(fake_repo):
-    assert lint_main(["--root", str(fake_repo), "--rules", "RP-TICK"]) == 0
-    assert lint_main(["--root", str(fake_repo), "--rules", "RP-MONO"]) == 1
-
-
-def test_runner_unknown_rule_id_is_usage_error(fake_repo, capsys):
-    assert lint_main(["--root", str(fake_repo), "--rules", "RP-NOPE"]) == 2
-    assert "unknown rule id" in capsys.readouterr().err
-
-
-def test_runner_partial_run_skips_stale_baseline_check(fake_repo):
-    stale = baseline_entry()
-    stale["message"] = "a finding that never fires"
-    write_baseline(fake_repo, [baseline_entry(), stale])
-    assert lint_main(["--root", str(fake_repo)]) == 1  # full run: stale fails
-    assert lint_main(["--root", str(fake_repo), "--rules", "RP-MONO"]) == 0
-
-
 def test_runner_timings_prints_per_rule(fake_repo, capsys):
-    lint_main(["--root", str(fake_repo), "--timings", "--rules", "RP-MONO"])
+    lint_main(["--root", str(fake_repo), "--timings"])
     assert "timing: RP-MONO:" in capsys.readouterr().err
-
-
-def test_runner_changed_filters_findings_by_git_diff(fake_repo, capsys):
-    subprocess.run(["git", "init", "-q"], cwd=fake_repo, check=True)
-    subprocess.run(["git", "add", "."], cwd=fake_repo, check=True)
-    subprocess.run(
-        ["git", "-c", "user.email=t@t", "-c", "user.name=t", "commit", "-qm", "seed"],
-        cwd=fake_repo,
-        check=True,
-    )
-    # nothing changed since the commit -> the RP-MONO finding is filtered out
-    assert lint_main(["--root", str(fake_repo), "--changed"]) == 0
-    clock = fake_repo / "src" / "repro" / "clock.py"
-    clock.write_text(clock.read_text() + "\n# touched\n")
-    assert lint_main(["--root", str(fake_repo), "--changed"]) == 1
-    out = capsys.readouterr()
-    assert "changed-files filter" in out.err
-    assert "RP-MONO" in out.out
 
 
 # --- the live tree ------------------------------------------------------------

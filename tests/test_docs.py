@@ -55,29 +55,34 @@ def test_analysis_rule_table_matches_registry():
 
 
 def test_locking_discipline_section_matches_registries():
-    """The architecture page's locking section and the lint registries agree.
+    """The architecture page's locking section and the linter agree.
 
-    Every ``Class._attr`` token in the "Locking discipline" section must
-    come from GUARDED_BY / LOCK_ORDER, and every registry entry must be
-    documented there — the sanctioned lock order and the guarded-by map
-    cannot drift from what the linter actually enforces.
+    Every ``Class._attr`` token in the "Locking discipline" section must be
+    a ``_``-prefixed guarded attribute or its lock in the guard map the
+    linter reads from ``# guarded-by:`` comments, or a lock in
+    ``LOCK_ORDER``; and every such entry must be documented there — the
+    sanctioned lock order and the guarded-by map cannot drift from what
+    the linter actually enforces.
     """
     import re
 
-    from repro.analysis.rules.guards import GUARDED_BY
+    from repro.analysis.callgraph import project_callgraph
+    from repro.analysis.framework import Project
+    from repro.analysis.locks import build_guard_map
     from repro.analysis.rules.lockorder import LOCK_ORDER
 
     text = (ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
     match = re.search(r"### Locking discipline\n(.*?)(?:\n### |\Z)", text, re.DOTALL)
     assert match, "docs/architecture.md lost its 'Locking discipline' section"
     doc_tokens = set(re.findall(r"`([A-Za-z]\w*\._\w+)`", match.group(1)))
+    graph = project_callgraph(Project.from_directory(ROOT / "src" / "repro"))
     expected = set()
-    for _suffix, cls, attr, lock_attr in GUARDED_BY:
-        expected.add(f"{cls}.{attr}")
-        expected.add(f"{cls}.{lock_attr}")
+    for (cls, attr), lock in build_guard_map(graph).guarded.items():
+        if attr.startswith("_"):
+            expected.update((f"{cls}.{attr}", lock.name))
     for outer, inner in LOCK_ORDER:
         expected.update((outer, inner))
     assert doc_tokens == expected, (
-        f"documented but not in a registry: {sorted(doc_tokens - expected)}; "
-        f"in a registry but undocumented: {sorted(expected - doc_tokens)}"
+        f"documented but not in the linter: {sorted(doc_tokens - expected)}; "
+        f"in the linter but undocumented: {sorted(expected - doc_tokens)}"
     )

@@ -134,6 +134,8 @@ class TestBudget:
         with pytest.raises(EvaluationError):
             Budget(deadline=-1)
         with pytest.raises(EvaluationError):
+            Budget(deadline=float("nan"))
+        with pytest.raises(EvaluationError):
             Budget(steps=-1)
         with pytest.raises(EvaluationError):
             Budget(check_interval=0)

@@ -16,7 +16,9 @@ against definitions instead, on small seeded random instances:
   under every method, cold, warm and after a mutation — against membership
   in that reference answer set: exact for ``naive``, ``natural``, ``auto``
   and ``pebble`` at the pattern's domination width, and never accepting a
-  non-member with one pebble fewer than needed.
+  non-member with one pebble fewer than needed;
+* the ``QueryService`` — in process, cold, warm and after two ``update``
+  requests, and over the socket — against the same reference answers.
 """
 
 import itertools
@@ -35,7 +37,9 @@ from repro.rdf import RDFGraph, Triple, TriplePattern
 from repro.rdf.generators import random_graph
 from repro.rdf.namespace import EX
 from repro.rdf.terms import Variable, term_sort_key
-from repro.sparql import Mapping
+from repro.service import QueryService, Request, ServiceClient, ServiceServer
+from repro.service.protocol import mapping_to_wire
+from repro.sparql import Mapping, to_text
 from repro.workloads.random_patterns import random_wd_pattern
 
 NODES = [EX.term(f"n{i}") for i in range(4)]
@@ -206,14 +210,20 @@ def membership_candidates(answers, rng):
     return mappings + mappings[:3]
 
 
+def seeded_case(seed):
+    """The seeded (rng, graph, pattern) instance of the oracle classes below."""
+    rng = random.Random(seed)
+    graph = random_graph(6, 24, predicates=("p", "q"), seed=seed)
+    pattern = random_wd_pattern(
+        num_nodes=rng.randint(1, 4), seed=seed, predicates=tuple(p.value for p in PREDS)
+    )
+    return rng, graph, pattern
+
+
 class TestSessionAgainstNaive:
     @pytest.mark.parametrize("seed", range(10))
     def test_cold_warm_and_mutated_enumeration(self, seed):
-        rng = random.Random(seed)
-        graph = random_graph(6, 24, predicates=("p", "q"), seed=seed)
-        pattern = random_wd_pattern(
-            num_nodes=rng.randint(1, 4), seed=seed, predicates=tuple(p.value for p in PREDS)
-        )
+        rng, graph, pattern = seeded_case(seed)
         session = Session()
         cold = list(session.solutions_stream(pattern, graph))
         assert len(cold) == len(set(cold))
@@ -230,11 +240,7 @@ class TestSessionAgainstNaive:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_membership_batches_match_naive(self, seed):
-        rng = random.Random(seed)
-        graph = random_graph(6, 24, predicates=("p", "q"), seed=seed)
-        pattern = random_wd_pattern(
-            num_nodes=rng.randint(1, 4), seed=seed, predicates=tuple(p.value for p in PREDS)
-        )
+        rng, graph, pattern = seeded_case(seed)
         width = max(1, Engine(pattern).domination_width())
         session = Session()
 
@@ -264,3 +270,58 @@ class TestSessionAgainstNaive:
         mutate(graph, rng)
         check_every_path(mappings + membership_candidates(evaluate_pattern(pattern, graph), rng))
 
+
+
+class TestServiceAgainstNaive:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_service_matches_naive(self, seed):
+        rng, graph, pattern = seeded_case(seed)
+        query = to_text(pattern)
+        width = max(1, Engine(pattern).domination_width())
+        with QueryService(graph) as service:
+
+            def check_every_path(mappings):
+                response = service.request(Request(op="solutions", query=query))
+                answers = evaluate_pattern(pattern, graph)
+                assert response.raise_for_error().result == answers
+                expected = [mu in answers for mu in mappings]
+                for method, bound in [("naive", None), ("natural", None), ("auto", None), ("pebble", width)]:
+                    assert service.check(query, mappings, method=method, width=bound) == expected
+                return response.graph_version
+
+            mappings = membership_candidates(evaluate_pattern(pattern, graph), rng)
+            check_every_path(mappings)  # cold
+            before = check_every_path(mappings)  # warm
+            mutated = graph.copy()
+            mutate(mutated, rng)
+            service.update(add=sorted(set(mutated.triples()) - set(graph.triples())))
+            service.update(remove=sorted(set(graph.triples()) - set(mutated.triples())))
+            assert set(graph.triples()) == set(mutated.triples())
+            after = check_every_path(
+                mappings + membership_candidates(evaluate_pattern(pattern, graph), rng)
+            )
+            assert after != before
+
+    def test_socket_matches_naive(self):
+        rng, graph, pattern = seeded_case(0)
+        query = to_text(pattern)
+        answers = evaluate_pattern(pattern, graph)
+        mappings = membership_candidates(answers, rng)
+        expected = [mu in answers for mu in mappings]
+        with QueryService(graph) as service:
+            server = ServiceServer(service)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            try:
+                with ServiceClient(*server.address) as client:
+                    wire = client.solutions(query)
+                    assert len(wire) == len(answers)
+                    assert {frozenset(row.items()) for row in wire} == {
+                        frozenset(mapping_to_wire(mu).items()) for mu in answers
+                    }
+                    bindings = [mapping_to_wire(mu) for mu in mappings]
+                    for method in ("naive", "natural", "auto"):
+                        assert client.check(query, bindings, method=method) == expected
+            finally:
+                server.shutdown()
+                thread.join(timeout=5.0)

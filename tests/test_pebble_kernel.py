@@ -53,7 +53,7 @@ class TestAgreementWithReference:
     """Kernel verdicts == per-call verdicts on randomized (S, X), G, µ, k."""
 
     @pytest.mark.parametrize("seed", range(12))
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 12])
     def test_randomized_agreement(self, seed, k):
         gtgraph, graph, mappings = random_instance(seed)
         kernel = ConsistencyKernel(gtgraph, graph, k)

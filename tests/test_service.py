@@ -386,6 +386,17 @@ class TestDeadlines:
             service.gate.release_write()
         service.close()
 
+    def test_absurd_pebble_width_answers_inside_its_deadline(self):
+        graph = RDFGraph([Triple.of("a", "knows", "b"), Triple.of("b", "email", "c")])
+        mu = Mapping.of(x="a", y="b")
+        with QueryService(graph) as service:
+            started = time.monotonic()
+            verdict = service.check(OPT_QUERY, mu, method="pebble", width=10**6, deadline=0.5)
+            elapsed = time.monotonic() - started
+            # With that many pebbles the game is exact.
+            assert verdict == service.check(OPT_QUERY, mu, method="natural")
+        assert elapsed < 0.5 + 0.25
+
     def test_default_deadline_applies_when_request_has_none(self):
         graph = social_graph()
         service = QueryService(graph, max_inflight=2, default_deadline=0.2)
@@ -664,8 +675,27 @@ class TestSocketProtocol:
             {"op": "check", "query": KNOWS_QUERY, "bindings": [{"": "p0"}]},
             {"op": "update", "add": [["", "", ""]]},
             {"op": "check", "query": KNOWS_QUERY, "width": 0, "method": "pebble"},
+            {
+                "op": "check",
+                "query": KNOWS_QUERY,
+                "bindings": [{"x": "p0", "y": "p1"}],
+                "deadline": float("nan"),
+            },
+            {
+                "op": "check",
+                "query": KNOWS_QUERY,
+                "bindings": [{"x": "p0", "y": "p1"}],
+                "deadline": float("inf"),
+            },
         ],
-        ids=["empty-value", "empty-variable", "empty-triple", "width-zero"],
+        ids=[
+            "empty-value",
+            "empty-variable",
+            "empty-triple",
+            "width-zero",
+            "deadline-nan",
+            "deadline-infinite",
+        ],
     )
     def test_invalid_terms_are_in_band_protocol_errors(self, served, message):
         (host, port), _service = served
