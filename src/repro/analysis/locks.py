@@ -96,11 +96,14 @@ def _self_attr_assignments(
     graph: CallGraph,
 ) -> Iterator[Tuple[str, SourceFile, str, ast.AST, ast.AST]]:
     """(class name, file, attr, assignment node, value) for every
-    ``self.<attr> = ...`` in a method body across the project."""
+    ``self.<attr> = ...`` in a method body across the project.
+
+    Each body is walked without its nested defs: the call graph lists those
+    on their own, so entering them would yield their assignments twice."""
     for info in graph.functions.values():
         if info.class_name is None:
             continue
-        for node in ast.walk(info.node):
+        for node in CallGraph._own_nodes(info.node):
             if isinstance(node, ast.Assign):
                 targets: Sequence[ast.AST] = node.targets
                 value: Optional[ast.AST] = node.value

@@ -40,7 +40,8 @@ graph.  Stores are evicted when their graph is garbage collected, and
 rough size accounting: plain memo entries cost 1, homomorphism lists and
 tree solution lists cost ``1 + len(list)`` (one unit per stored answer, so
 bounded caches evict large answer lists first), kernels cost roughly the
-number of values/support pairs they hold, every hit refreshes the entry's
+number of values/support pairs they hold (an adjacency that several pairs
+share counts once), every hit refreshes the entry's
 recency, and the least recently used entries are evicted first — so hot
 entries survive eviction pressure.  Entries about one pattern tree key on
 the tree object itself (trees hash by identity), so an entry keeps its tree

@@ -10,23 +10,29 @@ makes that split explicit:
 
 * **setup** (once per ``(structure, graph version, k)``): classify the
   triples by their existential-variable signature, and build the
-  µ-independent per-variable base domains and binary support pairs through
-  index joins — :meth:`~repro.hom.homomorphism.TargetIndex.pattern_solutions`
+  µ-independent per-variable base domains and the forward/backward support
+  adjacency of every purely existential binary relation through index
+  joins — :meth:`~repro.hom.homomorphism.TargetIndex.pattern_solutions`
   over a shared target index when one is supplied, the graph's own
   pattern-matching indexes otherwise — in time proportional to the number
   of *matching* triples instead of the ``O(|dom(G)|² · |triples|)`` nested
   generate-and-test (with a fresh dict copy per candidate) of the per-call
-  implementation.  The graph-dependent state is built lazily on the first
-  solve that needs it, so instances that short-circuit (no existential
-  variables, µ violating a distinguished triple) stay as cheap as before;
-  :meth:`ConsistencyKernel.prepare` forces it for warm-up;
-* **solve** (once per mapping ``µ``): restrict the precomputed domains and
-  supports under the distinguished bindings — the restriction of each
-  constraint depends only on ``µ`` projected to the distinguished variables
-  the constraint mentions, so restrictions are memoized and shared across
-  mappings — and run a worklist AC-3 (set-backed queue, no ``O(n)``
-  membership scans) for ``k = 2``, or the generic fixpoint seeded from the
-  precomputed level-0 family for ``k ≥ 3``.
+  implementation.  Pairs of variables stating the same relation (the six
+  ``r``-edges of a ``K_4``, say) share one adjacency.  The graph-dependent
+  state is built lazily on the first solve that needs it, so instances that
+  short-circuit (no existential variables, µ violating a distinguished
+  triple) stay as cheap as before; :meth:`ConsistencyKernel.prepare` forces
+  it for warm-up;
+* **solve** (once per mapping ``µ``): restrict the precomputed domains
+  under the distinguished bindings and narrow the adjacency of only those
+  pairs whose constraints mention a distinguished variable — the
+  restriction of each constraint depends only on ``µ`` projected to the
+  distinguished variables it mentions, so restrictions are memoized and
+  shared across mappings — then run a worklist AC-3 (set-backed queue, no
+  ``O(n)`` membership scans) that reads the shared adjacency as is and
+  tests a support with one ``set.isdisjoint`` for ``k = 2``, or the generic
+  fixpoint seeded from the precomputed level-0 family for ``k ≥ 3``.  No
+  support structure that does not depend on ``µ`` is rebuilt per solve.
 
 Verdicts are identical to the per-call implementation
 (:func:`~repro.pebble.game.reference_pebble_game_winner`) on every input.
@@ -45,7 +51,7 @@ batch out, which is where the per-mapping reuse pays off.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .game import _as_tuple, _satisfies
 from ..hom.homomorphism import TargetIndex
@@ -60,6 +66,16 @@ __all__ = ["ConsistencyKernel"]
 
 #: A (value, value) support pair of a binary constraint group.
 _Pair = Tuple[GroundTerm, GroundTerm]
+
+#: One direction of a binary relation: the partners of each value.
+_Partners = Dict[GroundTerm, FrozenSet[GroundTerm]]
+
+#: The placeholders a pair's purely existential triples are renamed to, so
+#: that pairs stating the same relation get one key and share one adjacency.
+_FIRST = Variable("_first")
+_SECOND = Variable("_second")
+
+_NO_PARTNERS: FrozenSet[GroundTerm] = frozenset()
 
 #: Upper bound on the per-µ restriction memos of one kernel.  Kernels live in
 #: the evaluation cache, whose size accounting charges them once at insertion;
@@ -107,7 +123,8 @@ class ConsistencyKernel:
         "_checked",
         "_pure_unary",
         "_mixed_unary",
-        "_pure_binary",
+        "_binary_pairs",
+        "_relation_of",
         "_mixed_binary",
         "_neighbours",
         "_triples_of_var",
@@ -115,7 +132,7 @@ class ConsistencyKernel:
         "_index",
         "_domain_values",
         "_base_domains",
-        "_base_pairs",
+        "_adjacency",
         "_unary_memo",
         "_binary_memo",
     )
@@ -162,8 +179,15 @@ class ConsistencyKernel:
         return self._version
 
     def cost(self) -> int:
-        """A rough size measure of the precomputed state (for cache budgets)."""
-        pairs = sum(len(p) for p in self._base_pairs.values() if p is not None)
+        """A rough size measure of the precomputed state (for cache budgets).
+
+        A support adjacency shared by several pairs counts once.
+        """
+        pairs = sum(
+            len(partners)
+            for forward, _backward in self._adjacency.values()
+            for partners in forward.values()
+        )
         values = sum(len(d) for d in self._base_domains.values() if d is not None)
         domain = len(self._domain_values) if self._domain_values is not None else 0
         return 1 + domain + values + pairs
@@ -189,7 +213,7 @@ class ConsistencyKernel:
         # no distinguished variables) and µ-dependent (mixed) parts.
         self._pure_unary: Dict[Variable, List[TriplePattern]] = {}
         self._mixed_unary: Dict[Variable, List[TriplePattern]] = {}
-        self._pure_binary: Dict[Tuple[Variable, Variable], List[TriplePattern]] = {}
+        pure_binary: Dict[Tuple[Variable, Variable], List[TriplePattern]] = {}
         self._mixed_binary: Dict[Tuple[Variable, Variable], List[TriplePattern]] = {}
         neighbours: Dict[Variable, Set[Variable]] = {}
         # For the generic fixpoint: the triples mentioning each existential
@@ -212,7 +236,7 @@ class ConsistencyKernel:
                 group.setdefault(t_existential[0], []).append(t)
             elif len(t_existential) == 2 and self._k == 2:
                 u, v = t_existential
-                group = self._mixed_binary if mixed else self._pure_binary
+                group = self._mixed_binary if mixed else pure_binary
                 group.setdefault((u, v), []).append(t)
                 neighbours.setdefault(u, set()).add(v)
                 neighbours.setdefault(v, set()).add(u)
@@ -224,16 +248,25 @@ class ConsistencyKernel:
             var: tuple(sorted(neighbours.get(var, ()), key=lambda v: v.name))
             for var in existential
         }
-
-    def _binary_groups(self):
-        """All binary constraint pairs (pure, mixed or both)."""
-        return set(self._pure_binary) | set(self._mixed_binary)
+        # Every binary constraint pair (pure, mixed or both), in name order;
+        # a pure binary triple mentions only its pair, so renaming the pair
+        # onto the placeholders leaves a key that names just the relation.
+        self._binary_pairs: Tuple[Tuple[Variable, Variable], ...] = tuple(
+            sorted(
+                set(pure_binary) | set(self._mixed_binary),
+                key=lambda pair: (pair[0].name, pair[1].name),
+            )
+        )
+        self._relation_of: Dict[Tuple[Variable, Variable], FrozenSet[TriplePattern]] = {
+            (u, v): frozenset(t.rename({u: _FIRST, v: _SECOND}) for t in group)
+            for (u, v), group in pure_binary.items()
+        }
 
     # --- per-graph-version setup ------------------------------------------
     def _reset_graph_state(self, graph: RDFGraph, index: Optional[TargetIndex]) -> None:
         """Bind to the graph's current version; defer the solver build.
 
-        The expensive part (domain scan, base domains, base support pairs) is
+        The expensive part (domain scan, base domains, support adjacency) is
         built lazily by :meth:`prepare` / the first solve that needs it, so
         instances that short-circuit — no existential variables, or µ
         violating a fully distinguished triple — cost no more than the
@@ -243,7 +276,7 @@ class ConsistencyKernel:
         self._index = index
         self._domain_values: Optional[Tuple[GroundTerm, ...]] = None
         self._base_domains: Dict[Variable, Optional[FrozenSet[GroundTerm]]] = {}
-        self._base_pairs: Dict[Tuple[Variable, Variable], Optional[FrozenSet[_Pair]]] = {}
+        self._adjacency: Dict[FrozenSet[TriplePattern], Tuple[_Partners, _Partners]] = {}
         self._unary_memo: Dict[Tuple, FrozenSet[GroundTerm]] = {}
         self._binary_memo: Dict[Tuple, FrozenSet[_Pair]] = {}
 
@@ -256,9 +289,10 @@ class ConsistencyKernel:
     def prepare(self) -> "ConsistencyKernel":
         """Force the graph-dependent setup now (warm-up entry point).
 
-        Builds the sorted domain and the µ-independent base domains/support
-        pairs for the current graph version; a no-op when already built or
-        when the instance has no existential variables.  Returns ``self``.
+        Builds the sorted domain, the µ-independent base domains and the
+        support adjacency for the current graph version; a no-op when already
+        built or when the instance has no existential variables.  Returns
+        ``self``.
         """
         graph = self.graph
         self._ensure_current(graph)
@@ -279,16 +313,18 @@ class ConsistencyKernel:
                 base = values if base is None else (base & values)
             self._base_domains[var] = frozenset(base) if base is not None else None
 
-        # Base support pairs of the purely-existential binary constraints.
-        for pair in self._binary_groups():
-            u, v = pair
+        # Support adjacency of the purely-existential binary constraints, one
+        # per distinct relation.
+        for relation in set(self._relation_of.values()):
             pairs: Optional[Set[_Pair]] = None
-            for t in self._pure_binary.get(pair, ()):
+            for t in relation:
                 allowed = {
-                    (binding[u], binding[v]) for binding in self._solutions(graph, t, {})
+                    (binding[_FIRST], binding[_SECOND])
+                    for binding in self._solutions(graph, t, {})
                 }
                 pairs = allowed if pairs is None else (pairs & allowed)
-            self._base_pairs[pair] = frozenset(pairs) if pairs is not None else None
+            assert pairs is not None  # every relation has at least one triple
+            self._adjacency[relation] = _adjacency_of(pairs)
 
     def _solutions(
         self, graph: RDFGraph, t: TriplePattern, fixed: Dict[Variable, GroundTerm]
@@ -425,56 +461,71 @@ class ConsistencyKernel:
         if any(not domains[var] for var in self._existential):
             return False
 
-        # Per-pair support relations restricted to the current domains, in
-        # both directions so that every revision is a forward lookup.
-        supports: Dict[Tuple[Variable, Variable], Dict[GroundTerm, Set[GroundTerm]]] = {}
-        reverse: Dict[Tuple[Variable, Variable], Dict[GroundTerm, Set[GroundTerm]]] = {}
-        for pair in self._binary_groups():
+        # Each variable's arcs: a neighbour's live domain and, for each of the
+        # variable's values, its partners there.  A purely existential pair
+        # reads its shared adjacency as is; only a pair with triples on
+        # distinguished variables builds a (small) adjacency under µ.  The
+        # pairs come in name order, so each variable meets its neighbours in
+        # name order.
+        arcs: Dict[Variable, List[Tuple[Set[GroundTerm], _Partners]]] = {
+            var: [] for var in self._existential
+        }
+        for pair in self._binary_pairs:
             u, v = pair
-            pairs = self._base_pairs[pair]
-            for t in self._mixed_binary.get(pair, ()):
-                allowed = self._binary_restriction(graph, t, pair, fixed)
-                pairs = allowed if pairs is None else (pairs & allowed)
-            assert pairs is not None  # every group has at least one triple
-            if budget is not None:
-                budget.tick(1 + len(pairs))
-            forward: Dict[GroundTerm, Set[GroundTerm]] = {}
-            backward: Dict[GroundTerm, Set[GroundTerm]] = {}
-            domain_u, domain_v = domains[u], domains[v]
-            for a, b in pairs:
-                if a in domain_u and b in domain_v:
-                    forward.setdefault(a, set()).add(b)
-                    backward.setdefault(b, set()).add(a)
-            supports[pair] = forward
-            reverse[pair] = backward
-
-        def supported(var: Variable, value: GroundTerm, other: Variable) -> bool:
-            """Does *value* of *var* still have a partner in *other*'s domain?"""
-            if (var, other) in supports:
-                partners = supports[(var, other)].get(value, ())
+            relation = self._relation_of.get(pair)
+            base = self._adjacency[relation] if relation is not None else None
+            mixed = self._mixed_binary.get(pair)
+            if mixed is None:
+                assert base is not None  # a pair without mixed triples has pure ones
+                if budget is not None:
+                    budget.tick()
+                forward, backward = base
             else:
-                partners = reverse[(other, var)].get(value, ())
-            other_domain = domains[other]
-            return any(b in other_domain for b in partners)
+                allowed: Optional[FrozenSet[_Pair]] = None
+                for t in mixed:
+                    restriction = self._binary_restriction(graph, t, pair, fixed)
+                    allowed = restriction if allowed is None else (allowed & restriction)
+                assert allowed is not None
+                if budget is not None:
+                    budget.tick(1 + len(allowed))
+                pairs: Iterable[_Pair] = allowed
+                if base is not None:
+                    base_forward = base[0]
+                    pairs = [
+                        (a, b) for a, b in allowed if b in base_forward.get(a, _NO_PARTNERS)
+                    ]
+                forward, backward = _adjacency_of(pairs)
+            arcs[u].append((domains[v], forward))
+            arcs[v].append((domains[u], backward))
 
         # Worklist AC-3: a set mirrors the queue so re-enqueueing a variable
-        # is O(1) instead of a linear membership scan.
+        # is O(1) instead of a linear membership scan.  A value of *var* is
+        # supported when each neighbour's domain meets its partners there.
         queue: List[Variable] = list(self._existential)
         queued: Set[Variable] = set(queue)
         while queue:
             var = queue.pop()
             queued.discard(var)
+            domain = domains[var]
             if budget is not None:
-                budget.tick(max(1, len(domains[var])))
-            for value in list(domains[var]):
-                if any(not supported(var, value, other) for other in self._neighbours[var]):
-                    domains[var].discard(value)
-                    if not domains[var]:
-                        return False
-                    for other in self._neighbours[var]:
-                        if other not in queued:
-                            queued.add(other)
-                            queue.append(other)
+                budget.tick(max(1, len(domain)))
+            # Revising *var* reads only its neighbours' domains, so each arc
+            # can filter the values the previous arcs left standing.
+            alive: Collection[GroundTerm] = domain
+            for other_domain, partners in arcs[var]:
+                alive = [
+                    value
+                    for value in alive
+                    if not other_domain.isdisjoint(partners.get(value, _NO_PARTNERS))
+                ]
+            if len(alive) < len(domain):
+                if not alive:
+                    return False
+                domain.intersection_update(alive)
+                for other in self._neighbours[var]:
+                    if other not in queued:
+                        queued.add(other)
+                        queue.append(other)
         return all(domains[var] for var in self._existential)
 
     # --- k >= 3: generic fixpoint over the precomputed level-0 family ------
@@ -558,3 +609,16 @@ class ConsistencyKernel:
                     changed = True
 
         return () in family
+
+
+def _adjacency_of(pairs: Iterable[_Pair]) -> Tuple[_Partners, _Partners]:
+    """The forward (``a ↦ {b}``) and backward (``b ↦ {a}``) partner sets."""
+    forward: Dict[GroundTerm, Set[GroundTerm]] = {}
+    backward: Dict[GroundTerm, Set[GroundTerm]] = {}
+    for a, b in pairs:
+        forward.setdefault(a, set()).add(b)
+        backward.setdefault(b, set()).add(a)
+    return (
+        {a: frozenset(partners) for a, partners in forward.items()},
+        {b: frozenset(partners) for b, partners in backward.items()},
+    )

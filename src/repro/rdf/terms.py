@@ -71,7 +71,8 @@ class IRI(Term):
         return isinstance(other, IRI) and self.value == other.value
 
     def __hash__(self) -> int:
-        return hash(("IRI", self.value))
+        # The string caches its own hash; a fresh tuple per call would not.
+        return hash(self.value)
 
     def __repr__(self) -> str:
         return f"IRI({self.value!r})"
@@ -180,7 +181,8 @@ class Variable(Term):
         return isinstance(other, Variable) and self.name == other.name
 
     def __hash__(self) -> int:
-        return hash(("Variable", self.name))
+        # Complemented so that ``?x`` and the IRI ``x`` do not collide.
+        return ~hash(self.name)
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"

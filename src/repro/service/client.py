@@ -71,8 +71,14 @@ class ServiceClient:
         graph: Optional[str] = None,
         method: str = "auto",
         deadline: Optional[float] = None,
+        width: Optional[int] = None,
     ) -> Union[bool, List[bool]]:
-        """Membership verdicts; a single binding dict returns one bool."""
+        """Membership verdicts; a single binding dict returns one bool.
+
+        *width* declares a bound ``k`` on the pattern's domination width, so
+        that ``method="pebble"`` plays the ``(k+1)``-pebble game without the
+        server computing the width first.
+        """
         single = isinstance(bindings, dict)
         batch = [bindings] if single else list(bindings)
         message: dict = {"op": "check", "query": query, "bindings": batch, "method": method}
@@ -80,6 +86,8 @@ class ServiceClient:
             message["graph"] = graph
         if deadline is not None:
             message["deadline"] = deadline
+        if width is not None:
+            message["width"] = width
         verdicts = self.request(message)["result"]
         return verdicts[0] if single else verdicts
 

@@ -563,6 +563,28 @@ def test_guard_rule_flags_stale_guarded_by_comment():
     assert "not a lock attribute" in findings[0].message
 
 
+def test_guard_rule_reports_nested_def_comment_once():
+    # The call graph lists the nested def on its own, so walking __init__
+    # into it would report the same comment twice.
+    proj = project(
+        src__repro__counter="""
+        import threading
+
+        class Counter:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+                def reset():
+                    self._hits = 0  # guarded-by: _missing
+
+                reset()
+        """
+    )
+    findings = rule_findings(GuardedByRule(), proj)
+    assert len(findings) == 1
+    assert "not a lock attribute" in findings[0].message
+
+
 # --- RP-LOCKORDER -------------------------------------------------------------
 
 def test_lockorder_flags_cycle_and_unsanctioned_edges():

@@ -17,6 +17,10 @@ against definitions instead, on small seeded random instances:
   in that reference answer set: exact for ``naive``, ``natural``, ``auto``
   and ``pebble`` at the pattern's domination width, and never accepting a
   non-member with one pebble fewer than needed;
+* ``Session`` membership where the pebble game is incomplete: ``Q_k``
+  (domination width ``k − 1``) over clique-encoding graphs, exact at the
+  domination width and never accepting a non-member below it, on instances
+  where the smaller widths do reject a member;
 * the ``QueryService`` — in process, cold, warm and after two ``update``
   requests, and over the socket — against the same reference answers.
 """
@@ -26,6 +30,7 @@ import random
 import sys
 import threading
 
+import networkx as nx
 import pytest
 
 import repro.hom.homomorphism as homomorphism_module
@@ -33,6 +38,7 @@ import repro.hom.homomorphism as homomorphism_module
 from repro.evaluation import Engine, Session
 from repro.evaluation.naive import evaluate_pattern
 from repro.hom import TGraph, all_homomorphisms, find_homomorphism, target_index
+from repro.patterns import WDPatternForest
 from repro.rdf import RDFGraph, Triple, TriplePattern
 from repro.rdf.generators import random_graph
 from repro.rdf.namespace import EX
@@ -40,6 +46,12 @@ from repro.rdf.terms import Variable, term_sort_key
 from repro.service import QueryService, Request, ServiceClient, ServiceServer
 from repro.service.protocol import mapping_to_wire
 from repro.sparql import Mapping, to_text
+from repro.workloads.clique_instances import random_host_graph
+from repro.workloads.families import (
+    clique_query_data_graph,
+    hard_clique_pattern,
+    hard_clique_tree,
+)
 from repro.workloads.random_patterns import random_wd_pattern
 
 NODES = [EX.term(f"n{i}") for i in range(4)]
@@ -271,6 +283,55 @@ class TestSessionAgainstNaive:
         check_every_path(mappings + membership_candidates(evaluate_pattern(pattern, graph), rng))
 
 
+#: The root match of ``Q_k`` in ``clique_query_data_graph``: the anchor's
+#: ``p``-edge into host node 0.
+ANCHOR_MAPPING = Mapping({Variable("x"): EX.term("anchor"), Variable("y"): EX.term("v0")})
+
+
+class TestWidthGap:
+    """Pebble where it is incomplete.  ``Q_k`` has domination width
+    ``dw = k − 1``, and the anchor mapping is a member iff no k-clique of the
+    host extends it.  At ``dw`` the game must equal natural; below ``dw`` it
+    may reject a member but must never accept a non-member."""
+
+    @staticmethod
+    def verdicts(k, host):
+        """(membership, pebble verdicts at widths 1..dw) of the anchor mapping."""
+        forest = WDPatternForest([hard_clique_tree(k)])
+        graph = clique_query_data_graph(host)
+        dw = Engine(forest=forest).domination_width()
+        assert dw == k - 1
+        session = Session()
+        member = ANCHOR_MAPPING in evaluate_pattern(hard_clique_pattern(k), graph)
+        assert session.check(forest, graph, ANCHOR_MAPPING, method="natural") == member
+        pebble = [
+            session.check(forest, graph, ANCHOR_MAPPING, method="pebble", width=width)
+            for width in range(1, dw + 1)
+        ]
+        assert pebble[-1] == member
+        assert member or not any(pebble)
+        return member, pebble
+
+    @pytest.mark.parametrize(
+        "k, host, expected",
+        [
+            (3, nx.cycle_graph(5), (True, [False, True])),
+            (4, nx.turan_graph(6, 3), (True, [False, True, True])),
+            (3, nx.complete_graph(3), (False, [False, False])),
+            (4, nx.complete_graph(4), (False, [False, False, False])),
+        ],
+        ids=["Q3-C5", "Q4-T(6,3)", "Q3-K3", "Q4-K4"],
+    )
+    def test_measured_gaps(self, k, host, expected):
+        """Members that the smaller widths reject, so the soundness check
+        below ``dw`` cannot pass vacuously, and non-members at every width."""
+        assert self.verdicts(k, host) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_random_hosts(self, seed, k):
+        self.verdicts(k, random_host_graph(7, 0.6, seed=seed))
+
 
 class TestServiceAgainstNaive:
     @pytest.mark.parametrize("seed", range(10))
@@ -305,6 +366,7 @@ class TestServiceAgainstNaive:
     def test_socket_matches_naive(self):
         rng, graph, pattern = seeded_case(0)
         query = to_text(pattern)
+        width = max(1, Engine(pattern).domination_width())
         answers = evaluate_pattern(pattern, graph)
         mappings = membership_candidates(answers, rng)
         expected = [mu in answers for mu in mappings]
@@ -320,8 +382,11 @@ class TestServiceAgainstNaive:
                         frozenset(mapping_to_wire(mu).items()) for mu in answers
                     }
                     bindings = [mapping_to_wire(mu) for mu in mappings]
-                    for method in ("naive", "natural", "auto"):
-                        assert client.check(query, bindings, method=method) == expected
+                    for method, bound in [
+                        ("naive", None), ("natural", None), ("auto", None), ("pebble", width)
+                    ]:
+                        verdicts = client.check(query, bindings, method=method, width=bound)
+                        assert verdicts == expected
             finally:
                 server.shutdown()
                 thread.join(timeout=5.0)

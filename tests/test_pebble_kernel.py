@@ -8,7 +8,7 @@ import pytest
 
 from repro.evaluation import Engine, EvaluationCache, Session
 from repro.exceptions import EvaluationError
-from repro.hom import target_index
+from repro.hom import all_homomorphisms, target_index
 from repro.hom.tgraph import GeneralizedTGraph
 from repro.pebble import ConsistencyKernel
 from repro.pebble.game import pebble_game_winner, reference_pebble_game_winner
@@ -21,6 +21,8 @@ from repro.sparql.mappings import Mapping
 from repro.workloads.families import fk_data_graph, fk_forest
 
 NOWHERE = IRI("http://example.org/__nowhere__")
+#: The predicates ``random_graph(..., predicates=("p", "q"))`` writes.
+PREDICATES = [EX.p.value, EX.q.value]
 
 
 def random_instance(seed):
@@ -32,7 +34,7 @@ def random_instance(seed):
     for _ in range(rng.randint(2, 6)):
         s = "?" + rng.choice(names)
         o = rng.choice(constants) if rng.random() < 0.15 else "?" + rng.choice(names)
-        triples.append((s, rng.choice(["p", "q"]), o))
+        triples.append((s, rng.choice(PREDICATES), o))
     used = sorted({v.name for t in triples for v in TriplePattern.of(*t).variables()})
     distinguished = rng.sample(used, rng.randint(0, len(used)))
     gtgraph = GeneralizedTGraph.of(triples, distinguished)
@@ -49,6 +51,42 @@ def random_instance(seed):
     return gtgraph, graph, mappings
 
 
+def mixed_instance(seed):
+    """A random instance with a mixed binary group: ``(?a ?d ?b)`` joins the
+    existential ``?a``, ``?b`` through the distinguished ``?d`` in predicate
+    position, beside random triples that may state ``p``/``q`` on the same
+    pair, in either direction.  ``?d`` mostly maps to a predicate."""
+    rng = random.Random(seed)
+    ends = ["?a", "?b", "?c", "?x"][: rng.randint(2, 4)]
+    triples = [("?a", "?d", "?b")]
+    for _ in range(rng.randint(1, 5)):
+        predicate = "?d" if rng.random() < 0.3 else rng.choice(PREDICATES)
+        triples.append((rng.choice(ends), predicate, rng.choice(ends)))
+    distinguished = ["d"] + (["x"] if any("?x" in t for t in triples) else [])
+    gtgraph = GeneralizedTGraph.of(triples, distinguished)
+    graph = random_graph(rng.randint(3, 5), rng.randint(6, 16), predicates=("p", "q"), seed=seed)
+    nodes = sorted(graph.subjects() | graph.objects(), key=str)
+    mappings = []
+    for _ in range(6):
+        bindings = {Variable("d"): rng.choice([EX.p, EX.q, EX.p, EX.q, nodes[0], NOWHERE])}
+        if "x" in distinguished:
+            bindings[Variable("x")] = rng.choice(nodes)
+        mappings.append(Mapping(bindings))
+    return gtgraph, graph, mappings
+
+
+def binary_groups(gtgraph):
+    """The pairs of existential variables some triple joins with and without
+    a distinguished variable: (mixed pairs, pure pairs)."""
+    existential = gtgraph.existential_variables()
+    mixed, pure = set(), set()
+    for t in gtgraph.triples():
+        pair = frozenset(t.variables() & existential)
+        if len(pair) == 2:
+            (mixed if t.variables() - existential else pure).add(pair)
+    return mixed, pure
+
+
 class TestAgreementWithReference:
     """Kernel verdicts == per-call verdicts on randomized (S, X), G, µ, k."""
 
@@ -63,6 +101,47 @@ class TestAgreementWithReference:
             assert kernel.winner(mu) == expected
             # ... and the kernel-backed public entry point
             assert pebble_game_winner(gtgraph, graph, mu, k) == expected
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_agreement_with_mixed_binary_groups(self, k):
+        # Mixed binary groups (two existential variables and a distinguished
+        # one in a triple) need a variable in predicate position; random
+        # wdPTs and the F_k family never have one.
+        both = 0
+        verdicts = set()
+        for seed in range(30):
+            gtgraph, graph, mappings = mixed_instance(seed)
+            mixed, pure = binary_groups(gtgraph)
+            assert mixed
+            both += len(mixed & pure)
+            kernel = ConsistencyKernel(gtgraph, graph, k)
+            for mu in mappings:
+                expected = reference_pebble_game_winner(gtgraph, graph, mu, k)
+                assert kernel.winner(mu) == expected
+                verdicts.add(expected)
+        # Some pair also has pure triples (its shared adjacency narrows the
+        # µ-dependent pairs), and the game goes both ways.
+        assert both and verdicts == {True, False}
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_agreement_on_fk_child_instances(self, k):
+        # The K_k child states one relation on every pair of its variables,
+        # which the kernel shares between the pairs.
+        graph = fk_data_graph(8, 40, clique_size=k, seed=k)
+        verdicts = set()
+        for tree in fk_forest(k):
+            subtree = tree.root_subtree()
+            mappings = [Mapping(h) for h in all_homomorphisms(subtree.pat(), graph)]
+            assert mappings
+            for child in subtree.children():
+                instance = subtree.child_instance(child)
+                for pebbles in (2, 3):
+                    kernel = ConsistencyKernel(instance, graph, pebbles)
+                    for mu in mappings:
+                        expected = reference_pebble_game_winner(instance, graph, mu, pebbles)
+                        assert kernel.winner(mu) == expected
+                        verdicts.add(expected)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_no_existential_variables(self, k):
