@@ -9,12 +9,13 @@ a generalised t-graph is defined as the treewidth of its Gaifman graph.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable
 
 from .tgraph import GeneralizedTGraph, TGraph
 from ..rdf.terms import Variable
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["gaifman_graph", "gaifman_graph_of_tgraph"]
 
@@ -26,6 +27,8 @@ def gaifman_graph(gtgraph: GeneralizedTGraph) -> nx.Graph:
     constants do not appear (they behave like constants for treewidth
     purposes, exactly as in the paper).
     """
+    import networkx as nx
+
     graph = nx.Graph()
     existential = gtgraph.existential_variables()
     graph.add_nodes_from(existential)

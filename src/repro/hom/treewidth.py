@@ -21,14 +21,14 @@ treewidth 1.  This module provides:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import FrozenSet, Hashable, Tuple
-
-import networkx as nx
-from networkx.algorithms.approximation import treewidth_min_degree, treewidth_min_fill_in
+from typing import TYPE_CHECKING, FrozenSet, Hashable, Tuple
 
 from .core import core_of
 from .gaifman import gaifman_graph
 from .tgraph import GeneralizedTGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "treewidth_exact",
@@ -73,6 +73,8 @@ def treewidth_exact(graph: nx.Graph) -> int:
     ``f(S) = min_{v ∈ S} max(f(S \\ {v}), d(v, S \\ {v}))`` where ``d`` is the
     order-independent elimination degree; the treewidth is ``f(V)``.
     """
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         return 0
     if graph.number_of_edges() == 0:
@@ -114,6 +116,8 @@ def treewidth_exact(graph: nx.Graph) -> int:
 
 def treewidth_upper_bound(graph: nx.Graph) -> int:
     """A heuristic upper bound (best of min-degree and min-fill-in)."""
+    from networkx.algorithms.approximation import treewidth_min_degree, treewidth_min_fill_in
+
     if graph.number_of_nodes() == 0 or graph.number_of_edges() == 0:
         return 0
     width_degree, _ = treewidth_min_degree(graph)
@@ -123,6 +127,8 @@ def treewidth_upper_bound(graph: nx.Graph) -> int:
 
 def treewidth_lower_bound(graph: nx.Graph) -> int:
     """The minor-min-width (MMD+) lower bound on treewidth."""
+    import networkx as nx
+
     if graph.number_of_nodes() == 0 or graph.number_of_edges() == 0:
         return 0
     work = graph.copy()
@@ -161,6 +167,9 @@ def tree_decomposition(graph: nx.Graph) -> Tuple[int, nx.Graph]:
     The decomposition is a networkx tree whose nodes are frozensets (bags).
     For an empty or edgeless graph a single-bag decomposition is returned.
     """
+    import networkx as nx
+    from networkx.algorithms.approximation import treewidth_min_fill_in
+
     if graph.number_of_nodes() == 0:
         tree = nx.Graph()
         tree.add_node(frozenset())

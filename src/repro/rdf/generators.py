@@ -28,14 +28,15 @@ from __future__ import annotations
 
 import random
 from itertools import accumulate
-from typing import List, Optional, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .graph import RDFGraph
 from .namespace import EX, FOAF
 from .terms import IRI
 from .triples import Triple
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "random_graph",
@@ -226,6 +227,8 @@ def social_network_graph(
     OPTIONAL operator is designed for, which makes this the motivating
     workload for the evaluation examples.
     """
+    import networkx as nx
+
     if num_people < 3:
         raise ValueError("need at least 3 people")
     rng = random.Random(seed)

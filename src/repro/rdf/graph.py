@@ -164,36 +164,37 @@ class RDFGraph:
         one triple was actually new), so a bulk load invalidates warm caches
         a single time instead of once per triple.
         """
-        interned: List[Tuple[int, int, int]] = []
+        rows: List[Tuple[int, int, int]] = []
         for t in triples:
             self._validate(t)
-            interned.append(self._intern_triple(t))
-        if not interned:
+            rows.append(self._intern_triple(t))
+        return self._add_id_rows(rows)
+
+    def _add_id_rows(self, rows: List[Tuple[int, int, int]]) -> "RDFGraph":
+        """The bulk half of :meth:`add_all`, for ``(s, p, o)`` rows of ids
+        already interned in this graph's dictionary (``rdf.io.load_graph``
+        interns term texts and comes in here): deduplicate, sort each
+        permutation once, merge once, bump :attr:`version` once."""
+        if not rows:
             return self
         self._ensure_capacity()
-        pack = self._pack
+        # Packed as _pack does, inline: this loop runs once per loaded triple.
+        bits = self._bits
+        shift2 = 2 * bits
         spo = self._spo
-        new_keys: List[int] = []
-        new_ids: List[Tuple[int, int, int]] = []
-        seen: set = set()
-        for s, p, o in interned:
-            key = pack(s, p, o)
-            if key in seen or key in spo:
-                continue
-            seen.add(key)
-            new_keys.append(key)
-            new_ids.append((s, p, o))
-        if not new_keys:
+        # Packed SPO key -> row: the dict drops the batch's own repeats.
+        new = {(s << shift2) | (p << bits) | o: (s, p, o) for s, p, o in rows}
+        if len(spo):
+            new = {key: row for key, row in new.items() if key not in spo}
+        if not new:
             return self
         self._version += 1
-        new_keys.sort()
-        spo.extend_sorted(new_keys)
-        self._pos.extend_sorted(sorted(pack(p, o, s) for s, p, o in new_ids))
-        self._osp.extend_sorted(sorted(pack(o, s, p) for s, p, o in new_ids))
+        new_ids = new.values()
+        spo.extend_sorted(sorted(new))
+        self._pos.extend_sorted(sorted([(p << shift2) | (o << bits) | s for s, p, o in new_ids]))
+        self._osp.extend_sorted(sorted([(o << shift2) | (s << bits) | p for s, p, o in new_ids]))
         counts = self._counts
-        top = max(max(ids) for ids in new_ids) + 1
-        if top > len(counts):
-            counts.extend([0] * (top - len(counts)))
+        counts.extend([0] * (len(self._dict) - len(counts)))  # ids are dense
         for s, p, o in new_ids:
             counts[s] += 1
             counts[p] += 1

@@ -10,6 +10,10 @@ The format accepted here is a pragmatic subset of N-Triples:
 
 It exists so that examples and experiments can persist and reload the
 synthetic data sets they generate; it is not a validating W3C parser.
+
+Both readers match each line once against one line grammar and parse each
+distinct term text once; :func:`load_graph` interns the texts straight to
+term ids and builds no :class:`~repro.rdf.triples.Triple`.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import io
 import re
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO, Union
+from typing import Dict, Iterable, Iterator, List, TextIO, Tuple, Union
 
 from .graph import RDFGraph
 from .terms import IRI, Literal, Term
@@ -33,15 +37,25 @@ __all__ = [
     "save_graph",
 ]
 
-_TERM_RE = re.compile(
-    r"""
-    \s*
+#: One term: an IRI, or a literal with an optional language tag or datatype.
+_TERM = r"""
     (?:
         <(?P<iri>[^>]+)>
       | "(?P<lit>(?:[^"\\]|\\.)*)"
         (?: @(?P<lang>[A-Za-z][A-Za-z0-9-]*) | \^\^<(?P<dt>[^>]+)> )?
     )
-    """,
+"""
+
+_TERM_RE = re.compile(r"\s*" + _TERM, re.VERBOSE)
+
+#: One triple line: three terms, each captured whole, an optional final
+#: ``.``, and whitespace around them (the line's newline included).  The
+#: whitespace before the dot sits inside the optional group: ``\s*\.?\s*``
+#: would try every split of a long blank run before failing, in square time.
+_LINE_RE = re.compile(
+    r"\s* ({term}) \s* ({term}) \s* ({term}) (?: \s* \. )? \s*".format(
+        term=re.sub(r"\(\?P<\w+>", "(?:", _TERM)
+    ),
     re.VERBOSE,
 )
 
@@ -102,24 +116,53 @@ def parse_term(text: str) -> Term:
     return term
 
 
+def _line_error(line: str) -> str:
+    """Why a stripped, non-blank, non-comment *line* does not match
+    :data:`_LINE_RE`: its first term, left to right, that does not parse,
+    or what follows the third."""
+    pos = 0
+    try:
+        for _ in range(3):
+            pos = _parse_term(line, pos)[1]
+    except ParseError as exc:
+        return str(exc)
+    return f"trailing content {line[pos:].strip()!r}"
+
+
+def _triple_lines(source: Iterable[str]) -> Iterator[Tuple[int, Tuple[str, str, str]]]:
+    """The line number and the three term texts of every triple line of
+    *source*; blank and ``#`` comment lines are skipped, any other line that
+    does not match :data:`_LINE_RE` raises a :class:`ParseError` naming it."""
+    fullmatch = _LINE_RE.fullmatch
+    for line_number, line in enumerate(source, start=1):
+        match = fullmatch(line)
+        if match is not None:
+            yield line_number, match.groups()
+            continue
+        line = line.strip()
+        if line and not line.startswith("#"):
+            raise ParseError(f"line {line_number}: {_line_error(line)}")
+
+
+def _text_term(text: str, line_number: int) -> Term:
+    """The term one matched term text of line *line_number* denotes."""
+    try:
+        return _parse_term(text, 0)[0]
+    except ParseError as exc:
+        raise ParseError(f"line {line_number}: {exc}") from exc
+
+
 def parse_ntriples(source: Union[str, TextIO]) -> Iterator[Triple]:
     """Yield triples parsed from a string or text stream."""
     if isinstance(source, str):
         source = io.StringIO(source)
-    for line_number, raw_line in enumerate(source, start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            subject, pos = _parse_term(line, 0)
-            predicate, pos = _parse_term(line, pos)
-            obj, pos = _parse_term(line, pos)
-        except ParseError as exc:
-            raise ParseError(f"line {line_number}: {exc}") from exc
-        rest = line[pos:].strip()
-        if rest not in ("", "."):
-            raise ParseError(f"line {line_number}: trailing content {rest!r}")
-        yield Triple(subject, predicate, obj)
+    terms: Dict[str, Term] = {}
+    for line_number, texts in _triple_lines(source):
+        for text in texts:
+            if text not in terms:
+                terms[text] = _text_term(text, line_number)
+        subject, predicate, obj = texts
+        yield Triple(terms[subject], terms[predicate], terms[obj])
 
 
 def serialize_term(term: Term) -> str:
@@ -145,10 +188,25 @@ def serialize_ntriples(triples: Iterable[Triple]) -> str:
 
 
 def load_graph(path: Union[str, Path]) -> RDFGraph:
-    """Load an RDF graph from an N-Triples style file."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        return RDFGraph(parse_ntriples(handle))
+    """Load an RDF graph from an N-Triples style file.
+
+    Builds the graph ``RDFGraph(parse_ntriples(...))`` builds, term ids and
+    :attr:`~RDFGraph.version` included, with no triple or term object per
+    occurrence: each distinct term text is parsed and interned once, in the
+    triple-by-triple order, and the id rows go in as one bulk add.
+    """
+    graph = RDFGraph()
+    intern = graph._dict.intern
+    ids: Dict[str, int] = {}
+    rows: List[Tuple[int, int, int]] = []
+    with Path(path).open("r", encoding="utf-8") as handle:
+        for line_number, texts in _triple_lines(handle):
+            for text in texts:
+                if text not in ids:
+                    ids[text] = intern(_text_term(text, line_number))
+            subject, predicate, obj = texts
+            rows.append((ids[subject], ids[predicate], ids[obj]))
+    return graph._add_id_rows(rows)
 
 
 def save_graph(graph: RDFGraph, path: Union[str, Path]) -> None:

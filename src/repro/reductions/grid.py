@@ -14,12 +14,12 @@ that the map is onto the component, as required by the proof of Lemma 2.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
-
-import networkx as nx
-from networkx.algorithms import isomorphism
+from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from ..exceptions import ReductionError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "grid_graph",
@@ -36,6 +36,8 @@ MinorMap = Dict[Tuple[int, int], FrozenSet[Hashable]]
 
 def grid_graph(rows: int, cols: int) -> nx.Graph:
     """The ``(rows × cols)``-grid with vertex set ``{1..rows} × {1..cols}``."""
+    import networkx as nx
+
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
     graph = nx.Graph()
@@ -53,6 +55,8 @@ def is_minor_map(minor: nx.Graph, host: nx.Graph, gamma: Dict) -> bool:
     """Check the three conditions of a minor map: branch sets are non-empty
     and connected, pairwise disjoint, and every minor edge has a host edge
     between the corresponding branch sets."""
+    import networkx as nx
+
     seen: set = set()
     for vertex in minor.nodes():
         branch = gamma.get(vertex)
@@ -90,6 +94,8 @@ def minor_map_into_clique(rows: int, cols: int, clique_vertices: List[Hashable])
 def minor_map_by_monomorphism(minor: nx.Graph, host: nx.Graph) -> Optional[MinorMap]:
     """A minor map with singleton branch sets obtained from a subgraph
     monomorphism of *minor* into *host* (None when no monomorphism exists)."""
+    from networkx.algorithms import isomorphism
+
     matcher = isomorphism.GraphMatcher(host, minor)
     for mapping in matcher.subgraph_monomorphisms_iter():
         inverse = {minor_vertex: host_vertex for host_vertex, minor_vertex in mapping.items()}
@@ -104,6 +110,8 @@ def extend_minor_map_onto(gamma: MinorMap, host: nx.Graph) -> MinorMap:
     Unassigned vertices of the component are absorbed, breadth-first, into an
     adjacent branch set; this keeps every branch set connected.
     """
+    import networkx as nx
+
     assigned: Dict[Hashable, Tuple[int, int]] = {}
     for grid_vertex, branch in gamma.items():
         for host_vertex in branch:
@@ -142,6 +150,8 @@ def find_grid_minor_map(rows: int, cols: int, host: nx.Graph) -> MinorMap:
     enough, but this implementation only searches for embeddings it can find
     efficiently.
     """
+    import networkx as nx
+
     grid = grid_graph(rows, cols)
     components = sorted(nx.connected_components(host), key=len, reverse=True)
     for component in components:

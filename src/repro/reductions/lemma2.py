@@ -29,9 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Hashable, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
 
 from .grid import MinorMap, find_grid_minor_map
 from ..hom.core import core_of
@@ -40,6 +38,9 @@ from ..hom.tgraph import GeneralizedTGraph, TGraph
 from ..rdf.terms import Variable
 from ..rdf.triples import TriplePattern
 from ..exceptions import ReductionError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Lemma2Result", "lemma2_construction", "clique_number_pairs"]
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import networkx as nx
-
 from ..hom.homomorphism import maps_to
 from ..hom.tgraph import GeneralizedTGraph
 from ..hom.treewidth import ctw
@@ -55,6 +53,8 @@ def lemma3_witness(forest: WDPatternForest, k: int) -> Lemma3Witness:
     dominated by any low-width member, and return an element of a minimal
     strongly connected component of the homomorphism digraph on that set.
     """
+    import networkx as nx
+
     if k < 1:
         raise ReductionError("the width threshold k must be at least 1")
     for tree_index, subtree in forest.subtrees():

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .lemma2 import Lemma2Result, lemma2_construction
 from .lemma3 import Lemma3Witness, lemma3_witness
@@ -33,6 +31,9 @@ from ..patterns.forest import WDPatternForest
 from ..rdf.graph import RDFGraph
 from ..sparql.mappings import Mapping
 from ..workloads.families import hard_clique_tree
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["ReductionInstance", "clique_reduction", "minimum_family_index", "solve_clique_via_wdeval"]
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "random_host_graph",
@@ -24,6 +25,8 @@ __all__ = [
 
 def random_host_graph(num_nodes: int, edge_probability: float, seed: Optional[int] = None) -> nx.Graph:
     """An Erdős–Rényi random graph ``G(n, p)``."""
+    import networkx as nx
+
     return nx.gnp_random_graph(num_nodes, edge_probability, seed=seed)
 
 
@@ -63,6 +66,8 @@ def has_clique_bruteforce(graph: nx.Graph, size: int) -> bool:
 
     Uses networkx's clique enumeration on small graphs.
     """
+    import networkx as nx
+
     if size <= 1:
         return graph.number_of_nodes() >= size
     if size == 2:

@@ -1,5 +1,8 @@
 """Unit tests for the N-Triples style reader/writer."""
 
+import random
+import time
+
 import pytest
 
 from repro.exceptions import ParseError
@@ -90,3 +93,99 @@ class TestEscapes:
     def test_other_escapes_raise_parse_errors(self, body):
         with pytest.raises(ParseError):
             list(parse_ntriples(f'<s> <p> "{body}" .'))
+
+
+# --- load_graph against the triple-by-triple path --------------------------------
+
+_SUBJECTS = [f"<http://example.org/n{i}>" for i in range(6)]
+_PREDICATES = ["<http://example.org/p>", "<http://example.org/name>", "<http://example.org/label>"]
+_LITERALS = [
+    '"Alice"',
+    '"Bonjour"@fr',
+    '"Bonjour"@en-GB',
+    '"42"^^<http://www.w3.org/2001/XMLSchema#integer>',
+    '"say \\"hi\\"\\tthere"',
+]
+#: One literal, written plainly and with a ``\uXXXX`` escape.
+_CAFE = ('"café"', '"caf\\u00e9"')
+
+
+def random_lines(seed, count=80):
+    """Seeded N-Triples lines that repeat terms and mix IRIs, plain,
+    language-tagged and datatyped literals, ``"café"`` written plainly and
+    escaped, duplicate lines, comments, blank lines, and lines with and
+    without the final ``.``."""
+    rng = random.Random(seed)
+    triples, lines = [], []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.08:
+            lines.append(rng.choice(["", "   ", "# a comment", "  # <a> <b> <c> ."]))
+        elif roll < 0.2 and triples:
+            lines.append(rng.choice(triples))
+        else:
+            obj = rng.choice(_SUBJECTS + _LITERALS + list(_CAFE))
+            end = rng.choice([" .", ".", ""])
+            triples.append(f"{rng.choice(_SUBJECTS)} {rng.choice(_PREDICATES)} {obj}{end}")
+            lines.append(triples[-1])
+    for cafe in _CAFE:
+        lines.insert(rng.randrange(len(lines) + 1), f"{rng.choice(_SUBJECTS)} {_PREDICATES[1]} {cafe} .")
+    return lines
+
+
+def random_ntriples(seed):
+    """:func:`random_lines` ending in LF or CRLF at random."""
+    rng = random.Random(seed)
+    return "".join(line + rng.choice(["\n", "\r\n"]) for line in random_lines(seed))
+
+
+def write_text(path, text):
+    path.write_bytes(text.encode("utf-8"))  # keeps CRLF line endings as written
+    return path
+
+
+class TestLoadGraphMatchesParse:
+    """``load_graph`` interns term texts straight to ids; it must build the
+    store ``RDFGraph(parse_ntriples(text))`` builds, ids and version included."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_store(self, tmp_path, seed):
+        text = random_ntriples(seed)
+        loaded = load_graph(write_text(tmp_path / "data.nt", text))
+        parsed = RDFGraph(parse_ntriples(text))
+        assert loaded.triples() == parsed.triples()
+        assert len(loaded) == len(parsed) > 0
+        assert loaded.version == parsed.version == 1
+        assert list(loaded._dict) == list(parsed._dict)
+        assert loaded.domain() == parsed.domain()
+        assert Literal("café") in loaded.domain()
+
+    def test_empty_file(self, tmp_path):
+        loaded = load_graph(write_text(tmp_path / "data.nt", "# nothing\n\n"))
+        assert len(loaded) == 0 and loaded.version == 0
+
+    @pytest.mark.parametrize(
+        "bad", ["<a> <b> .", "<a> <b> <c> garbage", '<s> <p> "\\x41" .'], ids=["short", "garbage", "escape"]
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_malformed_line_is_named_by_both_readers(self, tmp_path, bad, seed):
+        lines = random_lines(seed, count=20)
+        k = random.Random(seed).randrange(len(lines)) + 1
+        lines.insert(k - 1, bad)
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(ParseError, match=rf"^line {k}: "):
+            list(parse_ntriples(text))
+        with pytest.raises(ParseError, match=rf"^line {k}: "):
+            load_graph(write_text(tmp_path / "data.nt", text))
+
+    def test_long_blank_run_before_garbage_fails_fast(self, tmp_path):
+        # A grammar that splits a blank run between two optional parts tries
+        # every split before failing: seconds on this line instead of about
+        # a millisecond.
+        text = "<a> <b> <c>" + " " * 50_000 + "x\n"
+        started = time.perf_counter()
+        with pytest.raises(ParseError, match="^line 1: trailing content 'x'"):
+            list(parse_ntriples(text))
+        with pytest.raises(ParseError, match="^line 1: trailing content 'x'"):
+            load_graph(write_text(tmp_path / "data.nt", text))
+        assert time.perf_counter() - started < 5.0

@@ -15,14 +15,19 @@ run is checkable bit-for-bit no matter how the threads interleave.
 import gc
 import json
 import multiprocessing
+import os
 import random
 import socket
+import subprocess
+import sys
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.evaluation import FaultPlan, Session
 from repro.exceptions import (
     DeadlineExceeded,
@@ -31,7 +36,7 @@ from repro.exceptions import (
     ServiceError,
     ServiceOverloadedError,
 )
-from repro.rdf import IRI, Literal, RDFGraph, Triple
+from repro.rdf import IRI, Literal, RDFGraph, Triple, save_graph
 from repro.service import (
     QueryService,
     Request,
@@ -156,6 +161,42 @@ class TestServiceBasics:
             assert flattened == sorted(flattened, key=repr)
             with pytest.raises(ServiceError):
                 next(service.solution_chunks(Response(op="check", ok=True)))
+
+
+#: Loads a graph file and answers through ``QueryService`` with networkx made
+#: unimportable; prints the answers as JSON.
+SERVE_WITHOUT_NETWORKX = """
+import json, sys
+sys.modules["networkx"] = None  # from here on, importing networkx raises ImportError
+import repro, repro.cli, repro.service
+from repro.rdf.io import load_graph
+from repro.sparql import Mapping
+path, query = sys.argv[1:]
+mappings = [Mapping.of(x="p0", y="p1"), Mapping.of(x="p1", y="p2")]
+with repro.service.QueryService(load_graph(path)) as service:
+    answers = service.solutions(query, method="natural")
+    natural = service.check(query, mappings, method="natural")
+    pebble = service.check(query, mappings, method="pebble", width=1)
+print(json.dumps([len(answers), natural, pebble]))
+"""
+
+
+class TestServePathWithoutNetworkx:
+    """networkx serves the width measures and the CLIQUE reduction only; the
+    CLI, the service, the loader and both engines a request reaches must
+    import and answer without it."""
+
+    def test_load_and_answer_without_networkx(self, tmp_path):
+        graph = social_graph()
+        save_graph(graph, tmp_path / "data.nt")
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", SERVE_WITHOUT_NETWORKX, str(tmp_path / "data.nt"), OPT_QUERY],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        expected = len(Session().solutions(parse_pattern(OPT_QUERY), graph))
+        assert json.loads(run.stdout) == [expected, [True, False], [True, False]]
 
 
 # --- the differential concurrency suite ---------------------------------------

@@ -178,7 +178,7 @@ class TestStreaming:
             session.solutions(parse_pattern("(?x p ?y)"), random_graph(3, 5, seed=0), "pebble")
 
 
-class TestSolutionsMany:
+class TestSolutions:
     def test_randomized_parity_with_naive_enumeration(self):
         """One Session.solutions per (pattern, graph) cell must be identical
         to per-pattern naive enumeration on randomized patterns × graphs."""
@@ -236,7 +236,7 @@ class TestSolutionsMany:
         assert session.cache.statistics.enum_hits > before
 
 
-class TestSolutionsIter:
+class TestSolutionsStream:
     def test_serial_first_occurrence_streams_lazily(self):
         """Session.solutions_stream yields its first solution before the
         enumeration is complete (nothing is recorded in the cache yet)."""
@@ -400,7 +400,7 @@ class TestMutationSafety:
     def _fresh_answers(self, forest, graph):
         return Engine(forest=forest).solutions(graph, method="natural")
 
-    def test_serial_solutions_iter_mutation_between_cells(self):
+    def test_serial_solutions_stream_mutation_between_cells(self):
         """A mutation between two patterns' Session.solutions_stream runs."""
         graph = tprime_data_graph(6, 20, seed=25)
         patterns = [WDPatternForest([tprime_tree(2)]), WDPatternForest([tprime_tree(3)])]
@@ -417,7 +417,7 @@ class TestMutationSafety:
         for forest in patterns:
             assert session.solutions(forest, graph) == self._fresh_answers(forest, graph)
 
-    def test_serial_solutions_iter_mutation_mid_cell_does_not_poison(self):
+    def test_serial_solutions_stream_mutation_mid_cell_does_not_poison(self):
         """An add mid-way through a Session.solutions_stream."""
         graph = tprime_data_graph(6, 20, seed=25)
         forest = WDPatternForest([tprime_tree(2)])
@@ -438,7 +438,7 @@ class TestMutationSafety:
             for i in range(3)
         )
 
-    def test_serial_solutions_iter_bulk_mutation_mid_cell_does_not_poison(self):
+    def test_serial_solutions_stream_bulk_mutation_mid_cell_does_not_poison(self):
         """An add_all mid-way through a Session.solutions_stream: incremental
         index maintenance must not weaken the version fence — the batch
         aborts the stream's recording exactly like a chain of single adds
