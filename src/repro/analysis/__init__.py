@@ -1,8 +1,8 @@
 """AST-based invariant linter for the ``repro`` codebase.
 
-``python -m repro.analysis`` (or ``repro lint``) checks the concurrency,
-caching, and versioning contracts the codebase accumulated across PRs —
-see :mod:`repro.analysis.framework` for the machinery and
+``python -m repro.analysis`` (or ``repro lint``) checks the deadline,
+exception and locking contracts that no test can catch breaking — see
+:mod:`repro.analysis.framework` for the machinery and
 :mod:`repro.analysis.rules` for the invariants.
 """
 

@@ -15,10 +15,7 @@ module builds the one shared answer machine:
   ``self.method(...)`` (including base classes defined in the project),
   ``self.attr.method(...)`` via attribute-type inference from
   ``self.attr = ClassName(...)`` assignments, and ``local = ClassName(...)``
-  followed by ``local.method(...)``;
-* :meth:`CallGraph.reachable` gives bounded-depth transitive closure with
-  optional edge filtering — RP-VERSION's self-call closure and RP-GUARD's
-  "only called under the lock" proof are both thin wrappers over it.
+  followed by ``local.method(...)``.
 
 The graph is deliberately *unsound where python is dynamic* (no flow
 analysis through containers, no duck typing): a rule that consumes it must
@@ -29,16 +26,16 @@ in exotic code, not false positives in ordinary code.
 Building the graph walks every file once and resolving edges is a few
 dictionary probes per call site; the result is memoised per
 :class:`Project` (see :func:`project_callgraph`) so the four concurrency
-rules plus RP-VERSION/RP-TICK share one build.
+rules and RP-TICK share one build.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .framework import Project, SourceFile
+from .framework import Project, SourceFile, own_statements
 
 __all__ = [
     "FunctionRef",
@@ -88,7 +85,6 @@ class ClassInfo:
 
     name: str
     path: str
-    node: ast.ClassDef
     #: method name -> FunctionRef (direct defs only; see resolve_method).
     methods: Dict[str, FunctionRef] = field(default_factory=dict)
     #: base-class names as written (resolved through imports where possible).
@@ -205,35 +201,6 @@ class CallGraph:
 
         return search(class_name)
 
-    def reachable(
-        self,
-        start: FunctionRef,
-        max_depth: Optional[int] = None,
-        edge_filter: Optional[Callable[[CallEdge], bool]] = None,
-    ) -> Set[FunctionRef]:
-        """Transitive closure of call edges from *start* (inclusive).
-
-        Breadth-first with a visited set, so recursion and mutual recursion
-        terminate; *max_depth* bounds the number of edges followed from
-        *start*; *edge_filter* keeps only edges it accepts (RP-VERSION uses
-        it to follow ``self.``-calls within one class).
-        """
-        seen: Set[FunctionRef] = {start}
-        frontier: List[FunctionRef] = [start]
-        depth = 0
-        while frontier and (max_depth is None or depth < max_depth):
-            depth += 1
-            next_frontier: List[FunctionRef] = []
-            for ref in frontier:
-                for edge in self.callees(ref):
-                    if edge_filter is not None and not edge_filter(edge):
-                        continue
-                    if edge.callee not in seen:
-                        seen.add(edge.callee)
-                        next_frontier.append(edge.callee)
-            frontier = next_frontier
-        return seen
-
     # -- construction --------------------------------------------------------
 
     def _build(self) -> None:
@@ -269,7 +236,7 @@ class CallGraph:
                     visit(child, qual, cls, True)
                 elif isinstance(child, ast.ClassDef):
                     qual = f"{prefix}.{child.name}" if prefix else child.name
-                    info = ClassInfo(name=child.name, path=file.relpath, node=child)
+                    info = ClassInfo(name=child.name, path=file.relpath)
                     for base in child.bases:
                         if isinstance(base, ast.Name):
                             info.bases.append(base.id)
@@ -390,7 +357,7 @@ class CallGraph:
             if ref.path != file.relpath:
                 continue
             local_types = self._local_constructions(info)
-            for node in self._own_nodes(info.node):
+            for node in own_statements(info.node):
                 if not isinstance(node, ast.Call):
                     continue
                 for callee, via_self in self._resolve_call(
@@ -402,26 +369,11 @@ class CallGraph:
                     self._edges_out.setdefault(ref, []).append(edge)
                     self._edges_in.setdefault(callee, []).append(edge)
 
-    @staticmethod
-    def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-        """Every node inside *func* excluding nested def/lambda bodies —
-        a nested function's calls happen when *it* runs, not when its
-        definition is executed."""
-
-        def walk(node: ast.AST) -> Iterator[ast.AST]:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                    continue
-                yield child
-                yield from walk(child)
-
-        yield from walk(func)
-
     def _local_constructions(self, info: FunctionInfo) -> Dict[str, str]:
         """local variable name -> class name, for ``x = ClassName(...)`` and
         ``x = self.attr`` (via inferred attribute types) in *info*'s body."""
         result: Dict[str, str] = {}
-        for node in self._own_nodes(info.node):
+        for node in own_statements(info.node):
             if not isinstance(node, ast.Assign) or len(node.targets) != 1:
                 continue
             target = node.targets[0]
@@ -533,7 +485,7 @@ def project_callgraph(project: Project) -> CallGraph:
 
     Rules run over the same ``Project`` instance within one lint pass;
     caching on the instance means RP-GUARD, RP-LOCKORDER, RP-HOLD,
-    RP-VERSION and RP-TICK share a single build.
+    RP-YIELD and RP-TICK share a single build.
     """
     graph = getattr(project, "_callgraph_cache", None)
     if graph is None:

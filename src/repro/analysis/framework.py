@@ -1,12 +1,12 @@
 """The invariant linter's core: files, findings, rules, suppressions.
 
-Seven PRs of growth accumulated load-bearing invariants — one version bump
-per batch mutation (PR 6), ``id()``-free portable cache keys and picklable
-pool payloads (PR 1/3/5), ``Budget.tick()`` in every hot loop and
-monotonic-only deadline arithmetic (PR 7) — that previously lived only in
-docstrings and after-the-fact regression tests.  This package encodes them
-as AST rules so a violation fails CI at review time instead of surfacing as
-a production race or poisoned cache.
+The rules keep the contracts whose breach no test sees: ``Budget.tick()``
+in every hot loop, monotonic-only deadline arithmetic, raises inside the
+``ReproError`` taxonomy, and the lock discipline of the state the server's
+threads share.  Contracts a test already breaks on — graph versioning,
+picklable pool payloads, the workers' module state — are left to those
+tests.  A violation fails CI at review time instead of surfacing as a
+production race or a deadline that never fires.
 
 The moving parts:
 
@@ -14,8 +14,8 @@ The moving parts:
   tree.  ``Project.from_directory`` walks the real ``src/repro``;
   ``Project.from_sources`` builds an in-memory project for fixture tests.
 * :class:`Rule` — one invariant.  A rule sees the whole project (several
-  rules need cross-file context: the exception taxonomy, payload class
-  definitions) and yields :class:`Finding` records.
+  rules need cross-file context: the exception taxonomy, the call graph)
+  and yields :class:`Finding` records.
 * Suppressions — ``# repro: ignore[RULE-ID]`` on the finding's exact line
   silences that rule there; a comment naming an unknown rule id is itself
   a finding (``RP-SUPPRESS``), so typos cannot silently disable a check.
@@ -109,7 +109,6 @@ class Project:
 
     def __init__(self, files: Sequence[SourceFile]) -> None:
         self.files: List[SourceFile] = sorted(files, key=lambda f: f.relpath)
-        self._by_path = {f.relpath: f for f in self.files}
 
     @classmethod
     def from_directory(cls, directory: Path, root: Optional[Path] = None) -> "Project":
@@ -159,14 +158,6 @@ class Rule:
 
     def run(self, project: Project) -> Iterator[Finding]:
         raise NotImplementedError
-
-    def finding(self, file: SourceFile, node: ast.AST, message: str) -> Finding:
-        return Finding(
-            path=file.relpath,
-            line=getattr(node, "lineno", 1),
-            rule=self.id,
-            message=message,
-        )
 
 
 @dataclass
@@ -271,11 +262,12 @@ def run_rules(
 # --- shared AST helpers used by several rules --------------------------------
 
 def own_statements(func: ast.AST) -> Iterator[ast.AST]:
-    """Every statement lexically inside *func*, excluding nested defs.
+    """Every node lexically inside *func*, excluding nested def/lambda bodies.
 
     Nested functions are separate analysis units (``_search_ids.backtrack`` is
-    registered on its own), so a rule looking at a function's loops must not
-    wander into its inner ``def``/``lambda`` bodies.
+    registered on its own): their loops, calls and assignments run when they
+    are called, not where they are defined, so the call graph, the lock model
+    and the rules must not wander into them.
     """
 
     def walk(node: ast.AST) -> Iterator[ast.AST]:
@@ -286,17 +278,6 @@ def own_statements(func: ast.AST) -> Iterator[ast.AST]:
             yield from walk(child)
 
     yield from walk(func)
-
-
-def attribute_root(node: ast.AST) -> Optional[ast.AST]:
-    """The innermost value of an attribute/subscript chain.
-
-    ``self._by_s[x].add`` → the ``self`` Name; used to decide whether a
-    mutator call is rooted at an instance storage attribute.
-    """
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return node
 
 
 def chain_attributes(node: ast.AST) -> List[str]:

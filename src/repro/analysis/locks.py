@@ -11,9 +11,9 @@ RP-YIELD (:mod:`repro.analysis.rules.guards` and friends):
   contract wants.
 * **Guarded-attribute mapping** — which mutable attributes a lock protects,
   declared at the definition site with a ``# guarded-by: <lock_attr>``
-  comment on the attribute's assignment line (same comment-anchored style
-  as RP-FORKSTATE's ``# fork-safe:``).  Stale or contradictory declarations
-  are surfaced as errors: a typo must not silently disable a check.
+  comment on the attribute's assignment line.  Stale or contradictory
+  declarations are surfaced as errors: a typo must not silently disable a
+  check.
 * **Held-lock tracking** — :func:`iter_with_held` walks a function body
   yielding ``(node, frozenset of held lock attrs)``, entering
   ``with self.<lock>:`` blocks and *not* descending into nested
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .callgraph import CallGraph
-from .framework import SourceFile
+from .framework import SourceFile, own_statements
 
 __all__ = [
     "LOCK_KINDS",
@@ -103,7 +103,7 @@ def _self_attr_assignments(
     for info in graph.functions.values():
         if info.class_name is None:
             continue
-        for node in CallGraph._own_nodes(info.node):
+        for node in own_statements(info.node):
             if isinstance(node, ast.Assign):
                 targets: Sequence[ast.AST] = node.targets
                 value: Optional[ast.AST] = node.value

@@ -8,11 +8,8 @@ from ..framework import Rule
 from .blocking import HoldWhileBlockingRule
 from .budgets import MonotonicRule, TickRule
 from .exceptions_rule import ExceptionTaxonomyRule
-from .forkstate import ForkStateRule
 from .guards import GuardedByRule
 from .lockorder import LockOrderRule
-from .pickling import PoolPayloadRule
-from .versioning import VersionBumpRule
 from .yields import YieldUnderLockRule
 
 __all__ = ["default_rules"]
@@ -21,12 +18,9 @@ __all__ = ["default_rules"]
 def default_rules() -> List[Rule]:
     """Fresh instances of every registered rule, in reporting order."""
     return [
-        VersionBumpRule(),
-        PoolPayloadRule(),
         TickRule(),
         MonotonicRule(),
         ExceptionTaxonomyRule(),
-        ForkStateRule(),
         GuardedByRule(),
         LockOrderRule(),
         HoldWhileBlockingRule(),

@@ -38,7 +38,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..callgraph import CallGraph, FunctionRef, project_callgraph
-from ..framework import Finding, Project, Rule, chain_attributes
+from ..framework import Finding, Project, Rule, chain_attributes, own_statements
 from ..locks import discover_locks, iter_with_held, locks_by_class
 
 __all__ = ["HoldWhileBlockingRule"]
@@ -233,7 +233,9 @@ class HoldWhileBlockingRule(Rule):
             return None
         stack.add(ref)
         result: Optional[Tuple[str, str, int]] = None
-        for node in self._own_calls(info.node):
+        for node in own_statements(info.node):
+            if not isinstance(node, ast.Call):
+                continue
             reason = self._blocking_reason(graph, info.class_name, node)
             if reason is not None:
                 result = (reason, ref.path, node.lineno)
@@ -253,17 +255,3 @@ class HoldWhileBlockingRule(Rule):
             # settled answer; leave it uncached so other paths re-derive it
             self._closure_cache[ref] = result
         return result
-
-    @staticmethod
-    def _own_calls(func: ast.AST) -> Iterator[ast.Call]:
-        def walk(node: ast.AST) -> Iterator[ast.Call]:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-                ):
-                    continue
-                if isinstance(child, ast.Call):
-                    yield child
-                yield from walk(child)
-
-        yield from walk(func)

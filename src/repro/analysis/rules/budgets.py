@@ -1,14 +1,16 @@
 """RP-TICK and RP-MONO: deadline discipline in hot loops (PR 7).
 
 **RP-TICK** — the registered hot-loop functions (homomorphism backtracking,
-the AC-3 worklist, naive materialisation, both enumeration streams, the
-generic pebble fixpoint) must call ``tick()`` in every ``while`` loop and
+the AC-3 worklist, both enumeration streams, the generic pebble fixpoint,
+the service's worker loop) must call ``tick()`` in every ``while`` loop and
 every *outermost* ``for`` loop of their own body.  Inner loops are treated
 as amortized by the enclosing loop's tick (the whole point of
 ``Budget.tick(n)``'s batched accounting), and nested ``def``\\ s are
 separate units — ``_search_ids.backtrack`` registers the inner function, not
 its driver.  A registered function that no longer exists is itself a
-finding: a stale registry silently un-protects a hot loop.
+finding: a stale registry silently un-protects a hot loop.  Naive
+evaluation ticks once per pattern node and has no loop to check, so
+``tests/test_faults.py`` guards its deadline instead.
 
 **RP-MONO** — deadline arithmetic uses the monotonic clock only, anywhere
 in ``src/repro``: ``time.time()``, ``from time import time``, and argless
@@ -31,7 +33,6 @@ __all__ = ["TickRule", "MonotonicRule", "HOT_LOOPS"]
 #: Extend this list when a new enumeration / propagation loop lands.
 HOT_LOOPS: Tuple[Tuple[str, str], ...] = (
     ("hom/homomorphism.py", "_search_ids.backtrack"),
-    ("evaluation/naive.py", "evaluate_pattern"),
     ("evaluation/wdeval.py", "tree_solutions_stream"),
     ("evaluation/wdeval.py", "forest_solutions_stream"),
     ("pebble/kernel.py", "ConsistencyKernel._solve_two_pebbles"),

@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="AST invariant linter for the repro codebase "
-        "(concurrency, caching, and versioning contracts).  Scans "
+        "(deadline, exception and locking contracts).  Scans "
         "<root>/src/repro in full.",
     )
     parser.add_argument(

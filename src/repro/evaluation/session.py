@@ -91,9 +91,9 @@ _MAX_POOL_ATTEMPTS = 2
 # Budget travels in the initargs (absolute monotonic deadlines stay
 # meaningful across processes on Linux), as does the test-only FaultPlan.
 
-# fork-safe: rebound wholesale by _init_worker in every worker process
-# before any task runs, and never read in the parent — fork-inherited
-# contents are inert, so worker writes cannot leak across the boundary.
+# Rebound wholesale by _init_worker in every worker process before any task
+# runs, and never read in the parent — fork-inherited contents are inert, so
+# worker writes cannot leak across the boundary.
 _WORKER_STATE: Dict[str, object] = {}
 
 

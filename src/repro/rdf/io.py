@@ -6,7 +6,8 @@ The format accepted here is a pragmatic subset of N-Triples:
 * IRIs are written ``<iri>``;
 * literals are written ``"value"``, optionally followed by ``@lang`` or
   ``^^<datatype>``;
-* ``#`` starts a comment; blank lines are ignored.
+* ``#`` outside a term starts a comment that runs to the end of the line,
+  on a line of its own or after a triple; blank lines are ignored.
 
 It exists so that examples and experiments can persist and reload the
 synthetic data sets they generate; it is not a validating W3C parser.
@@ -49,11 +50,12 @@ _TERM = r"""
 _TERM_RE = re.compile(r"\s*" + _TERM, re.VERBOSE)
 
 #: One triple line: three terms, each captured whole, an optional final
-#: ``.``, and whitespace around them (the line's newline included).  The
-#: whitespace before the dot sits inside the optional group: ``\s*\.?\s*``
-#: would try every split of a long blank run before failing, in square time.
+#: ``.``, an optional comment, and whitespace around them (the line's newline
+#: included).  The whitespace before the dot and before the comment sits
+#: inside each optional group: ``\s*\.?\s*`` would try every split of a long
+#: blank run before failing, in square time.
 _LINE_RE = re.compile(
-    r"\s* ({term}) \s* ({term}) \s* ({term}) (?: \s* \. )? \s*".format(
+    r"\s* ({term}) \s* ({term}) \s* ({term}) (?: \s* \. )? (?: \s* \# [^\n]* )? \s*".format(
         term=re.sub(r"\(\?P<\w+>", "(?:", _TERM)
     ),
     re.VERBOSE,

@@ -91,6 +91,10 @@ def decode_line(raw: bytes) -> dict:
         message = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise ProtocolError(f"malformed protocol line: {error}") from None
+    except RecursionError:
+        # Nesting deep enough to exhaust the decoder's stack fits well
+        # inside MAX_LINE_BYTES ("[" * 200_000).
+        raise ProtocolError("malformed protocol line: nested too deeply") from None
     if not isinstance(message, dict):
         raise ProtocolError(
             f"protocol messages are JSON objects, got {type(message).__name__}"

@@ -19,7 +19,7 @@ Example::
 from __future__ import annotations
 
 import re
-from typing import Iterator, List, NamedTuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 from .algebra import And, GraphPattern, Opt, TriplePatternNode, Union
 from ..exceptions import ParseError
@@ -50,6 +50,13 @@ _TOKEN_RE = re.compile(
 )
 
 _KEYWORDS = {"AND", "OPT", "OPTIONAL", "UNION"}
+
+#: How deep the parser nests groups, and how deep the pattern it builds nests
+#: operators.  The parser recurses once per group and the evaluators once per
+#: operator, so deeper text (600 groups, or a chain of 1,000 ``AND``\ s) would
+#: exhaust the interpreter's stack.  The deepest generated text,
+#: ``to_text(fk_pattern(12))``, nests 70 groups.
+MAX_DEPTH = 200
 
 
 def _tokenize(text: str) -> Iterator[_Token]:
@@ -91,19 +98,25 @@ class _Parser:
 
     # --- grammar ------------------------------------------------------------
     def parse(self) -> GraphPattern:
-        pattern = self._parse_expression()
+        pattern, _depth = self._parse_expression(0)
         trailing = self._peek()
         if trailing.kind != "eof":
             raise ParseError(f"trailing input {trailing.value!r}", position=trailing.position)
         return pattern
 
-    def _parse_expression(self) -> GraphPattern:
-        left = self._parse_atom()
+    def _parse_expression(self, groups: int) -> Tuple[GraphPattern, int]:
+        """The expression inside *groups* open groups, and its depth."""
+        left, depth = self._parse_atom(groups)
         while True:
             token = self._peek()
             if token.kind == "word" and token.value.upper() in _KEYWORDS:
                 self._advance()
-                right = self._parse_atom()
+                right, right_depth = self._parse_atom(groups)
+                depth = 1 + max(depth, right_depth)
+                if depth > MAX_DEPTH:
+                    raise ParseError(
+                        f"operators nest deeper than {MAX_DEPTH}", position=token.position
+                    )
                 operator = token.value.upper()
                 if operator == "AND":
                     left = And(left, right)
@@ -112,9 +125,9 @@ class _Parser:
                 else:
                     left = Union(left, right)
             else:
-                return left
+                return left, depth
 
-    def _parse_atom(self) -> GraphPattern:
+    def _parse_atom(self, groups: int) -> Tuple[GraphPattern, int]:
         token = self._peek()
         if token.kind != "lparen":
             raise ParseError(f"expected '(', got {token.value!r}", position=token.position)
@@ -124,9 +137,11 @@ class _Parser:
         if self._peek(1).kind in ("var", "iri_ref", "string", "word") and (
             self._peek(1).kind != "word" or self._peek(1).value.upper() not in _KEYWORDS
         ):
-            return self._parse_triple()
+            return self._parse_triple(), 0
+        if groups == MAX_DEPTH:
+            raise ParseError(f"groups nest deeper than {MAX_DEPTH}", position=token.position)
         self._expect("lparen")
-        inner = self._parse_expression()
+        inner = self._parse_expression(groups + 1)
         self._expect("rparen")
         return inner
 

@@ -16,11 +16,8 @@ from repro.analysis.framework import Finding, Project
 from repro.analysis.rules.blocking import HoldWhileBlockingRule
 from repro.analysis.rules.budgets import MonotonicRule, TickRule
 from repro.analysis.rules.exceptions_rule import ExceptionTaxonomyRule
-from repro.analysis.rules.forkstate import ForkStateRule
 from repro.analysis.rules.guards import GuardedByRule
 from repro.analysis.rules.lockorder import LOCK_ORDER, LockOrderRule, _find_cycle
-from repro.analysis.rules.pickling import PoolPayloadRule
-from repro.analysis.rules.versioning import VersionBumpRule
 from repro.analysis.rules.yields import YieldUnderLockRule
 from repro.analysis.runner import main as lint_main
 
@@ -39,185 +36,38 @@ def rule_findings(rule, proj):
     return [f for f in run_rules(proj, [rule]).findings if f.rule == rule.id]
 
 
-# --- RP-VERSION ---------------------------------------------------------------
-
-GRAPH_OK = """
-    class RDFGraph:
-        def add(self, triple):
-            if triple in self._spo:
-                return self
-            self._version += 1
-            self._insert(triple)
-            return self
-
-        def _insert(self, triple):
-            self._spo.add(triple)
-
-        def add_all(self, triples):
-            batch = [t for t in triples if t not in self._spo]
-            if not batch:
-                return self
-            self._version += 1
-            self._spo.extend_sorted(sorted(batch))
-            return self
-"""
-
-
-def test_version_rule_silent_on_disciplined_graph():
-    assert rule_findings(VersionBumpRule(), project(src__repro__rdf__graph=GRAPH_OK)) == []
-
-
-def test_version_rule_flags_mutation_without_bump():
-    proj = project(
-        src__repro__rdf__graph="""
-        class RDFGraph:
-            def add(self, triple):
-                self._spo.add(triple)
-                return self
-        """
-    )
-    findings = rule_findings(VersionBumpRule(), proj)
-    assert len(findings) == 1
-    assert "no _version bump" in findings[0].message
-
-
-def test_version_rule_flags_double_bump_and_bump_in_loop():
-    proj = project(
-        src__repro__rdf__graph="""
-        class ReferenceRDFGraph:
-            def add_all(self, triples):
-                for t in triples:
-                    self._triples.add(t)
-                    self._version += 1
-            def discard(self, t):
-                self._triples.remove(t)
-                self._version += 1
-                self._version += 1
-        """
-    )
-    messages = sorted(f.message for f in rule_findings(VersionBumpRule(), proj))
-    assert any("inside a loop" in m for m in messages)
-    assert any("bumps _version 2 times" in m for m in messages)
-
-
-def test_version_rule_flags_bumping_method_called_in_loop():
-    proj = project(
-        src__repro__rdf__graph="""
-        class RDFGraph:
-            def add(self, t):
-                self._version += 1
-                self._spo.add(t)
-            def add_all(self, triples):
-                for t in triples:
-                    self.add(t)
-        """
-    )
-    findings = rule_findings(VersionBumpRule(), proj)
-    assert any("bumping method add() inside a loop" in f.message for f in findings)
-
-
-def test_version_rule_tracks_storage_aliases():
-    proj = project(
-        src__repro__rdf__graph="""
-        class RDFGraph:
-            def add_all(self, triples):
-                spo = self._spo
-                spo.extend_sorted(triples)
-        """
-    )
-    findings = rule_findings(VersionBumpRule(), proj)
-    assert len(findings) == 1 and "no _version bump" in findings[0].message
-
-
-# --- RP-PICKLE ----------------------------------------------------------------
-
-def test_pickle_rule_flags_hookless_payload_and_graphpattern():
-    proj = project(
-        src__repro__evaluation__session="""
-        class Payload:
-            pass
-
-        def _init_worker(payload: Payload, pattern: "GraphPattern") -> None:
-            pass
-        """
-    )
-    messages = [f.message for f in rule_findings(PoolPayloadRule(), proj)]
-    assert any("Payload defines no __reduce__" in m for m in messages)
-    assert any("GraphPattern" in m for m in messages)
-
-
-def test_pickle_rule_silent_on_reduce_dataclass_and_registered(monkeypatch):
-    from repro.analysis.rules import pickling
-
-    monkeypatch.setitem(pickling.PICKLE_SAFE, "Session", "registered for the test")
-    proj = project(
-        src__repro__evaluation__session="""
-        from dataclasses import dataclass
-        from typing import Optional
-
-        class Forest:
-            def __reduce__(self):
-                return (Forest, ())
-
-        @dataclass
-        class Delta:
-            entries: list
-
-        def _init_worker(
-            forest: Forest, delta: Delta, warm_session: Optional["Session"] = None
-        ) -> None:
-            pass
-
-        class Session:
-            pass
-        """
-    )
-    assert rule_findings(PoolPayloadRule(), proj) == []
-
-
-def test_pickle_rule_ignores_non_worker_functions():
-    proj = project(
-        src__repro__evaluation__session="""
-        class Payload:
-            pass
-
-        def ordinary(payload: Payload) -> None:
-            pass
-        """
-    )
-    assert rule_findings(PoolPayloadRule(), proj) == []
-
-
 # --- RP-TICK ------------------------------------------------------------------
 
 def test_tick_rule_flags_untick_loops_and_accepts_fixed_form():
     bad = project(
-        src__repro__evaluation__naive="""
-        def evaluate_pattern(pattern, graph, budget=None):
-            result = set()
-            for triple in graph:
-                result.add(triple)
-            while result:
-                result.pop()
-            return result
+        src__repro__service__core="""
+        class QueryService:
+            def _serve_loop(self, requests, budget=None):
+                result = set()
+                for request in requests:
+                    result.add(request)
+                while result:
+                    result.pop()
+                return result
         """
     )
     findings = rule_findings(TickRule(), bad)
     assert len(findings) == 2  # the for and the while
 
     good = project(
-        src__repro__evaluation__naive="""
-        def evaluate_pattern(pattern, graph, budget=None):
-            result = set()
-            for triple in graph:
-                if budget is not None:
-                    budget.tick()
-                for extra in triple:  # inner loop amortized by the outer tick
-                    result.add(extra)
-            while result:
-                budget.tick(1 + len(result))
-                result.pop()
-            return result
+        src__repro__service__core="""
+        class QueryService:
+            def _serve_loop(self, requests, budget=None):
+                result = set()
+                for request in requests:
+                    if budget is not None:
+                        budget.tick()
+                    for extra in request:  # inner loop amortized by the outer tick
+                        result.add(extra)
+                while result:
+                    budget.tick(1 + len(result))
+                    result.pop()
+                return result
         """
     )
     assert rule_findings(TickRule(), good) == []
@@ -225,13 +75,14 @@ def test_tick_rule_flags_untick_loops_and_accepts_fixed_form():
 
 def test_tick_rule_reports_stale_registry_entry():
     proj = project(
-        src__repro__evaluation__naive="""
-        def renamed_entry_point(pattern, graph):
-            return set()
+        src__repro__service__core="""
+        class QueryService:
+            def renamed_loop(self, requests):
+                return set()
         """
     )
     findings = rule_findings(TickRule(), proj)
-    assert any("'evaluate_pattern' not found" in f.message for f in findings)
+    assert any("'QueryService._serve_loop' not found" in f.message for f in findings)
 
 
 def test_tick_rule_checks_registered_nested_function():
@@ -337,65 +188,6 @@ def test_exc_rule_skips_bare_and_variable_reraise():
     assert rule_findings(ExceptionTaxonomyRule(), proj) == []
 
 
-# --- RP-FORKSTATE -------------------------------------------------------------
-
-FORKSTATE_BAD = """
-    _WORKER_STATE = {}
-
-    def _init_worker(graph):
-        _WORKER_STATE["graph"] = graph
-"""
-
-FORKSTATE_GOOD = """
-    # fork-safe: rebound wholesale by the initializer in every worker
-    # process before any task runs; never read in the parent.
-    _WORKER_STATE = {}
-
-    def _init_worker(graph):
-        _WORKER_STATE["graph"] = graph
-"""
-
-
-def test_forkstate_rule_requires_guard_comment():
-    bad = project(src__repro__evaluation__session=FORKSTATE_BAD)
-    findings = rule_findings(ForkStateRule(), bad)
-    assert len(findings) == 1 and "_WORKER_STATE" in findings[0].message
-
-    good = project(src__repro__evaluation__session=FORKSTATE_GOOD)
-    assert rule_findings(ForkStateRule(), good) == []
-
-
-def test_forkstate_rule_ignores_parent_side_functions():
-    proj = project(
-        src__repro__evaluation__session="""
-        _SETTINGS = {}
-
-        def configure(key, value):
-            _SETTINGS[key] = value
-        """
-    )
-    assert rule_findings(ForkStateRule(), proj) == []
-
-
-def test_forkstate_rule_flags_mutator_calls_and_global_rebind():
-    proj = project(
-        src__repro__evaluation__session="""
-        _WORKER_STATE = {}
-        _CHUNK_STATE = dict()
-
-        def _init_worker(graph):
-            _WORKER_STATE.update(graph=graph)
-
-        def _worker_contains_chunk(task):
-            global _CHUNK_STATE
-            _CHUNK_STATE = {"task": task}
-        """
-    )
-    messages = [f.message for f in rule_findings(ForkStateRule(), proj)]
-    assert any("mutates module global _WORKER_STATE" in m for m in messages)
-    assert any("rebinds module global _CHUNK_STATE" in m for m in messages)
-
-
 # --- the call graph -----------------------------------------------------------
 
 STORE_SRC = """
@@ -414,15 +206,6 @@ STORE_SRC = """
 
         def _note(self):
             self.count += 1
-
-        def loop(self):
-            return self.loop()
-
-        def ping(self):
-            return self.pong()
-
-        def pong(self):
-            return self.ping()
 """
 
 
@@ -432,26 +215,6 @@ def test_callgraph_self_call_closure():
     edges = graph.callees(info.ref)
     assert [edge.callee.qualname for edge in edges] == ["Store._bump"]
     assert edges[0].via_self
-    reached = {ref.qualname for ref in graph.reachable(info.ref)}
-    assert reached == {"Store.add", "Store._bump", "Store._note"}
-
-
-def test_callgraph_max_depth_bounds_closure():
-    graph = project_callgraph(project(src__repro__store=STORE_SRC))
-    info = graph.lookup("store.py", "Store.add")
-    reached = {ref.qualname for ref in graph.reachable(info.ref, max_depth=1)}
-    assert reached == {"Store.add", "Store._bump"}
-
-
-def test_callgraph_recursion_terminates():
-    graph = project_callgraph(project(src__repro__store=STORE_SRC))
-    direct = graph.lookup("store.py", "Store.loop")
-    assert {r.qualname for r in graph.reachable(direct.ref)} == {"Store.loop"}
-    mutual = graph.lookup("store.py", "Store.ping")
-    assert {r.qualname for r in graph.reachable(mutual.ref)} == {
-        "Store.ping",
-        "Store.pong",
-    }
 
 
 def test_callgraph_attribute_method_resolution():
@@ -949,7 +712,7 @@ def test_live_tree_is_clean(capsys):
 
 def test_registry_ids_are_unique_and_prefixed():
     registry = rule_registry()
-    assert len(registry) >= 12
+    assert len(registry) >= 9
     assert all(rule_id.startswith("RP-") for rule_id in registry)
     rules = default_rules()
     assert len({rule.id for rule in rules}) == len(rules)

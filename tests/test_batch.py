@@ -122,7 +122,7 @@ class TestResolveMethod:
 
 
 class TestManyPatterns:
-    def test_contains_many_patterns(self):
+    def test_one_session_checks_several_patterns(self):
         graph = tprime_data_graph(8, 30, seed=6)
         patterns = [
             WDPatternForest([tprime_tree(2)]),
@@ -143,7 +143,7 @@ class TestManyPatterns:
         ]
         assert answers == expected
 
-    def test_contains_matrix_shape_and_answers(self):
+    def test_check_many_row_per_pattern_matches_engine(self):
         """One row of ``check_many`` answers per pattern over one graph through
         one session: each row equals per-pattern :meth:`Engine.contains`, each
         cell equals ``check``, and the session cache records hits."""

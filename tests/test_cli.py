@@ -385,6 +385,13 @@ class TestClassifyAndValidate:
         assert exit_code == 0
         assert "well-designed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["validate", "evaluate"])
+    def test_hostile_nesting_is_a_typed_error(self, graph_file, command, capsys):
+        query = "(" * 600 + "?x p ?y" + ")" * 600
+        graph = ["--graph", graph_file] if command == "evaluate" else []
+        assert main([command, *graph, "--query", query]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_validate_detects_violation(self, capsys):
         bad = "(((?x p ?y) OPT (?z q ?x)) OPT ((?y r ?z) AND (?z r ?w)))"
         exit_code = main(["validate", "--query", bad])

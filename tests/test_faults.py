@@ -206,6 +206,16 @@ class TestDeadlines:
         # whatever was found before the trip rides on the exception
         assert isinstance(info.value.partial, tuple)
 
+    def test_naive_solutions_trip_their_deadline(self):
+        # Naive evaluation has no loop to tick in: it ticks once per pattern
+        # node, and without that tick this call materialises 248,832 answers
+        # in about 10 s.
+        pattern = parse_pattern("(((?a p ?b) AND (?b p ?c)) OPT ((?c p ?d) AND (?d p ?e)))")
+        started = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            Session().solutions(pattern, dense_graph(12), method="naive", deadline=0.05)
+        assert time.monotonic() - started < 0.5
+
     def test_solutions_stream_serial_raises_within_bound(self):
         """Acceptance: Session.solutions_stream yields partial results, then
         raises DeadlineExceeded by deadline + 250ms, counting one trip."""

@@ -114,7 +114,7 @@ def random_lines(seed, count=80):
     """Seeded N-Triples lines that repeat terms and mix IRIs, plain,
     language-tagged and datatyped literals, ``"café"`` written plainly and
     escaped, duplicate lines, comments, blank lines, and lines with and
-    without the final ``.``."""
+    without the final ``.`` and with and without a trailing comment."""
     rng = random.Random(seed)
     triples, lines = [], []
     for _ in range(count):
@@ -125,7 +125,7 @@ def random_lines(seed, count=80):
             lines.append(rng.choice(triples))
         else:
             obj = rng.choice(_SUBJECTS + _LITERALS + list(_CAFE))
-            end = rng.choice([" .", ".", ""])
+            end = rng.choice([" .", ".", ""]) + rng.choice(["", "", " # note", '#<a> "b" # c'])
             triples.append(f"{rng.choice(_SUBJECTS)} {rng.choice(_PREDICATES)} {obj}{end}")
             lines.append(triples[-1])
     for cafe in _CAFE:

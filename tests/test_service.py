@@ -749,6 +749,34 @@ class TestSocketProtocol:
             line = json.loads(reader.readline())
             assert line["ok"] is True and "completed" in line["result"]
 
+    @pytest.mark.parametrize(
+        "raw, error_type",
+        [
+            (b"[" * 200_000, "ProtocolError"),
+            (
+                json.dumps(
+                    {
+                        "op": "check",
+                        "query": "(" * 600 + KNOWS_QUERY + ")" * 600,
+                        "bindings": [{"x": "p0", "y": "p1"}],
+                    }
+                ).encode(),
+                "ParseError",
+            ),
+        ],
+        ids=["deep-json", "deep-query"],
+    )
+    def test_hostile_nesting_is_answered_in_band(self, served, raw, error_type):
+        (host, port), _service = served
+        with socket.create_connection((host, port), timeout=10.0) as conn:
+            reader = conn.makefile("rb")
+            conn.sendall(raw + b"\n")
+            line = json.loads(reader.readline())
+            assert line["ok"] is False and line["error_type"] == error_type
+            conn.sendall(b'{"op": "stats"}\n')
+            line = json.loads(reader.readline())
+            assert line["ok"] is True and "completed" in line["result"]
+
     def test_oversized_line_is_refused_before_its_newline(self, served):
         (host, port), _service = served
         with socket.create_connection((host, port), timeout=10.0) as conn:

@@ -7,6 +7,7 @@ from repro.rdf.terms import IRI, Literal, Variable
 from repro.rdf.triples import TriplePattern
 from repro.sparql.algebra import And, Opt, TriplePatternNode, Union
 from repro.sparql.parser import parse_pattern, to_text
+from repro.workloads.families import fk_pattern
 
 
 class TestParsing:
@@ -69,6 +70,14 @@ class TestParsing:
             parse_pattern("(?x p ?y) %")
         assert info.value.position is not None
 
+    def test_hostile_nesting_is_a_parse_error(self):
+        # Either would exhaust the interpreter's stack: the groups in the
+        # parser, the operators in every evaluator.
+        with pytest.raises(ParseError, match="groups nest deeper"):
+            parse_pattern("(" * 600 + "?x p ?y" + ")" * 600)
+        with pytest.raises(ParseError, match="operators nest deeper"):
+            parse_pattern(" AND ".join(["(?x p ?y)"] * 1000))
+
 
 class TestRoundTrip:
     CASES = [
@@ -78,6 +87,8 @@ class TestRoundTrip:
         "(((?x p ?y) OPT (?z q ?x)) UNION ((?x p ?y) AND (?y r ?w)))",
         '(?x name "Alice")',
         "(?x <http://example.org/very/long#iri> ?y)",
+        # the deepest generated text: 70 nested groups, inside MAX_DEPTH
+        pytest.param(to_text(fk_pattern(12)), id="fk_pattern(12)"),
     ]
 
     @pytest.mark.parametrize("text", CASES)
