@@ -59,7 +59,7 @@ from .sparql import (
 )
 from .hom import TGraph, GeneralizedTGraph, ctw, tw, core_of, has_homomorphism, maps_to
 from .patterns import WDPatternTree, WDPatternForest, build_wdpt, wdpf
-from .pebble import ConsistencyKernel, pebble_game_winner, pebble_maps_into
+from .pebble import ConsistencyKernel, pebble_game_winner
 from .width import (
     domination_width,
     domination_width_of_pattern,
@@ -132,7 +132,6 @@ __all__ = [
     "wdpf",
     # pebble
     "pebble_game_winner",
-    "pebble_maps_into",
     "ConsistencyKernel",
     # width
     "domination_width",

@@ -20,7 +20,6 @@ from .pebble_eval import (
     tree_contains_pebble,
     forest_contains_pebble,
 )
-from .extended import evaluate_extended, extended_pattern_contains
 from .cache import CacheStatistics, EvaluationCache
 from .plan import (
     CostEstimate,
@@ -54,8 +53,6 @@ __all__ = [
     "EvaluationStatistics",
     "tree_contains_pebble",
     "forest_contains_pebble",
-    "evaluate_extended",
-    "extended_pattern_contains",
     "CacheStatistics",
     "EvaluationCache",
     "CostEstimate",

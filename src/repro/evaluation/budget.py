@@ -1,4 +1,4 @@
-"""Evaluation budgets: wall-clock deadlines, step limits, cancellation.
+"""Evaluation budgets: wall-clock deadlines and step limits.
 
 A :class:`Budget` bounds how long one evaluation may run.  It is carried on
 :class:`~repro.evaluation.context.EvalContext` and checked *cheaply* inside
@@ -7,9 +7,8 @@ consistency-kernel worklists, the naive materialisation and both enumeration
 streams — via :meth:`Budget.tick`, an amortized check: a countdown counter
 is decremented on every call and the (comparatively expensive)
 ``time.monotonic()`` read only happens when the counter runs out, every
-``check_interval`` ticks.  When the deadline has passed, the step budget is
-exhausted, or the budget was cooperatively cancelled, ``tick`` raises
-:class:`~repro.exceptions.DeadlineExceeded`.
+``check_interval`` ticks.  When the deadline has passed or the step budget
+is exhausted, ``tick`` raises :class:`~repro.exceptions.DeadlineExceeded`.
 
 Deadlines are stored as *absolute* ``time.monotonic()`` instants, so a
 budget created in the parent remains meaningful in forked pool workers
@@ -49,9 +48,9 @@ class Budget:
         How many ``tick()`` calls to amortize between real clock reads.
 
     A budget is *shared, mutable* state: every layer holding a reference to
-    the same budget sees the same countdown and the same :meth:`cancel`
-    flag.  The hot loops only ever call :meth:`tick`; entry/exit points may
-    call :meth:`check` for an immediate verdict.
+    the same budget sees the same countdown.  The hot loops only ever call
+    :meth:`tick`; entry/exit points may call :meth:`check` for an immediate
+    verdict.
     """
 
     __slots__ = (
@@ -59,7 +58,6 @@ class Budget:
         "expires_at",
         "steps_limit",
         "steps_used",
-        "_cancelled",
         "_interval",
         "_countdown",
     )
@@ -82,16 +80,10 @@ class Budget:
         self.expires_at = None if deadline is None else self.started_at + deadline
         self.steps_limit = steps
         self.steps_used = 0
-        self._cancelled = False
         self._interval = check_interval
         self._countdown = check_interval
 
     # --- interrogation ----------------------------------------------------
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._cancelled
-
     def elapsed(self) -> float:
         """Seconds since the budget was created."""
         return time.monotonic() - self.started_at
@@ -102,25 +94,9 @@ class Budget:
             return None
         return self.expires_at - time.monotonic()
 
-    def expired(self) -> bool:
-        """Whether any bound has been crossed (no exception raised)."""
-        if self._cancelled:
-            return True
-        if self.steps_limit is not None and self.steps_used > self.steps_limit:
-            return True
-        return self.expires_at is not None and time.monotonic() >= self.expires_at
-
     # --- control ----------------------------------------------------------
-    def cancel(self) -> None:
-        """Cooperatively cancel: the next check raises ``DeadlineExceeded``."""
-        self._cancelled = True
-
     def check(self) -> None:
         """Immediate (non-amortized) bound check; raises on violation."""
-        if self._cancelled:
-            raise DeadlineExceeded(
-                "evaluation cancelled", elapsed=self.elapsed(), budget=self
-            )
         if self.steps_limit is not None and self.steps_used > self.steps_limit:
             raise DeadlineExceeded(
                 f"evaluation step budget exhausted "
@@ -140,9 +116,9 @@ class Budget:
         """Amortized bound check for hot loops.
 
         Counts *n* steps against the step budget and, every
-        ``check_interval`` accumulated ticks, performs the real clock /
-        cancellation check.  Cheap enough to call once per backtracking
-        node, worklist pop or materialised mapping.
+        ``check_interval`` accumulated ticks, performs the real clock check.
+        Cheap enough to call once per backtracking node, worklist pop or
+        materialised mapping.
         """
         self.steps_used += n
         self._countdown -= n
@@ -157,7 +133,6 @@ class Budget:
             "expires_at": self.expires_at,
             "steps_limit": self.steps_limit,
             "steps_used": self.steps_used,
-            "cancelled": self._cancelled,
             "interval": self._interval,
         }
 
@@ -166,7 +141,6 @@ class Budget:
         self.expires_at = state["expires_at"]
         self.steps_limit = state["steps_limit"]
         self.steps_used = state["steps_used"]
-        self._cancelled = state["cancelled"]
         self._interval = state["interval"]
         self._countdown = state["interval"]
 
@@ -176,8 +150,6 @@ class Budget:
             bits.append(f"deadline={self.expires_at - self.started_at:.3f}s")
         if self.steps_limit is not None:
             bits.append(f"steps={self.steps_used}/{self.steps_limit}")
-        if self._cancelled:
-            bits.append("cancelled")
         return f"Budget({', '.join(bits) or 'unbounded'})"
 
 

@@ -141,6 +141,7 @@ def tree_solutions_stream(
     recorded: Optional[list] = [] if context.cache is not None else None
     seen: Set[Mapping] = set()
     for subtree in tree.subtrees():
+        context.tick()
         child_pats = [tree.pat(child) for child in subtree.children()]
         for hom in context.homomorphisms(subtree.pat(), graph):
             context.tick()

@@ -276,26 +276,26 @@ class WDPatternTree:
 
         The number of subtrees can be exponential in the tree size; the
         paper's width measures quantify over all of them, so this is only
-        meant for the small trees of queries.
+        meant for the small trees of queries.  Each subtree is yielded as
+        soon as it is built, so a caller that stops early, or whose deadline
+        trips, pays only for the subtrees it took.  Callers return the first
+        witness or solution they meet, so the order is part of the contract:
+        the root alone, then for each child in turn every subtree so far
+        extended by each subtree of that child.
         """
-        def expand(node: int) -> List[FrozenSet[int]]:
+        def expand(node: int) -> Iterator[FrozenSet[int]]:
             """All node sets of subtrees of the subtree rooted at *node* that
-            contain *node*."""
+            contain *node*; no set repeats."""
             options: List[FrozenSet[int]] = [frozenset({node})]
+            yield options[0]
             for child in self.children_of(node):
-                child_options = expand(child)
-                new_options: List[FrozenSet[int]] = []
-                for existing in options:
-                    for child_set in child_options:
-                        new_options.append(existing | child_set)
-                options.extend(new_options)
-            return options
+                for existing in options[:]:
+                    for child_set in expand(child):
+                        options.append(existing | child_set)
+                        yield options[-1]
 
-        seen = set()
         for node_set in expand(self._root):
-            if node_set not in seen:
-                seen.add(node_set)
-                yield Subtree(self, node_set)
+            yield Subtree(self, node_set)
 
     # --- rendering --------------------------------------------------------------------
     def pretty(self) -> str:

@@ -2,7 +2,6 @@
 
 from .game import (
     pebble_game_winner,
-    pebble_maps_into,
     reference_pebble_game_winner,
 )
 from .kernel import ConsistencyKernel
@@ -10,6 +9,5 @@ from .kernel import ConsistencyKernel
 __all__ = [
     "pebble_game_winner",
     "reference_pebble_game_winner",
-    "pebble_maps_into",
     "ConsistencyKernel",
 ]

@@ -51,7 +51,6 @@ from ..exceptions import EvaluationError
 __all__ = [
     "pebble_game_winner",
     "reference_pebble_game_winner",
-    "pebble_maps_into",
 ]
 
 #: A partial assignment of non-distinguished variables, as a sorted tuple of
@@ -139,16 +138,6 @@ def reference_pebble_game_winner(
     if k == 2:
         return _winner_two_pebbles(triples, fixed, existential, domain_values, graph)
     return _winner_generic(triples, fixed, existential, domain_values, graph, k)
-
-
-def pebble_maps_into(
-    gtgraph: GeneralizedTGraph,
-    graph: RDFGraph,
-    mu: Mapping,
-    k: int,
-) -> bool:
-    """Alias of :func:`pebble_game_winner`: the relation ``(S, X) →µ_k G``."""
-    return pebble_game_winner(gtgraph, graph, mu, k)
 
 
 # ---------------------------------------------------------------------------

@@ -155,9 +155,12 @@ def _text_term(text: str, line_number: int) -> Term:
 
 
 def parse_ntriples(source: Union[str, TextIO]) -> Iterator[Triple]:
-    """Yield triples parsed from a string or text stream."""
+    """Yield triples parsed from a string or text stream.
+
+    A string's lines end as a file's do when :func:`load_graph` reads it:
+    at ``\n``, ``\r\n`` or a lone ``\r``."""
     if isinstance(source, str):
-        source = io.StringIO(source)
+        source = io.StringIO(source, newline=None)
     terms: Dict[str, Term] = {}
     for line_number, texts in _triple_lines(source):
         for text in texts:

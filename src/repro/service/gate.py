@@ -42,19 +42,6 @@ class ReadWriteGate:
         self._writer_active = False  # guarded-by: _cond
         self._writers_waiting = 0  # guarded-by: _cond
 
-    # --- introspection -----------------------------------------------------
-    @property
-    def readers(self) -> int:
-        """How many readers currently hold the gate (diagnostics only)."""
-        with self._cond:
-            return self._readers
-
-    @property
-    def writer_active(self) -> bool:
-        """Whether a writer currently holds the gate (diagnostics only)."""
-        with self._cond:
-            return self._writer_active
-
     # --- acquisition -------------------------------------------------------
     def acquire_read(self, timeout: Optional[float] = None) -> bool:
         """Enter as a reader; ``False`` when *timeout* elapses first.

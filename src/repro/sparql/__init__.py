@@ -14,25 +14,6 @@ from .algebra import (
 )
 from .mappings import Mapping, compatible, merge, join_sets, left_outer_join_sets, union_sets
 from .parser import parse_pattern, to_text
-from .filters import (
-    FilterCondition,
-    Comparison,
-    Bound,
-    NotCondition,
-    AndCondition,
-    OrCondition,
-    eq,
-    neq,
-    bound,
-)
-from .extended import (
-    Filter,
-    Select,
-    is_safe,
-    is_well_designed_extended,
-    check_well_designed_extended,
-    core_fragment_of,
-)
 from .well_designed import (
     WellDesignedViolation,
     find_violation,
@@ -60,21 +41,6 @@ __all__ = [
     "union_sets",
     "parse_pattern",
     "to_text",
-    "FilterCondition",
-    "Comparison",
-    "Bound",
-    "NotCondition",
-    "AndCondition",
-    "OrCondition",
-    "eq",
-    "neq",
-    "bound",
-    "Filter",
-    "Select",
-    "is_safe",
-    "is_well_designed_extended",
-    "check_well_designed_extended",
-    "core_fragment_of",
     "WellDesignedViolation",
     "find_violation",
     "is_well_designed",

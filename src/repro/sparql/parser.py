@@ -185,8 +185,12 @@ def _term_to_text(term: Term) -> str:
     if isinstance(term, Variable):
         return str(term)
     if isinstance(term, IRI):
-        # Keep the short form when the IRI looks like a bare word.
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_:/.#-]*", term.value):
+        # Keep the short form when the IRI looks like a bare word that is
+        # not a keyword.
+        if (
+            re.fullmatch(r"[A-Za-z_][A-Za-z0-9_:/.#-]*", term.value)
+            and term.value.upper() not in _KEYWORDS
+        ):
             return term.value
         return f"<{term.value}>"
     if isinstance(term, Literal):

@@ -33,29 +33,7 @@ def setting():
     return forest, graph, engine, queries
 
 
-def check_many(forest, graph, queries, **kwargs):
-    """``Session.check_many`` over a fresh session engine with ``width_bound=1``."""
-    session = Session()
-    return session.check_many(session.engine(forest, width_bound=1), graph, queries, **kwargs)
-
-
 class TestContainsMany:
-    def test_preserves_order_and_duplicates(self, setting):
-        forest, graph, engine, queries = setting
-        doubled = queries + list(reversed(queries))
-        answers = check_many(forest, graph, doubled)
-        assert answers == [engine.contains(graph, mu) for mu in doubled]
-        assert answers[: len(queries)] == list(reversed(answers[len(queries) :]))
-
-    def test_parallel_identical(self, setting):
-        forest, graph, engine, queries = setting
-        expected = [engine.contains(graph, mu, method="pebble") for mu in queries]
-        session = Session(processes=2)
-        handle = session.engine(forest, width_bound=1)
-        assert session.check_many(handle, graph, queries, method="pebble") == expected
-        # per-call override too
-        assert check_many(forest, graph, queries, method="pebble", processes=2) == expected
-
     def test_naive_batched_materialises_once(self, setting, monkeypatch):
         """One top-level ⟦P⟧G materialisation per batch, through both
         ``check_many`` and ``check_iter``."""
@@ -163,16 +141,6 @@ class TestManyPatterns:
             assert row == [engine.contains(graph, mu, method="natural") for mu in mus]
             assert row == [session.check(pattern, graph, mu, method="natural") for mu in mus]
         assert session.cache.statistics.hits > 0
-
-    def test_shared_cache_is_used(self):
-        cache = EvaluationCache()
-        graph = tprime_data_graph(6, 20, seed=1)
-        forest = WDPatternForest([tprime_tree(2)])
-        mu = Mapping({Variable("y"): EX.term("nowhere")})
-        session = Session(cache=cache)
-        for pattern in (forest, forest):
-            session.check(pattern, graph, mu, method="natural")
-        assert cache.statistics.hits + cache.statistics.misses > 0
 
 
 class TestPicklability:

@@ -86,3 +86,25 @@ def test_locking_discipline_section_matches_registries():
         f"documented but not in the linter: {sorted(doc_tokens - expected)}; "
         f"in the linter but undocumented: {sorted(expected - doc_tokens)}"
     )
+
+
+def test_every_exported_name_resolves():
+    """Every name in the ``__all__`` of ``repro`` and of each of its modules
+    is bound there, so deleting a function cannot leave a stale export."""
+    import importlib
+    import pkgutil
+
+    import repro
+
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith(".__main__")
+    ]
+    stale = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert stale == []

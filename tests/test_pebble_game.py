@@ -9,7 +9,7 @@ import pytest
 
 from repro.exceptions import EvaluationError
 from repro.hom import GeneralizedTGraph, ctw, maps_into
-from repro.pebble import pebble_game_winner, pebble_maps_into
+from repro.pebble import pebble_game_winner
 from repro.rdf import RDFGraph, Triple
 from repro.rdf.generators import clique_graph, path_graph
 from repro.rdf.namespace import EX
@@ -136,4 +136,4 @@ class TestEdgeCases:
 
     def test_alias(self):
         source = GeneralizedTGraph.of(edges(("a", "b")), [])
-        assert pebble_maps_into(source, clique_graph(2), Mapping.EMPTY, 2)
+        assert pebble_game_winner(source, clique_graph(2), Mapping.EMPTY, 2)

@@ -134,13 +134,13 @@ def random_lines(seed, count=80):
 
 
 def random_ntriples(seed):
-    """:func:`random_lines` ending in LF or CRLF at random."""
+    """:func:`random_lines` ending in LF, CRLF or a lone CR at random."""
     rng = random.Random(seed)
-    return "".join(line + rng.choice(["\n", "\r\n"]) for line in random_lines(seed))
+    return "".join(line + rng.choice(["\n", "\r\n", "\r"]) for line in random_lines(seed))
 
 
 def write_text(path, text):
-    path.write_bytes(text.encode("utf-8"))  # keeps CRLF line endings as written
+    path.write_bytes(text.encode("utf-8"))  # keeps CR and CRLF line endings as written
     return path
 
 

@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.exceptions
 from repro.evaluation import FaultPlan, Session
 from repro.exceptions import (
     DeadlineExceeded,
@@ -38,6 +39,7 @@ from repro.exceptions import (
 )
 from repro.rdf import IRI, Literal, RDFGraph, Triple, save_graph
 from repro.service import (
+    OPERATIONS,
     QueryService,
     Request,
     Response,
@@ -612,6 +614,62 @@ class TestCloseSemantics:
 
 # --- the socket protocol ------------------------------------------------------
 
+_HOSTILE_VALUES = [
+    None, True, 0, -1, 2**70, 0.5, float("nan"), float("inf"), "", "?", "?x", "p0",
+    '"unterminated', '"\\uD800"', "<p0>", [], {}, [[]], [""], ["p0", "knows"], {"x": 1},
+]
+_HOSTILE_TERMS = ["?x", "?y", "?e", "knows", "email", "p0", "<p0>", '"p0"', "AND"]
+_HOSTILE_TOKENS = _HOSTILE_TERMS + ["(", ")", "OPT", "UNION", "{", ".", '"p0"@en', "é"]
+_HOSTILE_BINDINGS = [
+    [{"x": "p0"}], [{"x": "p0", "y": "p1"}], [{"y": "p1"}], [{"x": "p2", "y": "p3", "e": "m2"}],
+    [{"x": "p0"}, {"x": "p0", "y": "p5"}], [], [{"?x": "p0"}], [{"x": '"p0"@en'}],
+    [{"x": ""}], [{"x": "?y"}], [{"x": 1}], [["x", "p0"]], "p0",
+]
+_HOSTILE_TRIPLES = [
+    ["p9", "knows", "p1"], ["p9", "name", '"nine"@en'], ["", "", ""], ["?x", "knows", "p1"],
+    ['"unterminated', "knows", "p1"], ["p0", "knows"], [1, 2, 3], "p0",
+]
+_REQUEST_FIELDS = [
+    "query", "graph", "bindings", "method", "width", "deadline", "add", "remove", "chunk_size",
+]
+
+
+def hostile_lines(seed, count):
+    """*count* seeded request lines, most of them malformed, each with the
+    ``id`` its answer must echo: raw bytes and JSON that is not an object
+    (no ``id``), objects with fields of the wrong type, queries over hostile
+    terms or of token soup with odd bindings, and updates with odd triples."""
+    rng = random.Random(seed)
+    for number in range(count):
+        kind = number % 5
+        if kind == 0:  # '#' first: a blank line gets no answer
+            yield b"#" + bytes(rng.choices(b'{}[]":,\\ x0\x00\xc3\xff', k=rng.randrange(30))), None
+            continue
+        if kind == 1:
+            yield json.dumps(rng.choice(_HOSTILE_VALUES)).encode(), None
+            continue
+        ident = f"h{number}"
+        message = {"id": ident, "op": rng.choice(list(OPERATIONS) + ["nope", 7])}
+        if kind == 2:
+            for field in rng.sample(_REQUEST_FIELDS, rng.randrange(1, 4)):
+                message[field] = rng.choice(_HOSTILE_VALUES)
+        elif kind == 3:
+            triples = [
+                "({} {} {})".format(*rng.choices(_HOSTILE_TERMS, k=3))
+                for _ in range(rng.randrange(1, 4))
+            ]
+            soup = rng.choices(_HOSTILE_TOKENS, k=rng.randrange(12))
+            message["op"] = rng.choice(["check", "solutions", "explain"])
+            message["query"] = rng.choice(
+                [f" {rng.choice(['AND', 'OPT', 'UNION'])} ".join(triples), " ".join(soup)]
+            )
+            message["bindings"] = rng.choice(_HOSTILE_BINDINGS)
+            message["deadline"] = 1.0
+        else:
+            message["op"] = "update"
+            message[rng.choice(["add", "remove"])] = rng.choices(_HOSTILE_TRIPLES, k=rng.randrange(3))
+        yield json.dumps(message).encode(), ident
+
 
 @pytest.fixture()
 def served():
@@ -773,6 +831,26 @@ class TestSocketProtocol:
             conn.sendall(raw + b"\n")
             line = json.loads(reader.readline())
             assert line["ok"] is False and line["error_type"] == error_type
+            conn.sendall(b'{"op": "stats"}\n')
+            line = json.loads(reader.readline())
+            assert line["ok"] is True and "completed" in line["result"]
+
+    def test_seeded_hostile_lines_each_get_one_typed_answer(self, served):
+        (host, port), _service = served
+        with socket.create_connection((host, port), timeout=10.0) as conn:
+            reader = conn.makefile("rb")
+            for raw, ident in hostile_lines(seed=0, count=200):
+                conn.sendall(raw + b"\n")
+                line = json.loads(reader.readline())
+                while "ok" not in line:  # the chunk lines of a solutions answer
+                    line = json.loads(reader.readline())
+                assert line.get("id") == ident, raw
+                if not line["ok"]:
+                    error_type = getattr(repro.exceptions, line["error_type"], None)
+                    assert isinstance(error_type, type) and issubclass(
+                        error_type, repro.exceptions.ReproError
+                    ), line
+                    assert "internal service error" not in line["error"], line
             conn.sendall(b'{"op": "stats"}\n')
             line = json.loads(reader.readline())
             assert line["ok"] is True and "completed" in line["result"]
