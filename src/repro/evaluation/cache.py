@@ -20,17 +20,22 @@ and the per-child instances — are memoized on the pattern tree itself, see
   one pattern tree, recorded when an enumeration runs to completion, so
   steady-state sessions replay whole answer sets instead of re-deriving
   them;
-* **pebble-game verdicts** — keyed the same way plus the distinguished set
-  and the number of pebbles;
 * **consistency kernels** — one precomputed
   :class:`~repro.pebble.kernel.ConsistencyKernel` per
   ``(instance structure, pebbles)``, so the µ-independent part of the
   pebble game (constraint grouping, base domains, binary supports) is paid
   once per child instance instead of once per mapping;
-* **µ-subtree lookups** — the witness subtree ``T^µ`` per ``(tree, µ)``;
 * **target indexes** — one prebuilt
   :class:`~repro.hom.homomorphism.TargetIndex` per graph, shared by every
   memoized search and every kernel.
+
+Nothing is keyed on a whole mapping.  The witness subtree ``T^µ`` and the
+pebble-game verdict are computed on every call
+(:meth:`EvaluationCache.mu_subtree` only probes the graph for the triples of
+the candidate nodes; :meth:`EvaluationCache.pebble_winner` solves through
+the shared kernel): a stream of distinct mappings never hits a per-mapping
+entry, and storing one would make a long-lived cache grow with every
+request it answers.
 
 Graph-dependent entries live in per-graph stores keyed on
 ``RDFGraph.version``; mutating a graph (``add`` / ``discard``) bumps the
@@ -43,12 +48,12 @@ bounded caches evict large answer lists first), kernels cost roughly the
 number of values/support pairs they hold (an adjacency that several pairs
 share counts once), every hit refreshes the entry's
 recency, and the least recently used entries are evicted first — so hot
-entries survive eviction pressure.  Entries about one pattern tree key on
-the tree object itself (trees hash by identity), so an entry keeps its tree
-alive and evicting the entry releases it.  With the default
+entries survive eviction pressure.  Tree solution lists key on the tree
+object itself (trees hash by identity), so an entry keeps its tree alive
+and evicting the entry releases it.  With the default
 ``max_entries_per_graph=None`` the cache grows without limit and holds
-strong references to every tree it has seen — prefer a bound for long-lived
-shared caches.
+strong references to every tree it has enumerated — prefer a bound for
+long-lived shared caches.
 
 A cache is shared safely between any number of :class:`Engine` instances
 (a :class:`~repro.evaluation.session.Session` wires all of its engines to
@@ -77,6 +82,7 @@ import threading
 import weakref
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
+from .wdeval import find_mu_subtree
 from ..hom.homomorphism import TargetIndex, find_homomorphism, target_index
 from ..hom.tgraph import GeneralizedTGraph, TGraph
 from ..patterns.tree import Subtree, WDPatternTree
@@ -98,12 +104,8 @@ class CacheStatistics:
         "hom_misses",
         "enum_hits",
         "enum_misses",
-        "pebble_hits",
-        "pebble_misses",
         "kernel_hits",
         "kernel_misses",
-        "subtree_hits",
-        "subtree_misses",
         "invalidations",
         "evictions",
     )
@@ -113,36 +115,20 @@ class CacheStatistics:
         self.hom_misses = 0
         self.enum_hits = 0
         self.enum_misses = 0
-        self.pebble_hits = 0
-        self.pebble_misses = 0
         self.kernel_hits = 0
         self.kernel_misses = 0
-        self.subtree_hits = 0
-        self.subtree_misses = 0
         self.invalidations = 0
         self.evictions = 0
 
     @property
     def hits(self) -> int:
         """Total cache hits across all memoized operations."""
-        return (
-            self.hom_hits
-            + self.enum_hits
-            + self.pebble_hits
-            + self.kernel_hits
-            + self.subtree_hits
-        )
+        return self.hom_hits + self.enum_hits + self.kernel_hits
 
     @property
     def misses(self) -> int:
         """Total cache misses across all memoized operations."""
-        return (
-            self.hom_misses
-            + self.enum_misses
-            + self.pebble_misses
-            + self.kernel_misses
-            + self.subtree_misses
-        )
+        return self.hom_misses + self.enum_misses + self.kernel_misses
 
     def hit_rate(self) -> float:
         """Fraction of lookups answered from the cache (0.0 when unused)."""
@@ -234,7 +220,7 @@ class EvaluationCache:
         # Guards every structural operation (lookups reorder the LRU list,
         # inserts evict) so the cache is safe under the service's thread
         # pool; re-entrant because primitives call each other (for instance
-        # pebble_winner -> pebble_kernel).  See the module docs.
+        # pebble_kernel -> target_index).  See the module docs.
         self._lock = threading.RLock()
 
     # --- introspection -----------------------------------------------------
@@ -437,42 +423,17 @@ class EvaluationCache:
         pebbles: int,
         budget=None,
     ) -> bool:
-        """Memoized existential *pebbles*-pebble game verdict
-        ``(S, X) →µ_pebbles G``, answered through the shared kernel."""
-        fixed = frozenset(
-            (var, mu[var]) for var in extended.distinguished if var in mu
-        )
-        key = (extended.triples(), extended.distinguished, fixed, pebbles)
-        with self._lock:
-            store = self._store(graph)
-            cached = store.get("pebble", key)
-            if cached is not _MISSING:
-                self._statistics.pebble_hits += 1
-                return cached  # type: ignore[return-value]
-            self._statistics.pebble_misses += 1
-        result = self.pebble_kernel(extended, graph, pebbles).winner(mu, budget=budget)
-        # Re-fetch the store: building the kernel may have reset it if the
-        # graph was mutated concurrently (defensive; same-version re-fetch is
-        # a dict lookup).
-        self._bounded_insert(self._store(graph), "pebble", key, result)
-        return result
+        """The existential *pebbles*-pebble game verdict
+        ``(S, X) →µ_pebbles G``, solved through the shared kernel (the
+        verdict itself is not stored)."""
+        return self.pebble_kernel(extended, graph, pebbles).winner(mu, budget=budget)
 
     def mu_subtree(
         self, tree: WDPatternTree, graph: RDFGraph, mu: Mapping
     ) -> Optional[Subtree]:
-        """Memoized witness subtree ``T^µ`` (``None`` when none exists)."""
-        from .wdeval import find_mu_subtree  # deferred: wdeval imports this module
-
-        key = (tree, frozenset(mu.items()))
-        with self._lock:
-            cached = self._store(graph).get("subtree", key)
-            if cached is not _MISSING:
-                self._statistics.subtree_hits += 1
-                return cached  # type: ignore[return-value]
-            self._statistics.subtree_misses += 1
-        subtree = find_mu_subtree(tree, graph, mu)
-        self._bounded_insert(self._store(graph), "subtree", key, subtree)
-        return subtree
+        """The witness subtree ``T^µ`` (``None`` when none exists), found by
+        probing the graph; nothing is stored."""
+        return find_mu_subtree(tree, graph, mu)
 
     def tree_solution_list(
         self, tree: WDPatternTree, graph: RDFGraph

@@ -10,26 +10,27 @@ The context also owns the cache-or-direct helpers (`mu_subtree`,
 `tree_solutions_list`, ...), so the algorithms in
 :mod:`~repro.evaluation.wdeval` / :mod:`~repro.evaluation.pebble_eval`
 contain the algorithm and nothing else, and the two code paths can never
-drift apart.  The graph-independent subtree facts (children, ``pat(T')``,
-``vars(T')``, the per-child instances) need no helper: every path reads
-them from :class:`~repro.patterns.tree.Subtree`, which memoizes them on the
-tree.  A context is immutable; derive a bounded variant with
-:meth:`with_budget`.
+drift apart.  The graph-independent subtree facts (interned subtrees,
+children, ``pat(T')``, ``vars(T')``, the per-child instances) need no
+helper: every path reads them from the tree, which memoizes them.  A
+context is immutable; derive a bounded variant with :meth:`with_budget`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple
 
 from .budget import Budget
-from .cache import EvaluationCache
 from ..hom.homomorphism import all_homomorphisms, extends_into
 from ..hom.tgraph import GeneralizedTGraph, TGraph
 from ..patterns.tree import Subtree, WDPatternTree
 from ..pebble.game import pebble_game_winner
 from ..rdf.graph import RDFGraph
 from ..sparql.mappings import Mapping
+
+if TYPE_CHECKING:  # the cache imports wdeval, which imports this module
+    from .cache import EvaluationCache
 
 __all__ = ["EvalContext"]
 
@@ -75,7 +76,8 @@ class EvalContext:
 
     # --- cache-or-direct primitives --------------------------------------------
     def mu_subtree(self, tree: WDPatternTree, graph: RDFGraph, mu: Mapping) -> Optional[Subtree]:
-        """The witness subtree ``T^µ`` (memoized through the cache if any)."""
+        """The witness subtree ``T^µ`` (through the cache if any, which
+        stores nothing for it)."""
         if self.cache is not None:
             return self.cache.mu_subtree(tree, graph, mu)
         from .wdeval import find_mu_subtree  # deferred: wdeval imports this module

@@ -74,10 +74,10 @@ class Engine:
         ``(width_bound+1)``-pebble game and is exact if the bound holds.
     cache:
         An optional :class:`~repro.evaluation.cache.EvaluationCache`.  When
-        given, the natural and pebble membership paths memoize homomorphism
-        tests, pebble-game verdicts and witness-subtree lookups per graph
-        version.  One cache may be shared between many engines; results are
-        identical with and without it.
+        given, the natural membership path memoizes homomorphism tests and
+        the pebble path shares one consistency kernel per child instance,
+        per graph version.  One cache may be shared between many engines;
+        results are identical with and without it.
     """
 
     def __init__(

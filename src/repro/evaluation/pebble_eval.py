@@ -48,11 +48,11 @@ def tree_contains_pebble(
     ``dw ≤ k``.
 
     The per-child instances are memoized on the tree (see
-    :class:`~repro.patterns.tree.Subtree`).  With a caching *context*, the
-    witness-subtree lookup and the pebble-game verdicts are memoized per graph
-    version, and each child instance is answered through a shared
+    :class:`~repro.patterns.tree.Subtree`).  With a caching *context*, each
+    child instance is answered through a shared
     :class:`~repro.pebble.kernel.ConsistencyKernel` — the µ-independent part
-    of the pebble game is built once per ``(subtree, child)`` instead of once
+    of the pebble game is built once per ``(subtree, child)`` and graph
+    version instead of once per mapping, and only the µ-dependent solve runs
     per mapping (identical answers, see :mod:`repro.evaluation.cache`).
     """
     subtree = context.mu_subtree(tree, graph, mu)

@@ -91,9 +91,10 @@ def tree_contains(
     """``µ ∈ ⟦T⟧G`` via Lemma 1 (the natural algorithm, exact but with
     NP-hard child tests).
 
-    The *context* supplies the cache (witness-subtree lookups and child
-    extension tests are then memoized per graph version — identical answers,
-    see :mod:`repro.evaluation.cache`) and the budget.
+    The *context* supplies the cache (child extension tests are then
+    memoized per graph version, keyed on µ restricted to the child's
+    variables — identical answers, see :mod:`repro.evaluation.cache`) and
+    the budget.
     """
     subtree = context.mu_subtree(tree, graph, mu)
     if subtree is None:

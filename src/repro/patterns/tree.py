@@ -12,10 +12,12 @@ additionally requires:
 
 :class:`WDPatternTree` is an immutable tree over integer node identifiers;
 :class:`Subtree` represents the rooted subtrees the paper quantifies over
-(always containing the root, closed under taking parents).  A subtree's
-facts — its children, ``pat(T')``, ``vars(T')`` and the per-child instances
+(always containing the root, closed under taking parents).  A tree interns
+one validated :class:`Subtree` per node set.  A subtree's facts — its
+children, ``pat(T')``, ``vars(T')`` and the per-child instances
 ``(pat(T') ∪ pat(n), vars(T'))`` — depend on the pattern alone, so they are
-memoized on the tree and every evaluation path, cached or not, shares them.
+memoized on the tree, beside each node's variables, and every evaluation
+path, cached or not, shares them.
 """
 
 from __future__ import annotations
@@ -91,8 +93,9 @@ class WDPatternTree:
         object.__setattr__(self, "_children", {n: tuple(c) for n, c in children.items()})
         object.__setattr__(self, "_root", root)
         object.__setattr__(self, "_order", tuple(order))
-        # Memo of the Subtree facts (children, pat, vars, child instances),
-        # keyed per node set; not pickled, a restored tree refills it.
+        # Memo of the node variables, the interned Subtrees and their facts
+        # (children, pat, vars, child instances); not pickled, a restored
+        # tree refills it.
         object.__setattr__(self, "_facts", {})
 
         if check_connectivity:
@@ -154,8 +157,8 @@ class WDPatternTree:
         return self._labels[node]
 
     def vars(self, node: int) -> FrozenSet[Variable]:
-        """``vars(n)``."""
-        return self._labels[node].variables()
+        """``vars(n)`` (memoized on the tree)."""
+        return self._fact(("node vars", node), lambda: self._labels[node].variables())
 
     def parent_of(self, node: int) -> Optional[int]:
         """The parent of *node*, or ``None`` for the root."""
@@ -238,6 +241,16 @@ class WDPatternTree:
                 break
         return WDPatternTree(labels, parent, root=self._root, check_connectivity=False)
 
+    # The memo is filled through GIL-atomic dict get/setdefault of
+    # deterministic values, so it needs no lock: concurrent fillers can at
+    # worst duplicate a computation, and all of them return the first value
+    # stored.
+    def _fact(self, key: Tuple, compute: Callable[[], Any]) -> Any:
+        value = self._facts.get(key)
+        if value is None:
+            value = self._facts.setdefault(key, compute())
+        return value
+
     def _check_variable_connectivity(self) -> None:
         """Condition (3) of wdPTs: occurrences of each variable are connected."""
         for variable in self.variables():
@@ -260,16 +273,18 @@ class WDPatternTree:
     # --- subtrees --------------------------------------------------------------------
     def full_subtree(self) -> "Subtree":
         """The subtree consisting of every node."""
-        return Subtree(self, frozenset(self._order))
+        return self.subtree(self._order)
 
     def root_subtree(self) -> "Subtree":
         """The subtree consisting of the root only."""
-        return Subtree(self, frozenset({self._root}))
+        return self.subtree((self._root,))
 
     def subtree(self, nodes: Iterable[int]) -> "Subtree":
         """The subtree induced by *nodes* (must contain the root and be
-        closed under taking parents)."""
-        return Subtree(self, frozenset(nodes))
+        closed under taking parents).  Validated once and interned: every
+        call with the same node set returns the same object."""
+        node_set = frozenset(nodes)
+        return self._fact(("subtree", node_set), lambda: Subtree(self, node_set))
 
     def subtrees(self) -> Iterator["Subtree"]:
         """Enumerate all subtrees (ancestor-closed node sets containing the root).
@@ -351,24 +366,13 @@ class Subtree:
     def __repr__(self) -> str:
         return f"Subtree(nodes={sorted(self.nodes)})"
 
-    # The tree's memo is filled through GIL-atomic dict get/set of
-    # deterministic values, so it needs no lock: concurrent fillers can at
-    # worst duplicate a computation.
-    def _fact(self, key: Tuple, compute: Callable[[], Any]) -> Any:
-        facts = self.tree._facts
-        value = facts.get(key)
-        if value is None:
-            value = compute()
-            facts[key] = value
-        return value
-
     def pat(self) -> TGraph:
         """``pat(T')`` — union of the labels of the subtree's nodes."""
-        return self._fact(("pat", self.nodes), lambda: self.tree.pat_of_nodes(self.nodes))
+        return self.tree._fact(("pat", self.nodes), lambda: self.tree.pat_of_nodes(self.nodes))
 
     def variables(self) -> FrozenSet[Variable]:
         """``vars(T')``."""
-        return self._fact(("vars", self.nodes), lambda: self.pat().variables())
+        return self.tree._fact(("vars", self.nodes), lambda: self.pat().variables())
 
     def children(self) -> Tuple[int, ...]:
         """The children of the subtree: nodes outside it whose parent is inside."""
@@ -381,12 +385,12 @@ class Subtree:
             ]
             return tuple(sorted(result))
 
-        return self._fact(("children", self.nodes), compute)
+        return self.tree._fact(("children", self.nodes), compute)
 
     def child_instance(self, child: int) -> GeneralizedTGraph:
         """``(pat(T') ∪ pat(n), vars(T'))`` for a child *n* — the instance the
         Theorem 1 pebble test runs on."""
-        return self._fact(
+        return self.tree._fact(
             ("instance", self.nodes, child),
             lambda: GeneralizedTGraph(self.pat().union(self.tree.pat(child)), self.variables()),
         )
@@ -395,7 +399,7 @@ class Subtree:
         """The subtree obtained by adding one child node."""
         if node not in self.children():
             raise PatternTreeError(f"node {node} is not a child of this subtree")
-        return Subtree(self.tree, self.nodes | {node})
+        return self.tree.subtree(self.nodes | {node})
 
     def is_full(self) -> bool:
         """``True`` when the subtree is the whole tree."""

@@ -84,6 +84,12 @@ _MAX_LATENCY_SAMPLES = 4096
 _MAX_PATTERNS = 256
 #: Solutions per streamed ``chunk`` line when a request names no size.
 _CHUNK_SIZE = 256
+#: Counters of entry kinds the cache does not keep (``subtree``, ``pebble``:
+#: nothing is stored per mapping); the ``stats`` operation reports them as 0
+#: because ``bench/run.py`` still reads them.
+_RETIRED_CACHE_COUNTERS = dict.fromkeys(
+    ("subtree_hits", "subtree_misses", "pebble_hits", "pebble_misses"), 0
+)
 
 #: The operations the service understands (also the protocol's ``op`` field).
 OPERATIONS = ("check", "solutions", "explain", "update", "stats")
@@ -415,7 +421,9 @@ class QueryService:
             name: {"triples": len(graph), "version": graph.version}
             for name, graph in self._graphs.items()
         }
-        snapshot["cache"] = self._session.cache.statistics.as_dict()
+        snapshot["cache"] = {
+            **_RETIRED_CACHE_COUNTERS, **self._session.cache.statistics.as_dict()
+        }
         snapshot["resilience"] = self._session.statistics.resilience_summary()
         snapshot["worker_mode"] = self._session.worker_mode()
         snapshot["engines"] = self._session.engine_count

@@ -9,7 +9,9 @@ paper rather than the full W3C grammar:
   left-associative with equal precedence; parentheses group;
 * string literals are written ``"value"`` with the escapes of an N-Triples
   literal (``\\"``, ``\\\\``, ``\\n``, ``\\uXXXX``, ...); other characters,
-  non-ASCII included, stand for themselves.
+  non-ASCII included, stand for themselves.  A language tag (``"chat"@fr``)
+  or a datatype (``"1"^^<http://www.w3.org/2001/XMLSchema#integer>``) may
+  follow, as in N-Triples.
 
 Example::
 
@@ -42,7 +44,7 @@ _TOKEN_RE = re.compile(
     | (?P<lparen>\()
     | (?P<rparen>\))
     | (?P<iri_ref><[^>\s]+>)
-    | (?P<string>"(?:[^"\\]|\\.)*")
+    | (?P<string>"(?:[^"\\]|\\.)*"(?:@[A-Za-z][A-Za-z0-9-]*|\^\^<[^>\s]+>)?)
     | (?P<var>[?$][A-Za-z_][A-Za-z0-9_]*)
     | (?P<word>[A-Za-z_][A-Za-z0-9_:/.#-]*)
     """,
@@ -194,7 +196,7 @@ def _term_to_text(term: Term) -> str:
             return term.value
         return f"<{term.value}>"
     if isinstance(term, Literal):
-        return serialize_term(Literal(term.value))
+        return serialize_term(term)
     raise TypeError(f"not a term: {term!r}")
 
 

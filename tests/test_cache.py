@@ -35,6 +35,15 @@ def _membership_workload(forest, graph, rng, limit=12):
     return queries
 
 
+def _edge_mappings(graph, limit=None):
+    """``{?x → a, ?y → b}``, one per ``p``-edge ``(a, b)``: the root of each
+    ``F_k`` tree with that root shape is their witness, so their child
+    tests reach the cache's ``hom`` or ``kernel`` entries."""
+    x, y, p = Variable("x"), Variable("y"), EX.term("p")
+    edges = sorted({Mapping({x: t.subject, y: t.object}) for t in graph if t.predicate == p}, key=repr)
+    return edges[:limit]
+
+
 class TestCachedAnswersIdentical:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_randomized_workloads_all_methods(self, seed):
@@ -64,11 +73,13 @@ class TestCachedAnswersIdentical:
         second = Engine(forest=forest, width_bound=1, cache=cache)
         plain = Engine(forest=forest, width_bound=1)
         queries = _membership_workload(fk_forest(2), graph, random.Random(5))
+        queries += _edge_mappings(graph, limit=8)
         for mu in queries:
             expected = plain.contains(graph, mu, method="natural")
             assert first.contains(graph, mu, method="natural") == expected
             assert second.contains(graph, mu, method="natural") == expected
-        assert cache.statistics.hits > 0
+        # The second engine replays the first one's child tests.
+        assert cache.statistics.hom_hits > 0
 
     def test_warm_cache_hits(self):
         forest = fk_forest(2)
@@ -92,6 +103,7 @@ class TestInvalidationOnMutation:
         session = Session()
         handle = session.engine(forest, width_bound=1)
         queries = _membership_workload(forest, graph, random.Random(3))
+        queries += _edge_mappings(graph, limit=8)
         before = session.check_many(handle, graph, queries, method=method)
 
         removed = sorted(graph, key=repr)[: len(graph) // 2]
@@ -132,6 +144,47 @@ class TestInvalidationOnMutation:
         cache.invalidate()
         cache.clear()
         assert engine.contains(graph, mu, method="natural") is False
+
+
+class TestNoPerMappingEntries:
+    def test_fresh_mappings_leave_the_store_unchanged(self):
+        """After a warm-up, fresh mappings add no entry to the graph store:
+        what is stored is µ-independent (kernels) or keyed on µ restricted
+        to a child's variables (``hom``), and witness subtrees are interned
+        on the tree."""
+        forest = fk_forest(4)
+        graph = fk_data_graph(60, 900, clique_size=4, seed=7)
+        edges = _edge_mappings(graph)
+        assert len(edges) >= 200
+        # Every hub mapping binds ?x to the same node, whose q-edge chain
+        # makes T1's first child and T2's child extend, so each natural
+        # check reads the two hom entries the warm-up stored.
+        hub, p, q = EX.term("hub"), EX.term("p"), EX.term("q")
+        graph.add(Triple(EX.term("node0"), q, hub))
+        graph.add(Triple(EX.term("node1"), q, EX.term("node0")))
+        x, y = Variable("x"), Variable("y")
+        hubs = []
+        for index in range(201):
+            leaf = EX.term(f"leaf{index}")
+            graph.add(Triple(hub, p, leaf))
+            hubs.append(Mapping({x: hub, y: leaf}))
+        session = Session()
+        handle = session.engine(forest, width_bound=1)
+        session.warm(handle, graph, method="pebble", width=1)
+        session.check_many(handle, graph, hubs[:1], method="natural")
+        store = session.cache._graphs[id(graph)]
+        before = store.entry_count()
+        pebble = session.check_many(handle, graph, edges[:200], method="pebble", width=1)
+        natural = session.check_many(handle, graph, hubs[1:], method="natural")
+        assert store.entry_count() == before
+        # dw(F_4) = 1, so the 2-pebble verdicts are exact.
+        plain = Engine(forest=forest)
+        assert pebble == [plain.contains(graph, mu, method="natural") for mu in edges[:200]]
+        assert natural == [plain.contains(graph, mu, method="natural") for mu in hubs[1:]]
+        tree = forest[0]
+        root = tree.subtree([tree.root])
+        assert tree.subtree({tree.root}) is root
+        assert session.cache.mu_subtree(tree, graph, hubs[1]) is root
 
 
 class TestEnumerationMemos:
@@ -232,9 +285,9 @@ class TestCacheInternals:
         assert cache.statistics.evictions >= 2
 
     def test_max_entries_bounds_tree_tables(self):
-        # Subtree and tree-solution entries key on (and so pin) their trees;
-        # a bounded cache must bound how many trees it holds, with correct
-        # answers after eviction.
+        # Tree-solution entries key on (and so pin) their trees; a bounded
+        # cache must bound how many trees it holds, with correct answers
+        # after eviction.
         cache = EvaluationCache(max_entries_per_graph=2)
         graph = fk_data_graph(5, 25, clique_size=2, seed=4)
         queries = None
@@ -247,9 +300,12 @@ class TestCacheInternals:
                 assert engine.contains(graph, mu, method="natural") == plain.contains(
                     graph, mu, method="natural"
                 )
+            assert engine.solutions(graph, method="natural") == plain.solutions(
+                graph, method="natural"
+            )
         store = cache._graphs[id(graph)]
-        trees = {key[0] for kind, key in store.entries if kind in ("subtree", "treesol")}
-        assert len(trees) <= 2
+        trees = {key[0] for kind, key in store.entries if kind == "treesol"}
+        assert 1 <= len(trees) <= 2
 
     def test_max_entries_validation(self):
         with pytest.raises(ValueError):
@@ -299,6 +355,7 @@ class TestCacheInternals:
         engine = Engine(forest=forest, width_bound=1, cache=bounded)
         plain = Engine(forest=forest, width_bound=1)
         queries = _membership_workload(forest, graph, random.Random(9), limit=5)
+        queries += _edge_mappings(graph, limit=5)
         for mu in queries:
             assert engine.contains(graph, mu, method="pebble") == plain.contains(
                 graph, mu, method="pebble"

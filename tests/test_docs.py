@@ -108,3 +108,38 @@ def test_every_exported_name_resolves():
         if not hasattr(module, name)
     ]
     assert stale == []
+
+
+def test_memoized_table_lists_the_store_kinds():
+    """docs/engines.md's "What is memoized" table and the cache agree.
+
+    Its ``kind`` column names exactly the kinds a session's graph store
+    holds after a natural check, an enumeration and a pebble check, plus
+    ``index`` for the target index the store keeps beside its entries.
+    """
+    import re
+
+    from repro.evaluation import Session
+    from repro.rdf.namespace import EX
+    from repro.sparql import Mapping
+    from repro.workloads.families import fk_data_graph, fk_forest
+
+    text = (ROOT / "docs" / "engines.md").read_text(encoding="utf-8")
+    section = text.split("**What is memoized**", 1)[1]
+    table = re.search(r"^\| kind \|.*\n((?:\|.*\n)+)", section, re.MULTILINE)
+    assert table, "docs/engines.md lost the kind column of its 'What is memoized' table"
+    documented = set(re.findall(r"^\|\s*`(\w+)`", table.group(1), re.MULTILINE))
+
+    forest = fk_forest(2)
+    graph = fk_data_graph(6, 36, clique_size=2, seed=9)
+    edge = min((t for t in graph if t.predicate == EX.term("p")), key=repr)
+    mu = Mapping.of(x=edge.subject.value, y=edge.object.value)
+    session = Session()
+    session.check(forest, graph, mu, method="natural")
+    session.solutions(forest, graph)
+    session.check(forest, graph, mu, method="pebble", width=1)
+    store = session.cache._graphs[id(graph)]
+    held = {kind for kind, _key in store.entries}
+    if store.index is not None:
+        held.add("index")
+    assert documented == held

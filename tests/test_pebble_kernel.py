@@ -236,10 +236,12 @@ class TestRefreshOnMutation:
         cache = EvaluationCache()
         engine = Engine(forest=forest, width_bound=1, cache=cache)
         graph = fk_data_graph(5, 20, clique_size=2, seed=1)
-        mu = Mapping({Variable("x"): EX.term("node0"), Variable("y"): EX.term("node1")})
+        edge = min((t for t in graph if t.predicate == EX.term("p")), key=repr)
+        mu = Mapping({Variable("x"): edge.subject, Variable("y"): edge.object})
         engine.contains(graph, mu, method="pebble")
         assert len(cache._graphs) == 1
-        del graph
+        assert any(kind == "kernel" for kind, _ in cache._graphs[id(graph)].entries)
+        del graph, edge
         gc.collect()
         assert len(cache._graphs) == 0  # kernels must not keep the graph alive
 

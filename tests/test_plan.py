@@ -41,8 +41,9 @@ class TestPlanner:
 
     def test_pebble_per_call_width_wins_over_bound(self):
         planner = Planner(width_bound=1)
-        plan = planner.plan("pebble", width=3)
-        assert (plan.strategy, plan.width, plan.certified) == ("pebble", 3, False)
+        for method in ("pebble", "auto"):
+            plan = planner.plan(method, width=3)
+            assert (plan.strategy, plan.width, plan.certified) == ("pebble", 3, False)
 
     def test_pebble_without_any_bound_needs_oracle(self):
         with pytest.raises(EvaluationError):

@@ -929,6 +929,39 @@ class TestSocketProtocol:
             thread.join(timeout=5.0)
             service.close()
 
+    def test_tagged_literal_pattern_matches_naive(self):
+        from repro.evaluation.naive import evaluate_pattern
+
+        graph = RDFGraph(
+            [
+                Triple(IRI("alice"), IRI("name"), Literal("Alice", language="en")),
+                Triple(IRI("alicia"), IRI("name"), Literal("Alice")),
+                Triple(IRI("alice"), IRI("knows"), IRI("bob")),
+                Triple(IRI("alicia"), IRI("knows"), IRI("carol")),
+            ]
+        )
+        query = '((?x name "Alice"@en) OPT (?x knows ?y))'
+        answers = evaluate_pattern(parse_pattern(query), graph)
+        assert answers == {Mapping.of(x="alice", y="bob")}
+        candidates = [
+            Mapping.of(x=x, y=y) for x in ("alice", "alicia") for y in ("bob", "carol")
+        ] + [Mapping.of(x="alice"), Mapping.of(x="alicia")]
+        service = QueryService(graph, max_inflight=2)
+        server = ServiceServer(service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with ServiceClient(*server.address) as client:
+                bindings = [mapping_to_wire(mu) for mu in candidates]
+                for method in ("naive", "natural"):
+                    verdicts = client.check(query, bindings, method=method)
+                    assert verdicts == [mu in answers for mu in candidates]
+                assert client.solutions(query) == [{"x": "alice", "y": "bob"}]
+        finally:
+            server.shutdown()
+            thread.join(timeout=5.0)
+            service.close()
+
     def test_oversized_line_is_rejected(self, served):
         (host, port), _service = served
         with socket.create_connection((host, port), timeout=10.0) as conn:

@@ -45,6 +45,7 @@ class TestEngines:
 
     def test_engines_share_session_cache(self):
         session = Session()
+        assert isinstance(session.cache, EvaluationCache)
         engine = session.engine(parse_pattern("(?x p ?y)"))
         assert engine.cache is session.cache
 

@@ -86,6 +86,8 @@ class TestRoundTrip:
         "((?x p ?y) OPT (?z q ?x))",
         "(((?x p ?y) OPT (?z q ?x)) UNION ((?x p ?y) AND (?y r ?w)))",
         '(?x name "Alice")',
+        '(?x name "Alice"@en)',
+        '(?x age "5"^^<http://www.w3.org/2001/XMLSchema#integer>)',
         "(?x <http://example.org/very/long#iri> ?y)",
         # the deepest generated text: 70 nested groups, inside MAX_DEPTH
         pytest.param(to_text(fk_pattern(12)), id="fk_pattern(12)"),
@@ -106,6 +108,32 @@ class TestLiterals:
     def test_literal_round_trip(self, value):
         pattern = TriplePatternNode(TriplePattern(Variable("x"), IRI("name"), Literal(value)))
         assert parse_pattern(to_text(pattern)) == pattern
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            Literal("Alice", language="en"),
+            Literal("chat", language="fr-CA"),
+            Literal('say "hi"', language="en"),
+            Literal("5", datatype=IRI("http://www.w3.org/2001/XMLSchema#integer")),
+            IRI("p"),
+            IRI("http://example.org/a#b"),
+            IRI("AND"),
+            IRI("union"),
+        ],
+        ids=repr,
+    )
+    def test_term_round_trip(self, term):
+        pattern = TriplePatternNode(TriplePattern(Variable("x"), IRI("name"), term))
+        assert parse_pattern(to_text(pattern)) == pattern
+
+    def test_tag_and_datatype_are_part_of_the_term(self):
+        plain = parse_pattern('(?x name "Alice")').triple_pattern.object
+        tagged = parse_pattern('(?x name "Alice"@en)').triple_pattern.object
+        typed = parse_pattern('(?x name "Alice"^^<http://example.org/dt>)').triple_pattern.object
+        assert tagged == Literal("Alice", language="en")
+        assert typed == Literal("Alice", datatype=IRI("http://example.org/dt"))
+        assert len({plain, tagged, typed}) == 3
 
     def test_non_ascii_text_is_taken_as_written(self):
         assert parse_pattern('(?x name "café")').triple_pattern.object == Literal("café")
