@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Batch wdEVAL throughput: single-shot vs batched vs parallel.
+"""Batch wdEVAL throughput: single-shot vs batched.
 
 The service-layer claim behind :meth:`Session.check_many
 <repro.evaluation.session.Session.check_many>`: answering many membership
@@ -24,7 +24,6 @@ It prints a throughput table (mappings/second) for
 
 * ``single`` — per-call :meth:`Engine.contains`, no cache;
 * ``batched`` — :meth:`Session.check_many`, shared cache;
-* ``parallel`` — the same with an opt-in worker pool;
 
 and **asserts** the acceptance criteria: batched throughput at least
 :data:`REQUIRED_SPEEDUP` x the single-shot throughput on >= 100 mappings,
@@ -41,7 +40,6 @@ absolute throughputs are strictly better than before.
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import pickle
 import time
 from typing import Tuple
@@ -73,17 +71,12 @@ def edge_membership_workload(k: int, nodes: int, triples_per_node: int, seed: in
     return forest, graph, mappings
 
 
-def fresh_session_check_many(forest, graph, mappings, method: str, processes=None):
+def fresh_session_check_many(forest, graph, mappings, method: str):
     """:meth:`Session.check_many` on a fresh session, so the timing includes
     building the cache."""
     session = Session()
     return session.check_many(
-        session.engine(forest, width_bound=1),
-        graph,
-        mappings,
-        method=method,
-        width=1,
-        processes=processes,
+        session.engine(forest, width_bound=1), graph, mappings, method=method, width=1
     )
 
 
@@ -103,10 +96,9 @@ def run_throughput(
     triples_per_node: int = 8,
     seed: int = 11,
     method: str = "natural",
-    processes: int = 0,
     repeat: int = 1,
 ) -> dict:
-    """Time the three evaluation modes on one workload; returns a result dict."""
+    """Time both evaluation modes on one workload; returns a result dict."""
     forest, graph, mappings = edge_membership_workload(k, nodes, triples_per_node, seed)
     engine = Engine(forest=forest, width_bound=1)
 
@@ -117,14 +109,8 @@ def run_throughput(
     t_batched, batched = _best_of(
         lambda: fresh_session_check_many(forest, graph, mappings, method), repeat
     )
-    if processes <= 0:
-        processes = min(4, multiprocessing.cpu_count())
-    t_parallel, parallel = _best_of(
-        lambda: fresh_session_check_many(forest, graph, mappings, method, processes), repeat
-    )
 
     assert pickle.dumps(batched) == pickle.dumps(single), "batched answers differ"
-    assert pickle.dumps(parallel) == pickle.dumps(single), "parallel answers differ"
     n = len(mappings)
     return {
         "k": k,
@@ -137,7 +123,6 @@ def run_throughput(
         "positive": sum(single),
         "single (maps/s)": n / t_single,
         "batched (maps/s)": n / t_batched,
-        f"parallel x{processes} (maps/s)": n / t_parallel,
         "speedup (batched/single)": t_single / t_batched,
     }
 
@@ -148,7 +133,6 @@ def main(argv=None) -> int:
     parser.add_argument("--nodes", type=int, default=40, help="data graph nodes")
     parser.add_argument("--triples-per-node", type=int, default=8)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--processes", type=int, default=0, help="0 = auto")
     parser.add_argument("--repeat", type=int, default=1)
     args = parser.parse_args(argv)
 
@@ -164,7 +148,6 @@ def main(argv=None) -> int:
                 triples_per_node=args.triples_per_node,
                 seed=args.seed,
                 method=method,
-                processes=args.processes,
                 repeat=args.repeat,
             )
         )

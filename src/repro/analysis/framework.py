@@ -3,9 +3,8 @@
 The rules keep the contracts whose breach no test sees: ``Budget.tick()``
 in every hot loop, monotonic-only deadline arithmetic, raises inside the
 ``ReproError`` taxonomy, and the lock discipline of the state the server's
-threads share.  Contracts a test already breaks on — graph versioning,
-picklable pool payloads, the workers' module state — are left to those
-tests.  A violation fails CI at review time instead of surfacing as a
+threads share.  Contracts a test already breaks on, such as graph
+versioning, are left to those tests.  A violation fails CI at review time instead of surfacing as a
 production race or a deadline that never fires.
 
 The moving parts:

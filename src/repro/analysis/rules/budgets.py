@@ -16,7 +16,7 @@ evaluation ticks once per pattern node and has no loop to check, so
 in ``src/repro``: ``time.time()``, ``from time import time``, and argless
 ``datetime.now()`` / ``utcnow()`` / ``today()`` are flagged.  Wall-clock
 timestamps jump under NTP steps and break absolute-deadline budgets that
-travel across processes.
+several layers share.
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 Callers catch :class:`~repro.exceptions.ReproError` (and its
 ``EvaluationError`` / ``DeadlineExceeded`` branches) at well-defined
-recovery points — the pool supervisor, the CLI, the streaming drains.  A
-``raise RuntimeError`` deep in an evaluation path sails straight past all
-of them, so every raise must use a taxonomy class or one of the stdlib
-types the codebase deliberately lets escape (programming errors such as
+recovery points — the service's request handler, the CLI, the streaming
+drains.  A ``raise RuntimeError`` deep in an evaluation path sails straight
+past all of them, so every raise must use a taxonomy class or one of the
+stdlib types the codebase deliberately lets escape (programming errors such as
 ``TypeError`` / ``ValueError`` on bad arguments, protocol types such as
 ``StopIteration`` / ``SystemExit``).
 
@@ -109,7 +109,7 @@ class ExceptionTaxonomyRule(Rule):
                         rule=self.id,
                         message=f"raise {name}: outside the ReproError taxonomy "
                         "and not a whitelisted stdlib type; recovery points "
-                        "(supervisor, CLI, drains) will not catch it",
+                        "(service handler, CLI, drains) will not catch it",
                     )
                 elif name in defined:
                     yield Finding(

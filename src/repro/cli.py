@@ -118,12 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--method", choices=list(method_names()), default="auto")
     batch.add_argument("--width", type=int, default=None, help="width bound for the pebble engine")
     batch.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="evaluate in parallel with this many worker processes",
-    )
-    batch.add_argument(
         "--stats", action="store_true", help="print the plan and cache statistics after the run"
     )
     batch.add_argument(
@@ -131,9 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock budget for the whole batch (parent and workers); "
-        "on expiry the verdicts decided so far are printed and the exit "
-        "code is 3",
+        help="wall-clock budget for the whole batch; on expiry the verdicts "
+        "decided so far are printed and the exit code is 3",
     )
 
     explain = subparsers.add_parser(
@@ -295,7 +288,7 @@ def _render_mapping(mu: Mapping) -> str:
 def _command_batch(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
     mappings = _load_bindings_file(args.bindings_file)
-    session = Session(processes=args.processes)
+    session = Session()
     pattern = session.engine(parse_pattern(args.query))
     timed_out = False
     answers = []
@@ -303,9 +296,8 @@ def _command_batch(args: argparse.Namespace) -> int:
         pattern, graph, mappings, method=args.method, width=args.width, deadline=args.timeout
     )
     try:
-        # Each verdict is printed as it is decided — serially through the
-        # shared session cache, or (with --processes) from the worker pool
-        # in input order — so a timeout keeps the verdicts decided before it.
+        # Each verdict is printed as it is decided, in input order, so a
+        # timeout keeps the verdicts decided before it.
         for mu, answer in zip(mappings, verdicts):
             answers.append(answer)
             print(f"{'IN    ' if answer else 'NOT-IN'} {_render_mapping(mu)}", flush=True)
@@ -325,7 +317,6 @@ def _command_batch(args: argparse.Namespace) -> int:
     if args.stats:
         plan = session.plan(pattern, method=args.method, width=args.width, graph=graph)
         print(f"# plan: {plan.summary()}")
-        print(f"# workers: {session.worker_mode()}")
         print(f"# resilience: {session.statistics.resilience_summary()}")
         stats = session.cache.statistics
         print(f"# cache: {stats.hits} hits, {stats.misses} misses ({stats.hit_rate():.0%} hit rate)")

@@ -6,7 +6,7 @@ from .naive import evaluate_pattern, pattern_contains
 from .budget import Budget
 from .context import EvalContext
 from .faults import FaultInjected, FaultPlan
-from ..exceptions import DeadlineExceeded, WorkerCrashError
+from ..exceptions import DeadlineExceeded
 from .wdeval import (
     find_mu_subtree,
     tree_contains,
@@ -39,7 +39,6 @@ __all__ = [
     "pattern_contains",
     "Budget",
     "DeadlineExceeded",
-    "WorkerCrashError",
     "FaultInjected",
     "FaultPlan",
     "EvalContext",

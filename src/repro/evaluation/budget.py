@@ -10,10 +10,9 @@ is decremented on every call and the (comparatively expensive)
 ``check_interval`` ticks.  When the deadline has passed or the step budget
 is exhausted, ``tick`` raises :class:`~repro.exceptions.DeadlineExceeded`.
 
-Deadlines are stored as *absolute* ``time.monotonic()`` instants, so a
-budget created in the parent remains meaningful in forked pool workers
-(``CLOCK_MONOTONIC`` is system-wide on Linux) and pickling preserves the
-absolute expiry rather than restarting the clock.
+Deadlines are stored as *absolute* ``time.monotonic()`` instants, so every
+layer sharing one budget (a service request's queue wait, gate wait and
+evaluation) counts against the same expiry.
 
 A violated budget is reported one way only: ``DeadlineExceeded`` carrying
 the elapsed time and the budget.  A bounded enumeration stream yields its
@@ -125,24 +124,6 @@ class Budget:
         if self._countdown <= 0:
             self._countdown = self._interval
             self.check()
-
-    # --- pickling ---------------------------------------------------------
-    def __getstate__(self):
-        return {
-            "started_at": self.started_at,
-            "expires_at": self.expires_at,
-            "steps_limit": self.steps_limit,
-            "steps_used": self.steps_used,
-            "interval": self._interval,
-        }
-
-    def __setstate__(self, state) -> None:
-        self.started_at = state["started_at"]
-        self.expires_at = state["expires_at"]
-        self.steps_limit = state["steps_limit"]
-        self.steps_used = state["steps_used"]
-        self._interval = state["interval"]
-        self._countdown = state["interval"]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         bits = []

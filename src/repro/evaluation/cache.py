@@ -406,7 +406,7 @@ class EvaluationCache:
                 return kernel  # type: ignore[return-value]
             self._statistics.kernel_misses += 1
         # prepare() forces the µ-independent setup now so the size accounting
-        # charges the built state (and warmed kernels are actually warm).
+        # charges the built state.
         kernel = ConsistencyKernel(
             extended, graph, pebbles, index=self.target_index(graph)
         ).prepare()
@@ -461,29 +461,3 @@ class EvaluationCache:
         self._bounded_insert(
             self._store(graph), "treesol", (tree,), solutions, cost=1 + len(solutions)
         )
-
-    # --- warm-up ------------------------------------------------------------
-    def warm_pebble(
-        self,
-        forest: Iterable[WDPatternTree],
-        graph: RDFGraph,
-        pebbles: int,
-    ) -> int:
-        """Precompute the µ-independent pebble state for *forest* over *graph*.
-
-        Builds the shared target index, the sorted graph domain, and one
-        consistency kernel per child of each tree's root subtree — the
-        witness of every root-shaped mapping.  Returns the number of kernel
-        instances ensured.  Purely a performance feature: warming changes no
-        verdicts, it only front-loads work so that subsequent lookups (or
-        forked worker processes) find hot state.
-        """
-        self.target_index(graph)
-        graph.sorted_domain()
-        count = 0
-        for tree in forest:
-            subtree = tree.root_subtree()
-            for child in subtree.children():
-                self.pebble_kernel(subtree.child_instance(child), graph, pebbles)
-                count += 1
-        return count

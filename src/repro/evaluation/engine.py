@@ -45,18 +45,6 @@ from ..exceptions import DeadlineExceeded, EvaluationError
 __all__ = ["Engine"]
 
 
-def _restore_engine(
-    pattern: GraphPattern,
-    forest: WDPatternForest,
-    width_bound: Optional[int],
-    domination_width: Optional[int],
-) -> "Engine":
-    """Unpickling helper: rebuild an engine (and its planner wiring)."""
-    engine = Engine(pattern, forest, width_bound)
-    engine._domination_width = domination_width
-    return engine
-
-
 class Engine:
     """Evaluation engine for a single well-designed graph pattern.
 
@@ -105,16 +93,6 @@ class Engine:
             pattern_stats=self.pattern_stats,
         )
         self._context = EvalContext(cache=cache)
-
-    def __reduce__(self):
-        # The planner closes over `self` (not picklable); rebuild it on load.
-        # The cache is deliberately dropped: it is process-local performance
-        # state (kernels hold graph weakrefs, stores are keyed on id(graph))
-        # — a shipped engine starts cold and attaches its own cache.
-        return (
-            _restore_engine,
-            (self._pattern, self._forest, self._width_bound, self._domination_width),
-        )
 
     # --- introspection -----------------------------------------------------------
     @property

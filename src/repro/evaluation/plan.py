@@ -7,11 +7,10 @@ instead of a string compared in several places:
 
 * :class:`Strategy` — one executable evaluation strategy.  The three
   strategies (``naive``, ``natural``, ``pebble``) carry their own execution
-  hooks (``contains``; ``contains_iter``, the lazy batch that the serial
-  path of :meth:`Session.check_iter
-  <repro.evaluation.session.Session.check_iter>` zips with the distinct
-  mappings; ``solutions_stream``; ``warm``), so the callers dispatch on the
-  strategy *object*, never on a method string.
+  hooks (``contains``; ``contains_iter``, the lazy batch that
+  :meth:`Session.check_iter <repro.evaluation.session.Session.check_iter>`
+  draws the distinct mappings' verdicts from; ``solutions_stream``), so the
+  callers dispatch on the strategy *object*, never on a method string.
 * :class:`Plan` — a frozen record of one resolved choice: the strategy, the
   width bound it runs with, whether that bound is *certified* (computed as
   the pattern's true domination width) or merely trusted, and a
@@ -60,7 +59,7 @@ stops re-allocating plan dataclasses and rationale strings on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .context import EvalContext
 from .naive import evaluate_pattern, pattern_contains
@@ -69,9 +68,6 @@ from ..patterns.forest import WDPatternForest
 from ..rdf.graph import RDFGraph
 from ..sparql.algebra import GraphPattern
 from ..sparql.mappings import Mapping
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .cache import EvaluationCache
 
 __all__ = [
     "Strategy",
@@ -104,8 +100,6 @@ class Strategy:
     supports_enumeration: bool = False
     #: Whether the strategy is parameterised by a width bound.
     uses_width: bool = False
-    #: Whether batched membership may fan out over a worker pool.
-    parallel_safe: bool = True
 
     # --- execution hooks -----------------------------------------------------
     def contains(
@@ -146,17 +140,6 @@ class Strategy:
             f"the {self.name!r} strategy decides membership only and cannot enumerate"
         )
 
-    def warm(
-        self,
-        forest: WDPatternForest,
-        graph: RDFGraph,
-        plan: "Plan",
-        cache: "EvaluationCache",
-    ) -> int:
-        """Precompute µ-independent state for batched runs; returns the
-        number of consistency kernels ensured (0 for kernel-free strategies)."""
-        return 0
-
     def __repr__(self) -> str:
         return f"Strategy({self.name!r})"
 
@@ -168,8 +151,6 @@ class NaiveStrategy(Strategy):
     summary = "materialise ⟦P⟧G bottom-up (Pérez et al. reference semantics)"
     supports_enumeration = True
     uses_width = False
-    #: Batched naive evaluation materialises once instead of forking workers.
-    parallel_safe = False
 
     def contains(self, pattern, forest, graph, mu, plan, context):
         return pattern_contains(pattern, graph, mu, context.budget)
@@ -202,10 +183,6 @@ class NaturalStrategy(Strategy):
 
         return forest_solutions_stream(forest, graph, context)
 
-    def warm(self, forest, graph, plan, cache):
-        cache.target_index(graph)
-        return 0
-
 
 class PebbleStrategy(Strategy):
     """The Theorem 1 algorithm: pebble-game relaxation of the child test."""
@@ -219,9 +196,6 @@ class PebbleStrategy(Strategy):
         from .pebble_eval import forest_contains_pebble
 
         return forest_contains_pebble(forest, graph, mu, plan.width, context)
-
-    def warm(self, forest, graph, plan, cache):
-        return cache.warm_pebble(forest, graph, plan.width + 1)
 
 
 NAIVE = NaiveStrategy()

@@ -12,38 +12,26 @@ candidate mappings, many patterns, many graphs — behind one shared cache.
   :class:`~repro.evaluation.plan.Planner` — exactly once per batch — and
   :meth:`plan` / :meth:`explain` expose the decision;
 * :meth:`check_iter` is the one membership batch loop: it deduplicates the
-  mappings, decides them lazily in this process or over a worker-process
-  pool, and releases the verdicts in input order, identical to a loop of
+  mappings, decides them lazily in this process, and releases the verdicts
+  in input order, identical to a loop of
   :meth:`Engine.contains <repro.evaluation.engine.Engine.contains>` calls;
   :meth:`check_many` is ``list(check_iter(...))``;
 * :meth:`solutions` enumerates one pattern's answer set and
   :meth:`solutions_stream` streams it lazily (a deduplicated generator);
   the natural strategy records each tree's answers in the shared cache,
   so a repeated pattern over an unchanged graph replays them;
-* the membership pool is **crash-aware**: a dead worker breaks its
-  executor, the unfinished chunks are resubmitted once on a fresh one, and
-  a second failure re-runs the remainder serially in the parent — answers
-  are never lost and never duplicated, and the recovery is accounted in
-  :class:`EvaluationStatistics` (``worker_crashes`` /
-  ``cells_degraded_serial``);
 * wall-clock / step budgets (:class:`~repro.evaluation.budget.Budget`)
-  travel with the chunks into the workers; every entry point reports a
-  violated budget one way, by raising
-  :class:`~repro.exceptions.DeadlineExceeded` (counted once on
-  :attr:`Session.statistics`), and a stream yields its partial results
-  before it raises; and a deterministic fault-injection harness
-  (:mod:`repro.evaluation.faults`) drives the crash ladder in tests with
-  real SIGKILLs.
+  bound every entry point, which reports a violated budget one way, by
+  raising :class:`~repro.exceptions.DeadlineExceeded` (counted once on
+  :attr:`Session.statistics`); a stream yields its partial results before
+  it raises.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from .budget import Budget, budget_from
 from .cache import EvaluationCache
@@ -54,165 +42,27 @@ from ..patterns.forest import WDPatternForest
 from ..rdf.graph import RDFGraph
 from ..sparql.algebra import GraphPattern
 from ..sparql.mappings import Mapping
-from ..exceptions import (
-    DeadlineExceeded,
-    EvaluationError,
-    ReproError,
-    WorkerCrashError,
-)
+from ..exceptions import DeadlineExceeded, EvaluationError
 
 __all__ = ["Session", "PatternLike", "EvaluationStatistics"]
 
 #: Anything a session entry point accepts as "a pattern".
 PatternLike = Union[Engine, GraphPattern, WDPatternForest]
 
-#: How many executors one batch may run before the parent re-runs the
-#: unfinished chunks serially (1 original + 1 retry after a worker crash).
-_MAX_POOL_ATTEMPTS = 2
-
-
-# --- the membership pool ------------------------------------------------------
-#
-# Workers are initialised once per executor with the forest and graph and
-# then receive chunks of mappings; each worker owns an EvaluationCache, so the
-# per-graph index, memo tables and consistency kernels are built once per
-# worker, not per chunk.
-#
-# With the ``fork`` start method the parent warms its own cache *before* the
-# executor starts and hands the live engine to the initializer — fork does
-# not pickle initargs, so every worker starts with the precomputed kernels and
-# target index already in (copy-on-write shared) memory.  Under ``spawn`` or
-# ``forkserver`` the initargs are pickled, the engine arrives without its
-# cache, and the workers start cold: they rebuild the µ-independent state once
-# in the initializer instead of lazily per chunk.
-#
-# Chunks carry their submission *position* so the fault-injection harness can
-# target "the worker that picks up chunk N" deterministically.  An optional
-# Budget travels in the initargs (absolute monotonic deadlines stay
-# meaningful across processes on Linux), as does the test-only FaultPlan.
-
-# Rebound wholesale by _init_worker in every worker process before any task
-# runs, and never read in the parent — fork-inherited contents are inert, so
-# worker writes cannot leak across the boundary.
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def _init_worker(
-    forest: WDPatternForest,
-    width_bound: Optional[int],
-    graph: RDFGraph,
-    method: str,
-    width: Optional[int],
-    warm_engine: Optional[Engine] = None,
-    budget: Optional[Budget] = None,
-    faults: Optional[object] = None,
-) -> None:
-    if warm_engine is not None:
-        # Fork path: the parent's engine (and its warmed cache) arrives by
-        # address, not by pickle; reuse it directly.
-        engine = warm_engine
-    else:
-        engine = Engine(forest=forest, width_bound=width_bound, cache=EvaluationCache())
-        plan = engine.plan(method, width)
-        plan.strategy_obj.warm(engine.forest, graph, plan, engine.cache)
-    _WORKER_STATE["engine"] = engine
-    _WORKER_STATE["graph"] = graph
-    _WORKER_STATE["method"] = method
-    _WORKER_STATE["width"] = width
-    _WORKER_STATE["budget"] = budget
-    _WORKER_STATE["faults"] = faults
-
-
-def _worker_contains_chunk(task: Tuple[int, List[Mapping]]) -> List[bool]:
-    """The verdicts of one chunk of mappings, decided in a worker process."""
-    position, mappings = task
-    engine: Engine = _WORKER_STATE["engine"]  # type: ignore[assignment]
-    graph: RDFGraph = _WORKER_STATE["graph"]  # type: ignore[assignment]
-    faults = _WORKER_STATE["faults"]
-    if faults is not None:
-        faults.fire(position, graph)  # type: ignore[attr-defined]
-    return [
-        engine.contains(
-            graph,
-            mu,
-            method=_WORKER_STATE["method"],  # type: ignore[arg-type]
-            width=_WORKER_STATE["width"],  # type: ignore[arg-type]
-            budget=_WORKER_STATE["budget"],  # type: ignore[arg-type]
-        )
-        for mu in mappings
-    ]
-
-
-def _start_method() -> str:
-    """The effective multiprocessing start method (monkeypatchable seam).
-
-    Uses ``allow_none`` so that pure introspection (``worker_mode()``,
-    ``repr``) never fixes the default context as a side effect — a later
-    ``multiprocessing.set_start_method()`` in application code must still
-    work.  While unfixed, the platform default (the first entry of
-    ``get_all_start_methods()``) is what a pool would use.
-    """
-    method = multiprocessing.get_start_method(allow_none=True)
-    if method is None:
-        method = multiprocessing.get_all_start_methods()[0]
-    return method
-
-
-def _harvest(future) -> List[bool]:
-    """One chunk's verdicts, normalising raw worker escapes to ReproError.
-
-    Library exceptions (including :class:`DeadlineExceeded`) pass through
-    unchanged and :class:`BrokenProcessPool` is left to the crash ladder;
-    transport-layer failures (broken pipes, EOF on a dead connection) become
-    :class:`WorkerCrashError`, and anything else a worker raised becomes
-    :class:`EvaluationError` — no raw ``multiprocessing`` exception ever
-    escapes a session entry point.
-    """
-    try:
-        return future.result()
-    except (ReproError, BrokenProcessPool):
-        raise
-    except (OSError, EOFError, multiprocessing.ProcessError) as error:
-        raise WorkerCrashError(
-            f"worker result lost to a transport failure: "
-            f"{type(error).__name__}: {error}"
-        ) from None
-    except Exception as error:
-        raise EvaluationError(
-            f"evaluation worker failed: {type(error).__name__}: {error}"
-        ) from error
-
-
-def _chunked(mappings: Sequence[Mapping], processes: int) -> List[List[Mapping]]:
-    """About four chunks per worker: few messages, and a crash loses little."""
-    size = max(1, len(mappings) // (processes * 4))
-    return [list(mappings[start : start + size]) for start in range(0, len(mappings), size)]
-
 
 class EvaluationStatistics:
-    """The session's resilience counters (:attr:`Session.statistics`).
+    """The session's resilience counter (:attr:`Session.statistics`):
+    ``deadline_trips``, the budget violations raised by a session entry
+    point."""
 
-    * ``worker_crashes`` — pool executors broken by a dead worker (SIGKILL,
-      OOM, ...);
-    * ``cells_degraded_serial`` — membership chunks re-run serially in the
-      parent after the pool lost them twice;
-    * ``deadline_trips`` — budget violations raised by a session entry point.
-    """
-
-    __slots__ = ("worker_crashes", "cells_degraded_serial", "deadline_trips")
+    __slots__ = ("deadline_trips",)
 
     def __init__(self) -> None:
-        self.worker_crashes = 0
-        self.cells_degraded_serial = 0
         self.deadline_trips = 0
 
     def resilience_summary(self) -> str:
         """One line for ``batch --stats`` and the service's ``stats`` op."""
-        return (
-            f"{self.worker_crashes} worker crash(es), "
-            f"{self.cells_degraded_serial} cell(s) degraded serial, "
-            f"{self.deadline_trips} deadline trip(s)"
-        )
+        return f"{self.deadline_trips} deadline trip(s)"
 
     def __repr__(self) -> str:
         return f"EvaluationStatistics({self.resilience_summary()})"
@@ -227,12 +77,8 @@ class Session:
     :class:`~repro.evaluation.plan.Planner` (:meth:`plan` / :meth:`explain`
     expose the decision per graph), :meth:`check_many` / :meth:`check_iter`
     batch membership, and :meth:`solutions` / :meth:`solutions_stream`
-    enumerate one pattern at a time.  The membership pool warms the
-    µ-independent cache state before forking so workers inherit hot indexes
-    and kernels.  Every cache/pool/warm feature
-    is answer-preserving, and the pool recovers from worker crashes (retry
-    once on a fresh executor, then serial re-run in the parent) without
-    losing or duplicating answers.
+    enumerate one pattern at a time.  Every cache feature is
+    answer-preserving.
 
     **Thread safety.**  One session may be driven from multiple threads —
     the :class:`~repro.service.QueryService` evaluates requests on a
@@ -250,19 +96,11 @@ class Session:
         The shared :class:`~repro.evaluation.cache.EvaluationCache`; a fresh
         unbounded one is created when omitted.  Pass
         ``EvaluationCache(max_entries_per_graph)`` to bound it.
-    processes:
-        Default worker-pool size of :meth:`check_many` / :meth:`check_iter`;
-        ``None`` (or 1) keeps everything serial.  Per-call ``processes=``
-        overrides it.
     max_engines:
         Bound on the engine memo; the least recently used engines (and the
         source patterns their memo keys hold) are evicted first.  ``None`` (the
         default) means unbounded — like the cache, prefer a bound for
         long-lived sessions serving a stream of distinct ad-hoc patterns.
-    faults:
-        Test-only :class:`~repro.evaluation.faults.FaultPlan` injecting
-        deterministic worker faults into the membership pool; ``None``
-        (always, in production) disables injection entirely.
 
     >>> from repro.sparql import parse_pattern
     >>> from repro.rdf import RDFGraph, Triple
@@ -277,18 +115,12 @@ class Session:
     def __init__(
         self,
         cache: Optional[EvaluationCache] = None,
-        processes: Optional[int] = None,
         max_engines: Optional[int] = None,
-        faults: Optional[object] = None,
     ) -> None:
-        if processes is not None and processes < 1:
-            raise EvaluationError("processes must be a positive integer")
         if max_engines is not None and max_engines < 1:
             raise EvaluationError("max_engines must be a positive integer")
         self._cache = cache if cache is not None else EvaluationCache()
-        self._processes = processes
         self._max_engines = max_engines
-        self._faults = faults
         # Session-lifetime resilience counters.
         self._statistics = EvaluationStatistics()  # guarded-by: _memo_lock
         # Engine memo: (source pattern, width bound) -> engine,
@@ -318,50 +150,20 @@ class Session:
 
     @property
     def statistics(self) -> EvaluationStatistics:
-        """Session-lifetime resilience counters (worker crashes, serial
-        degradations, deadline trips), accumulated across calls."""
+        """Session-lifetime resilience counter (deadline trips), accumulated
+        across calls."""
         # Documented live-counter publication: the object reference is fixed
-        # for the session's lifetime (only the counters inside mutate, under
-        # _memo_lock via _note), so handing it out unlocked is safe.
+        # for the session's lifetime (only the counter inside mutates, under
+        # _memo_lock via _note_trip), so handing it out unlocked is safe.
         return self._statistics  # repro: ignore[RP-GUARD]
 
     def __repr__(self) -> str:
-        return (
-            f"Session(<{self.engine_count} engines, "
-            f"processes={self._processes}, "
-            f"workers={self.worker_mode()}>)"
-        )
+        return f"Session(<{self.engine_count} engines>)"
 
-    def worker_mode(self, processes: Optional[int] = None) -> str:
-        """The effective worker mode of the membership pool.
-
-        One of ``"serial"`` (no pool would be used), ``"fork-warm"`` (fork
-        start method: workers inherit the warmed parent state), or the start
-        method name (``"spawn"`` / ``"forkserver"``), under which workers
-        start cold.  This is what ``batch --stats`` prints.  Once the
-        session has seen resilience events (worker crashes, serial
-        degradations, deadline trips) the mode string carries a bracketed
-        summary.
-        """
-        processes = processes if processes is not None else self._processes
-        if processes is None or processes <= 1:
-            mode = "serial"
-        else:
-            start_method = _start_method()
-            mode = "fork-warm" if start_method == "fork" else start_method
+    def _note_trip(self) -> None:
+        """Count one deadline trip on the session."""
         with self._memo_lock:
-            s = self._statistics
-            eventful = bool(s.worker_crashes or s.cells_degraded_serial or s.deadline_trips)
-            summary = s.resilience_summary() if eventful else ""
-        if eventful:
-            return f"{mode} [{summary}]"
-        return mode
-
-    # --- resilience plumbing ------------------------------------------------
-    def _note(self, attr: str) -> None:
-        """Bump one of the session's resilience counters."""
-        with self._memo_lock:
-            setattr(self._statistics, attr, getattr(self._statistics, attr) + 1)
+            self._statistics.deadline_trips += 1
 
     # --- engines -----------------------------------------------------------
     def engine(self, pattern: PatternLike, width_bound: Optional[int] = None) -> Engine:
@@ -463,22 +265,8 @@ class Session:
                 graph, mu, method=method, width=width, deadline=deadline, budget=budget
             )
         except DeadlineExceeded:
-            self._note("deadline_trips")
+            self._note_trip()
             raise
-
-    def _pool_size(
-        self, processes: Optional[int], unique: Sequence[Mapping], plan: Plan
-    ) -> int:
-        """How many workers a batch of *unique* mappings runs on (0 = serial)."""
-        processes = processes if processes is not None else self._processes
-        if (
-            processes is None
-            or processes <= 1
-            or len(unique) <= 1
-            or not plan.strategy_obj.parallel_safe
-        ):
-            return 0
-        return min(processes, len(unique))
 
     def check_many(
         self,
@@ -487,7 +275,6 @@ class Session:
         mappings: Iterable[Mapping],
         method: str = "auto",
         width: Optional[int] = None,
-        processes: Optional[int] = None,
         deadline: Optional[float] = None,
         budget: Optional[Budget] = None,
     ) -> List[bool]:
@@ -495,9 +282,8 @@ class Session:
 
         Exactly ``list(check_iter(...))`` over the same arguments: the
         booleans a loop of :meth:`Engine.contains` calls would return, with
-        the cache shared across instances, repeated mappings deduplicated,
-        the method resolved once per batch and — when *processes* (or the
-        session default) asks for it — chunks decided on worker processes.
+        the cache shared across instances, repeated mappings deduplicated
+        and the method resolved once per batch.
         """
         return list(
             self.check_iter(
@@ -506,7 +292,6 @@ class Session:
                 mappings,
                 method=method,
                 width=width,
-                processes=processes,
                 deadline=deadline,
                 budget=budget,
             )
@@ -519,22 +304,18 @@ class Session:
         mappings: Iterable[Mapping],
         method: str = "auto",
         width: Optional[int] = None,
-        processes: Optional[int] = None,
         deadline: Optional[float] = None,
         budget: Optional[Budget] = None,
     ) -> Iterator[bool]:
         """Stream the verdicts ``µ ∈ ⟦P⟧G``, in input order.
 
         The method is resolved once for the batch and each distinct mapping
-        is decided once; a repeated mapping replays its first verdict.
-        Serially the distinct mappings run through the strategy's lazy
+        is decided once, through the strategy's lazy
         :meth:`~repro.evaluation.plan.Strategy.contains_iter` hook (the
-        naive strategy materialises ``⟦P⟧G`` once per batch); with
-        *processes* (or the session default) they are decided in chunks by
-        the crash-tolerant pool of :meth:`_pool_map`.  Either way each
-        input mapping's verdict is released as soon as it is decided (what
-        ``repro batch`` prints).  ``deadline``/``budget`` bound the whole
-        batch, parent and workers alike, and raise
+        naive strategy materialises ``⟦P⟧G`` once per batch); a repeated
+        mapping replays its first verdict.  Each input mapping's verdict is
+        released as soon as it is decided (what ``repro batch`` prints).
+        ``deadline``/``budget`` bound the whole batch and raise
         :class:`~repro.exceptions.DeadlineExceeded` mid-iteration.
         """
         engine = self.engine(pattern)
@@ -544,154 +325,24 @@ class Session:
         run_budget = budget_from(deadline, budget)
         plan = engine.plan(method, width, graph=graph)
         unique = list(dict.fromkeys(mappings))
-        workers = self._pool_size(processes, unique, plan)
         known: Dict[Mapping, bool] = {}
         try:
             if run_budget is not None:
                 run_budget.check()  # pre-expired budgets trip up front
-            if workers:
-                landed = self._pool_map(engine, graph, plan, unique, workers, run_budget)
-            else:
-                landed = self._decide(engine, graph, plan, unique, run_budget)
-            with closing(landed):
+            context = EvalContext(cache=self._cache, budget=run_budget)
+            verdicts = plan.strategy_obj.contains_iter(
+                engine.pattern, engine.forest, graph, unique, plan, context
+            )
+            with closing(verdicts):
+                # `unique` keeps first occurrences in input order, so the
+                # next verdict is always that of the next unseen mapping.
                 for mu in mappings:
-                    while mu not in known:
-                        decided, verdict = next(landed)
-                        known[decided] = verdict
+                    if mu not in known:
+                        known[mu] = next(verdicts)
                     yield known[mu]
         except DeadlineExceeded:
-            self._note("deadline_trips")
+            self._note_trip()
             raise
-
-    def _decide(
-        self,
-        engine: Engine,
-        graph: RDFGraph,
-        plan: Plan,
-        mappings: Sequence[Mapping],
-        budget: Optional[Budget],
-    ) -> Iterator[Tuple[Mapping, bool]]:
-        """Decide *mappings* in this process, yielding ``(µ, verdict)``
-        lazily, in order."""
-        context = EvalContext(cache=self._cache, budget=budget)
-        verdicts = plan.strategy_obj.contains_iter(
-            engine.pattern, engine.forest, graph, mappings, plan, context
-        )
-        yield from zip(mappings, verdicts)
-
-    def _pool_map(
-        self,
-        engine: Engine,
-        graph: RDFGraph,
-        plan: Plan,
-        mappings: Sequence[Mapping],
-        workers: int,
-        budget: Optional[Budget],
-    ) -> Iterator[Tuple[Mapping, bool]]:
-        """Decide *mappings* in chunks on worker processes, yielding
-        ``(µ, verdict)`` exactly once per mapping, chunk by chunk in
-        completion order.
-
-        The crash ladder has three rungs:
-
-        1. verdicts are harvested as chunks land;
-        2. a dead worker breaks the executor — every chunk still in flight
-           fails with :class:`BrokenProcessPool` — and the chunks without
-           verdicts are resubmitted once on a fresh executor;
-        3. whatever that executor loses too is re-run serially in the
-           parent.
-
-        A *budget* bounds every wait, so a deadline fires while the pool is
-        busy; the executor then cancels its queued chunks, and the running
-        ones trip their own copy of the budget.
-        """
-        chunks = _chunked(mappings, workers)
-        ctx = multiprocessing.get_context()
-        warm_engine: Optional[Engine] = None
-        if _start_method() == "fork":
-            # Build the µ-independent state once in the parent so the workers
-            # fork with warm kernels/indexes instead of rebuilding them.  Only
-            # the root-subtree instances: per-mapping witness-subtree lookups
-            # would serialise in the parent (Amdahl); workers do those in
-            # parallel against the copy-on-write shared kernels.
-            plan.strategy_obj.warm(engine.forest, graph, plan, self._cache)
-            warm_engine = engine
-        faults = None if self._faults is None else self._faults.arm(ctx)  # type: ignore[attr-defined]
-        initargs = (
-            engine.forest,
-            engine.width_bound,
-            graph,
-            plan.strategy,
-            plan.width,
-            warm_engine,
-            budget,
-            faults,
-        )
-        unfinished = list(range(len(chunks)))
-        for _attempt in range(_MAX_POOL_ATTEMPTS):
-            if not unfinished:
-                return
-            lost: List[int] = []
-            executor = ProcessPoolExecutor(
-                min(workers, len(unfinished)),
-                mp_context=ctx,
-                initializer=_init_worker,
-                initargs=initargs,
-            )
-            try:
-                futures = {}
-                for position in unfinished:
-                    task = (position, chunks[position])
-                    try:
-                        future = executor.submit(_worker_contains_chunk, task)
-                    except BrokenProcessPool:  # a worker died while we submitted
-                        lost.append(position)
-                    else:
-                        futures[future] = position
-                pending = set(futures)
-                while pending:
-                    done, pending = wait(
-                        pending,
-                        timeout=None if budget is None else budget.remaining(),
-                        return_when=FIRST_COMPLETED,
-                    )
-                    if budget is not None:
-                        budget.check()
-                    for future in done:
-                        try:
-                            verdicts = _harvest(future)
-                        except BrokenProcessPool:
-                            lost.append(futures[future])
-                            continue
-                        yield from zip(chunks[futures[future]], verdicts)
-            finally:
-                executor.shutdown(wait=True, cancel_futures=True)
-            if lost:
-                self._note("worker_crashes")
-            unfinished = sorted(lost)
-        for position in unfinished:
-            self._note("cells_degraded_serial")
-            yield from self._decide(engine, graph, plan, chunks[position], budget)
-
-    def warm(
-        self,
-        pattern: PatternLike,
-        graph: RDFGraph,
-        method: str = "auto",
-        width: Optional[int] = None,
-    ) -> int:
-        """Precompute the µ-independent evaluation state for *graph*.
-
-        For the pebble strategy this builds the shared target index, the
-        graph domain, and the consistency kernels of every root-subtree
-        child instance; for the natural strategy it builds the target
-        index.  Returns the number of kernels ensured.  Warming is a pure
-        performance feature — answers are identical with and without it —
-        and is what :meth:`check_many` does before forking a worker pool.
-        """
-        engine = self.engine(pattern)
-        plan = engine.plan(method, width, graph=graph)
-        return plan.strategy_obj.warm(engine.forest, graph, plan, self._cache)
 
     # --- enumeration -------------------------------------------------------
     def solutions_stream(
@@ -714,7 +365,7 @@ class Session:
         try:
             stream = self.engine(pattern).solutions_stream(graph, method, deadline, budget)
         except DeadlineExceeded:
-            self._note("deadline_trips")
+            self._note_trip()
             raise
         return self._counting_trips(stream)
 
@@ -723,7 +374,7 @@ class Session:
         try:
             yield from stream
         except DeadlineExceeded:
-            self._note("deadline_trips")
+            self._note_trip()
             raise
 
     def solutions(
@@ -743,5 +394,5 @@ class Session:
         try:
             return self.engine(pattern).solutions(graph, method, deadline, budget)
         except DeadlineExceeded:
-            self._note("deadline_trips")
+            self._note_trip()
             raise

@@ -69,18 +69,6 @@ class DeadlineExceeded(EvaluationError):
         super().__init__(message)
 
 
-class WorkerCrashError(EvaluationError):
-    """Raised when a pool worker died (SIGKILL, OOM, broken pipe) and the
-    session could not recover the affected work by retry or serial
-    degradation.  Wraps every raw ``multiprocessing`` / ``queue.Empty`` /
-    ``BrokenPipeError`` escape of the pool paths so callers only ever see
-    ``ReproError`` subtypes."""
-
-    def __init__(self, message: str, crashes: int = 1) -> None:
-        self.crashes = crashes
-        super().__init__(message)
-
-
 class ServiceError(ReproError):
     """Raised for failures of the long-lived query service layer
     (:mod:`repro.service`): bad requests, unknown graphs or operations,

@@ -3,7 +3,9 @@
 The format accepted here is a pragmatic subset of N-Triples:
 
 * one triple per line, terminated by an optional ``.``;
-* IRIs are written ``<iri>``;
+* IRIs are written ``<iri>``; inside the brackets ``\\uXXXX`` and
+  ``\\UXXXXXXXX`` stand for one character (the writer escapes ``\\``, ``>``
+  and every character up to U+0020 so), and any other backslash is an error;
 * literals are written ``"value"``, optionally followed by ``@lang`` or
   ``^^<datatype>``;
 * ``#`` outside a term starts a comment that runs to the end of the line,
@@ -38,14 +40,18 @@ __all__ = [
     "save_graph",
 ]
 
+#: The text of an IRI between its brackets (escapes still encoded); the
+#: query lexer reads ``<…>`` with it too.
+IRI_BODY = r"[^>]+"
+
 #: One term: an IRI, or a literal with an optional language tag or datatype.
 _TERM = r"""
     (?:
-        <(?P<iri>[^>]+)>
+        <(?P<iri>{iri})>
       | "(?P<lit>(?:[^"\\]|\\.)*)"
-        (?: @(?P<lang>[A-Za-z][A-Za-z0-9-]*) | \^\^<(?P<dt>[^>]+)> )?
+        (?: @(?P<lang>[A-Za-z][A-Za-z0-9-]*) | \^\^<(?P<dt>{iri})> )?
     )
-"""
+""".format(iri=IRI_BODY)
 
 _TERM_RE = re.compile(r"\s*" + _TERM, re.VERBOSE)
 
@@ -65,22 +71,27 @@ _LINE_RE = re.compile(
 #: The single-character escapes of an N-Triples literal (``ECHAR``).
 _ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
-_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))", re.DOTALL)
+
+#: The characters an IRI's text form writes as ``\uXXXX``.
+_IRI_ESCAPED_RE = re.compile(r"[\\>\x00-\x20]")
 
 
-def _unescape(value: str) -> str:
-    """Decode the escapes of a literal's lexical form: ``ECHAR`` and the
-    ``\\uXXXX`` / ``\\UXXXXXXXX`` code points; the rest of the text is
-    taken as it is, so non-ASCII characters pass through unchanged."""
+def _unescape(value: str, echars: Dict[str, str] = _ECHARS) -> str:
+    """Decode the escapes of a literal's lexical form (``ECHAR`` and the
+    ``\\uXXXX`` / ``\\UXXXXXXXX`` code points) or, with no *echars*, of an
+    IRI (the code points only); the rest of the text is taken as it is, so
+    non-ASCII characters pass through unchanged."""
     if "\\" not in value:
         return value
 
     def decode(match: "re.Match[str]") -> str:
         short, long, char = match.groups()
         if char is not None:
-            if char not in _ECHARS:
-                raise ParseError(f"invalid escape sequence \\{char} in a literal")
-            return _ECHARS[char]
+            if char not in echars:
+                where = "a literal" if echars else "an IRI"
+                raise ParseError(f"invalid escape sequence \\{char} in {where}")
+            return echars[char]
         code = int(short or long, 16)
         if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
             raise ParseError(f"escape sequence {match.group(0)} is not a character")
@@ -93,19 +104,26 @@ def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r")
 
 
+def _iri_text(iri: IRI) -> str:
+    """*iri* in brackets, with ``\\``, ``>`` and the characters up to U+0020
+    written as ``\\uXXXX``."""
+    value = _IRI_ESCAPED_RE.sub(lambda match: f"\\u{ord(match.group()):04X}", iri.value)
+    return f"<{value}>"
+
+
 def _parse_term(line: str, pos: int) -> tuple[Term, int]:
     match = _TERM_RE.match(line, pos)
     if match is None:
         raise ParseError(f"cannot parse term in line {line!r}", position=pos)
     if match.group("iri") is not None:
-        return IRI(match.group("iri")), match.end()
+        return IRI(_unescape(match.group("iri"), {})), match.end()
     value = _unescape(match.group("lit"))
     lang = match.group("lang")
     dt = match.group("dt")
     if lang is not None:
         return Literal(value, language=lang), match.end()
     if dt is not None:
-        return Literal(value, datatype=IRI(dt)), match.end()
+        return Literal(value, datatype=IRI(_unescape(dt, {}))), match.end()
     return Literal(value), match.end()
 
 
@@ -173,13 +191,13 @@ def parse_ntriples(source: Union[str, TextIO]) -> Iterator[Triple]:
 def serialize_term(term: Term) -> str:
     """One ground term as N-Triples writes it (the inverse of :func:`parse_term`)."""
     if isinstance(term, IRI):
-        return f"<{term.value}>"
+        return _iri_text(term)
     if isinstance(term, Literal):
         base = f'"{_escape(term.value)}"'
         if term.language is not None:
             return f"{base}@{term.language}"
         if term.datatype is not None:
-            return f"{base}^^<{term.datatype.value}>"
+            return f"{base}^^{_iri_text(term.datatype)}"
         return base
     raise RDFError(f"cannot serialise non-ground term {term!r}")
 

@@ -64,7 +64,8 @@ class IRI(Term):
     def __reduce__(self):
         # Immutable slotted classes cannot use the default pickle protocol
         # (restoring state calls the blocked __setattr__); rebuild through the
-        # constructor instead.  Needed by the multiprocessing batch engine.
+        # constructor instead, so terms (and the triples, mappings and graphs
+        # built from them) pickle.
         return (IRI, (self.value,))
 
     def __eq__(self, other: object) -> bool:

@@ -425,7 +425,6 @@ class QueryService:
             **_RETIRED_CACHE_COUNTERS, **self._session.cache.statistics.as_dict()
         }
         snapshot["resilience"] = self._session.statistics.resilience_summary()
-        snapshot["worker_mode"] = self._session.worker_mode()
         snapshot["engines"] = self._session.engine_count
         return snapshot
 

@@ -4,7 +4,9 @@ The syntax mirrors the algebraic formalisation of Pérez et al. used in the
 paper rather than the full W3C grammar:
 
 * a triple pattern is written ``(?x <http://example.org/p> ?y)``; bare
-  identifiers are shorthand for IRIs, so ``(?x p ?y)`` also works;
+  identifiers are shorthand for IRIs, so ``(?x p ?y)`` also works.  An IRI
+  in brackets is read as N-Triples reads one, ``\\uXXXX`` escapes included,
+  so an IRI holding whitespace or ``>`` is written ``<a\\u0020b>``;
 * ``AND``, ``OPT`` (or ``OPTIONAL``) and ``UNION`` combine patterns and are
   left-associative with equal precedence; parentheses group;
 * string literals are written ``"value"`` with the escapes of an N-Triples
@@ -25,7 +27,7 @@ from typing import Iterator, List, NamedTuple, Tuple
 
 from .algebra import And, GraphPattern, Opt, TriplePatternNode, Union
 from ..exceptions import ParseError
-from ..rdf.io import parse_term, serialize_term
+from ..rdf.io import IRI_BODY, parse_term, serialize_term
 from ..rdf.terms import IRI, Literal, Term, Variable
 from ..rdf.triples import TriplePattern
 
@@ -43,11 +45,11 @@ _TOKEN_RE = re.compile(
       (?P<ws>\s+)
     | (?P<lparen>\()
     | (?P<rparen>\))
-    | (?P<iri_ref><[^>\s]+>)
-    | (?P<string>"(?:[^"\\]|\\.)*"(?:@[A-Za-z][A-Za-z0-9-]*|\^\^<[^>\s]+>)?)
+    | (?P<iri_ref><{iri}>)
+    | (?P<string>"(?:[^"\\]|\\.)*"(?:@[A-Za-z][A-Za-z0-9-]*|\^\^<{iri}>)?)
     | (?P<var>[?$][A-Za-z_][A-Za-z0-9_]*)
     | (?P<word>[A-Za-z_][A-Za-z0-9_:/.#-]*)
-    """,
+    """.format(iri=IRI_BODY),
     re.VERBOSE,
 )
 
@@ -157,9 +159,7 @@ class _Parser:
         token = self._advance()
         if token.kind == "var":
             return Variable(token.value)
-        if token.kind == "iri_ref":
-            return IRI(token.value[1:-1])
-        if token.kind == "string":
+        if token.kind in ("iri_ref", "string"):
             try:
                 return parse_term(token.value)
             except ParseError as exc:
@@ -194,7 +194,7 @@ def _term_to_text(term: Term) -> str:
             and term.value.upper() not in _KEYWORDS
         ):
             return term.value
-        return f"<{term.value}>"
+        return serialize_term(term)
     if isinstance(term, Literal):
         return serialize_term(term)
     raise TypeError(f"not a term: {term!r}")

@@ -1,23 +1,17 @@
 """Shared fixtures and helpers for the test suite.
 
-Two pieces of harness configuration live here alongside the fixtures:
-
-* a **per-test watchdog**: every test gets a hard wall-clock limit
-  (``REPRO_TEST_TIMEOUT`` seconds, default 180) enforced with
-  :func:`faulthandler.dump_traceback_later` — a hung test (e.g. a worker
-  pool waiting on a task a killed worker will never finish) dumps the
-  tracebacks of every thread and aborts the process instead of hanging CI
-  forever (no ``pytest-timeout`` dependency needed);
-* a **start-method override**: ``REPRO_START_METHOD=fork|spawn|forkserver``
-  pins the multiprocessing start method for the whole run, which is how CI
-  exercises the fault-injection and service suites under both ``fork``
-  (warm workers) and ``spawn`` (cold workers, pickled initargs).
+One piece of harness configuration lives here alongside the fixtures: a
+**per-test watchdog**.  Every test gets a hard wall-clock limit
+(``REPRO_TEST_TIMEOUT`` seconds, default 180) enforced with
+:func:`faulthandler.dump_traceback_later` — a hung test (e.g. a service
+worker waiting on a request that never resolves) dumps the tracebacks of
+every thread and aborts the process instead of hanging CI forever (no
+``pytest-timeout`` dependency needed).
 """
 
 from __future__ import annotations
 
 import faulthandler
-import multiprocessing
 import os
 
 import pytest
@@ -26,12 +20,6 @@ from repro.rdf import RDFGraph, Triple
 from repro.rdf.namespace import EX
 
 _TEST_TIMEOUT = float(os.environ.get("REPRO_TEST_TIMEOUT", "180"))
-
-
-def pytest_configure(config) -> None:
-    method = os.environ.get("REPRO_START_METHOD")
-    if method:
-        multiprocessing.set_start_method(method, force=True)
 
 
 @pytest.hookimpl(wrapper=True)

@@ -1,6 +1,6 @@
 """Batched membership through :class:`Session`: ``check_many`` answers equal
-a loop of single-shot :meth:`Engine.contains` calls, plus the pickling the
-batch path relies on."""
+a loop of single-shot :meth:`Engine.contains` calls, plus the pickling of the
+value types an engine is built from."""
 
 import pickle
 

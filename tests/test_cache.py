@@ -170,16 +170,20 @@ class TestNoPerMappingEntries:
             hubs.append(Mapping({x: hub, y: leaf}))
         session = Session()
         handle = session.engine(forest, width_bound=1)
-        session.warm(handle, graph, method="pebble", width=1)
+        # Warm up through first checks: every other edge mapping (members and
+        # non-members, so every root child's kernel gets built) and one hub.
+        session.check_many(handle, graph, edges[::2], method="pebble", width=1)
         session.check_many(handle, graph, hubs[:1], method="natural")
         store = session.cache._graphs[id(graph)]
         before = store.entry_count()
-        pebble = session.check_many(handle, graph, edges[:200], method="pebble", width=1)
+        fresh = edges[1::2]
+        pebble = session.check_many(handle, graph, fresh, method="pebble", width=1)
         natural = session.check_many(handle, graph, hubs[1:], method="natural")
         assert store.entry_count() == before
         # dw(F_4) = 1, so the 2-pebble verdicts are exact.
         plain = Engine(forest=forest)
-        assert pebble == [plain.contains(graph, mu, method="natural") for mu in edges[:200]]
+        assert pebble == [plain.contains(graph, mu, method="natural") for mu in fresh]
+        assert any(pebble) and not all(pebble)
         assert natural == [plain.contains(graph, mu, method="natural") for mu in hubs[1:]]
         tree = forest[0]
         root = tree.subtree([tree.root])
@@ -347,8 +351,9 @@ class TestCacheInternals:
         forest = fk_forest(2)
         graph = fk_data_graph(6, 36, clique_size=2, seed=9)
         unbounded = EvaluationCache()
-        built = unbounded.warm_pebble(forest, graph, pebbles=2)
-        assert built >= 1
+        first = _edge_mappings(graph, limit=1)[0]
+        Engine(forest=forest, width_bound=1, cache=unbounded).contains(graph, first, method="pebble")
+        assert unbounded.statistics.kernel_misses >= 1
         # A tiny budget cannot hold a kernel's precomputed state plus a
         # stream of other entries: eviction must kick in, answers stay right.
         bounded = EvaluationCache(max_entries_per_graph=5)

@@ -330,26 +330,6 @@ class TestBatchStream:
         )
         return str(path)
 
-    def test_stream_with_processes_matches_batched(self, graph_file, bindings_file, capsys):
-        """With --processes, verdicts stream back from the worker pool in
-        input order, identical to the serial output."""
-        argv = ["batch", "--graph", graph_file, "--query", QUERY, "--bindings-file", bindings_file]
-        assert main(argv) == 0
-        batched = capsys.readouterr().out
-        assert main(argv + ["--processes", "2"]) == 0
-        streamed = capsys.readouterr().out
-        assert streamed == batched
-
-    def test_stream_rejects_invalid_processes(self, graph_file, bindings_file, capsys):
-        exit_code = main(
-            [
-                "batch", "--graph", graph_file, "--query", QUERY,
-                "--bindings-file", bindings_file, "--processes", "0",
-            ]
-        )
-        assert exit_code == 2
-        assert "processes" in capsys.readouterr().err
-
     def test_empty_binding_value_is_a_typed_error(self, graph_file, tmp_path, capsys):
         path = tmp_path / "empty-value.txt"
         path.write_text("x=\n")
@@ -359,17 +339,15 @@ class TestBatchStream:
         assert exit_code == 2
         assert "error: " in capsys.readouterr().err
 
-    def test_stats_reports_worker_mode(self, graph_file, bindings_file, capsys):
+    def test_stats_reports_plan_resilience_and_cache(self, graph_file, bindings_file, capsys):
         argv = [
             "batch", "--graph", graph_file, "--query", QUERY,
             "--bindings-file", bindings_file, "--stats",
         ]
         assert main(argv) == 0
-        assert "# workers: serial" in capsys.readouterr().out
-        assert main(argv + ["--processes", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "# workers: " in out
-        assert "# workers: serial" not in out
+        stats = [line for line in capsys.readouterr().out.splitlines() if line.startswith("# ")]
+        assert [line.split(":")[0] for line in stats[1:]] == ["# plan", "# resilience", "# cache"]
+        assert stats[2] == "# resilience: 0 deadline trip(s)"
 
 
 class TestClassifyAndValidate:

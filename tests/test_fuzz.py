@@ -1,5 +1,5 @@
 """Fuzzing the three readers of untrusted input: wire lines, SPARQL text and
-N-Triples.
+N-Triples, and the round trip of any IRI through the last two.
 
 Each reader may refuse its input only with a typed
 :class:`~repro.exceptions.ReproError`; anything else that escapes (a
@@ -14,10 +14,21 @@ import json
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.exceptions import ReproError
-from repro.rdf import RDFGraph, load_graph, parse_ntriples
+from repro.rdf import (
+    IRI,
+    Literal,
+    RDFGraph,
+    Triple,
+    TriplePattern,
+    Variable,
+    load_graph,
+    parse_ntriples,
+    serialize_ntriples,
+)
 from repro.service.core import OPERATIONS
 from repro.service.protocol import decode_line, request_from_wire
 from repro.sparql import parse_pattern, to_text
+from repro.sparql.algebra import TriplePatternNode
 
 FUZZ = settings(
     max_examples=200,
@@ -140,3 +151,16 @@ def test_ntriples_readers_agree_and_raise_only_typed_errors(tmp_path_factory, te
     path = tmp_path_factory.getbasetemp() / "fuzz.nt"
     path.write_text(text, encoding="utf-8")
     assert typed_errors_only(load_graph, path) == parsed
+
+
+# --- IRI text -------------------------------------------------------------------
+
+
+@FUZZ
+@given(st.text(min_size=1, max_size=30) | st.sampled_from(["c>d", "a b", "x\ny", "a\\b", "\\u0041"]))
+def test_any_iri_round_trips_through_ntriples_and_query_text(value):
+    iri = IRI(value)
+    graph = RDFGraph([Triple(iri, iri, Literal("v", datatype=iri))])
+    assert RDFGraph(parse_ntriples(serialize_ntriples(graph))) == graph
+    pattern = TriplePatternNode(TriplePattern(Variable("x"), iri, iri))
+    assert parse_pattern(to_text(pattern)) == pattern

@@ -42,10 +42,10 @@ from repro.patterns import WDPatternForest
 from repro.rdf import RDFGraph, Triple, TriplePattern
 from repro.rdf.generators import random_graph
 from repro.rdf.namespace import EX
-from repro.rdf.terms import Variable, term_sort_key
+from repro.rdf.terms import IRI, Variable, term_sort_key
 from repro.service import QueryService, Request, ServiceClient, ServiceServer
 from repro.service.protocol import mapping_to_wire
-from repro.sparql import Mapping, to_text
+from repro.sparql import Mapping, parse_pattern, to_text
 from repro.workloads.clique_instances import random_host_graph
 from repro.workloads.families import (
     clique_query_data_graph,
@@ -266,15 +266,6 @@ class TestSessionAgainstNaive:
                 assert [session.check(pattern, graph, mu, **kwargs) for mu in mappings] == expected
             relaxed = session.check_many(pattern, graph, mappings, method="pebble", width=1)
             assert not any(accepted and not member for accepted, member in zip(relaxed, expected))
-            if seed == 0:
-                pooled = session.check_many(
-                    pattern, graph, mappings, method="natural", processes=2
-                )
-                assert pooled == expected
-                streamed = session.check_iter(
-                    pattern, graph, mappings, method="pebble", width=width, processes=2
-                )
-                assert list(streamed) == expected
 
         mappings = membership_candidates(evaluate_pattern(pattern, graph), rng)
         check_every_path(mappings)  # cold
@@ -386,6 +377,40 @@ class TestServiceAgainstNaive:
                         ("naive", None), ("natural", None), ("auto", None), ("pebble", width)
                     ]:
                         verdicts = client.check(query, bindings, method=method, width=bound)
+                        assert verdicts == expected
+            finally:
+                server.shutdown()
+                thread.join(timeout=5.0)
+
+    def test_socket_reads_updated_iris_that_need_escapes(self):
+        """IRIs holding a space or ``>`` arrive through ``update`` as bare
+        wire values, and the query names them as ``<a\\u0020b>``."""
+        spaced, angled = IRI("a b"), IRI("c>d")
+        added = [Triple.of("s", "p", spaced.value), Triple.of(spaced.value, "q", angled.value)]
+        graph = RDFGraph([Triple.of("s", "p", "o")])
+        x, z = Variable("x"), Variable("z")
+        pattern = parse_pattern("((?x p <a\\u0020b>) OPT (<a\\u0020b> q ?z))")
+        assert to_text(pattern) == "((?x p <a\\u0020b>) OPT (<a\\u0020b> q ?z))"
+        mappings = [
+            Mapping({x: IRI("s"), z: angled}),
+            Mapping({x: IRI("s")}),
+            Mapping({x: IRI("o"), z: angled}),
+            Mapping({x: IRI("s"), z: spaced}),
+        ]
+        expected_graph = RDFGraph(graph.triples() | set(added))
+        answers = evaluate_pattern(pattern, expected_graph)
+        expected = [mu in answers for mu in mappings]
+        assert expected == [True, False, False, False]
+        with QueryService(graph) as service:
+            server = ServiceServer(service)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            try:
+                with ServiceClient(*server.address) as client:
+                    client.update(add=[[term.value for term in t] for t in added])
+                    bindings = [mapping_to_wire(mu) for mu in mappings]
+                    for method in ("naive", "natural", "auto"):
+                        verdicts = client.check(to_text(pattern), bindings, method=method)
                         assert verdicts == expected
             finally:
                 server.shutdown()

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.evaluation import Engine, EvaluationCache, Session
+from repro.evaluation import Engine, EvaluationCache
 from repro.exceptions import EvaluationError
 from repro.hom import all_homomorphisms, target_index
 from repro.hom.tgraph import GeneralizedTGraph
@@ -269,60 +269,6 @@ class TestCacheIntegration:
         # builds than pebble-verdict computations.
         assert stats.kernel_misses >= 1
         assert stats.kernel_hits > stats.kernel_misses
-
-    def test_warm_pebble_builds_kernels_ahead(self):
-        forest = fk_forest(2)
-        graph = fk_data_graph(6, 36, clique_size=2, seed=9)
-        cache = EvaluationCache()
-        built = cache.warm_pebble(forest, graph, pebbles=2)
-        assert built >= 1  # at least the root-subtree children of some tree
-        assert cache.statistics.kernel_misses == built
-        # A second warm-up visits the same instances and answers every one
-        # from the kernels the first built.
-        assert cache.warm_pebble(forest, graph, pebbles=2) == built
-        assert cache.statistics.kernel_hits == built
-
-
-class TestBatchWarm:
-    def test_warm_then_answers_identical(self):
-        forest = fk_forest(2)
-        graph = fk_data_graph(6, 30, clique_size=2, seed=2)
-        x, y = Variable("x"), Variable("y")
-        p = EX.term("p")
-        mappings = sorted(
-            {Mapping({x: t.subject, y: t.object}) for t in graph if t.predicate == p},
-            key=repr,
-        )
-        plain = Engine(forest=forest, width_bound=1)
-        expected = [plain.contains(graph, mu, method="pebble") for mu in mappings]
-        session = Session()
-        handle = session.engine(forest, width_bound=1)
-        kernels = session.warm(handle, graph, method="pebble")
-        assert kernels >= 1
-        assert session.check_many(handle, graph, mappings, method="pebble") == expected
-
-    def test_warm_non_pebble_builds_index_only(self):
-        forest = fk_forest(2)
-        graph = fk_data_graph(5, 20, clique_size=2, seed=1)
-        session = Session()
-        handle = session.engine(forest, width_bound=1)
-        assert session.warm(handle, graph, method="natural") == 0
-        assert session.warm(handle, graph, method="naive") == 0
-
-    def test_parallel_path_identical_after_warm(self):
-        forest = fk_forest(2)
-        graph = fk_data_graph(6, 30, clique_size=2, seed=2)
-        x, y = Variable("x"), Variable("y")
-        p = EX.term("p")
-        mappings = sorted(
-            {Mapping({x: t.subject, y: t.object}) for t in graph if t.predicate == p},
-            key=repr,
-        )
-        plain = Engine(forest=forest, width_bound=1)
-        expected = [plain.contains(graph, mu, method="pebble") for mu in mappings]
-        session = Session(processes=2)
-        handle = session.engine(forest, width_bound=1)
-        assert session.check_many(handle, graph, mappings, method="pebble") == expected
 
 
 class TestDomainMemoization:

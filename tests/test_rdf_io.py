@@ -8,6 +8,8 @@ import pytest
 from repro.exceptions import ParseError
 from repro.rdf import RDFGraph, Triple, load_graph, parse_ntriples, save_graph, serialize_ntriples
 from repro.rdf.terms import IRI, Literal
+from repro.rdf.triples import TriplePattern
+from repro.sparql import parse_pattern
 
 
 SAMPLE = """
@@ -93,6 +95,19 @@ class TestEscapes:
     def test_other_escapes_raise_parse_errors(self, body):
         with pytest.raises(ParseError):
             list(parse_ntriples(f'<s> <p> "{body}" .'))
+
+    def test_an_iri_decodes_code_point_escapes_in_both_readers(self):
+        [triple] = parse_ntriples("<a\\u0020b> <p> <c\\U0000003Ed> .")
+        assert (triple.subject, triple.object) == (IRI("a b"), IRI("c>d"))
+        pattern = parse_pattern("(<a\\u0020b> p <c\\U0000003Ed>)")
+        assert pattern.triple_pattern == TriplePattern(IRI("a b"), IRI("p"), IRI("c>d"))
+
+    @pytest.mark.parametrize("iri", ["<a\\b>", "<a\\>", "<\\uD800>", "<\\u12>", "<a\\n>"])
+    def test_an_iri_takes_no_other_escape(self, iri):
+        with pytest.raises(ParseError):
+            list(parse_ntriples(f"{iri} <p> <o> ."))
+        with pytest.raises(ParseError):
+            parse_pattern(f"(?x {iri} ?y)")
 
 
 # --- load_graph against the triple-by-triple path --------------------------------

@@ -14,7 +14,6 @@ run is checkable bit-for-bit no matter how the threads interleave.
 
 import gc
 import json
-import multiprocessing
 import os
 import random
 import socket
@@ -165,11 +164,13 @@ class TestServiceBasics:
                 next(service.solution_chunks(Response(op="check", ok=True)))
 
 
-#: Loads a graph file and answers through ``QueryService`` with networkx made
-#: unimportable; prints the answers as JSON.
+#: Loads a graph file and answers through ``QueryService`` with networkx and
+#: the process-pool modules made unimportable; prints the answers as JSON.
 SERVE_WITHOUT_NETWORKX = """
 import json, sys
-sys.modules["networkx"] = None  # from here on, importing networkx raises ImportError
+# From here on, importing any of these raises ImportError.
+for name in ("networkx", "multiprocessing", "concurrent.futures"):
+    sys.modules[name] = None
 import repro, repro.cli, repro.service
 from repro.rdf.io import load_graph
 from repro.sparql import Mapping
@@ -184,9 +185,9 @@ print(json.dumps([len(answers), natural, pebble]))
 
 
 class TestServePathWithoutNetworkx:
-    """networkx serves the width measures and the CLIQUE reduction only; the
-    CLI, the service, the loader and both engines a request reaches must
-    import and answer without it."""
+    """networkx serves the width measures and the CLIQUE reduction only, and
+    nothing runs on worker processes; the CLI, the service, the loader and
+    both engines a request reaches must import and answer without either."""
 
     def test_load_and_answer_without_networkx(self, tmp_path):
         graph = social_graph()
@@ -554,23 +555,6 @@ class TestServiceFaultInjection:
             snapshot = service.stats()
         assert snapshot["errors"] == 1
         assert snapshot["error_types"] == {"FaultInjected": 1}
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="pool crash recovery needs a POSIX multiprocessing platform",
-)
-class TestServiceWorkerCrash:
-    def test_pool_crash_under_the_service_keeps_verdicts_identical(self):
-        graph = social_graph(20)
-        mus = [Mapping.of(x=f"p{i}", y=f"p{(i + 1) % 20}") for i in range(20)]
-        reference = Session().check_many(parse_pattern(OPT_QUERY), graph, mus)
-        session = Session(processes=2, faults=FaultPlan(kill_at=0))
-        with QueryService(graph, session=session) as service:
-            verdicts = service.check(OPT_QUERY, mus)
-        assert verdicts == reference
-        assert session.statistics.worker_crashes >= 1
-        assert "worker crash" in service.stats()["resilience"]
 
 
 # --- lifecycle ----------------------------------------------------------------

@@ -68,10 +68,6 @@ class TestEngines:
         with pytest.raises(EvaluationError):
             Session().engine(42)
 
-    def test_invalid_processes(self):
-        with pytest.raises(EvaluationError):
-            Session(processes=0)
-
     def test_invalid_max_engines(self):
         with pytest.raises(EvaluationError):
             Session(max_engines=0)
@@ -120,13 +116,6 @@ class TestCheckMany:
         answers = session.check_many(handle, graph, doubled)
         assert answers == [engine.contains(graph, mu) for mu in doubled]
         assert session.check_many(handle, graph, []) == []
-
-    def test_parallel_identical(self, setting):
-        forest, graph, engine, queries = setting
-        expected = [engine.contains(graph, mu, method="pebble") for mu in queries]
-        session = Session(processes=2)
-        handle = session.engine(forest, width_bound=1)
-        assert session.check_many(handle, graph, queries, method="pebble") == expected
 
     def test_check_single(self, setting):
         forest, graph, engine, queries = setting
@@ -274,17 +263,6 @@ class TestSolutionsAutoBugfix:
         )
 
 
-class TestWarm:
-    def test_warm_returns_kernel_count(self, setting):
-        forest, graph, _engine, _queries = setting
-        session = Session()
-        handle = session.engine(forest, width_bound=1)
-        # No mappings: warming covers the root-subtree child instances.
-        count = session.warm(handle, graph, method="pebble", width=1)
-        assert count > 0
-        assert session.cache.statistics.kernel_misses > 0
-
-
 class TestPicklability:
     def test_graph_pattern_round_trips(self):
         import pickle
@@ -292,65 +270,6 @@ class TestPicklability:
         pattern = parse_pattern("(((?x p ?y) AND (?y q ?z)) OPT ((?z r ?w) UNION (?z p ?w)))")
         clone = pickle.loads(pickle.dumps(pattern))
         assert clone == pattern
-
-    def test_engine_round_trips(self):
-        import pickle
-
-        graph = tprime_data_graph(6, 20, seed=4)
-        engine = Engine(forest=WDPatternForest([tprime_tree(2)]), width_bound=1)
-        engine.domination_width()
-        clone = pickle.loads(pickle.dumps(engine))
-        assert clone.width_bound == engine.width_bound
-        plan, clone_plan = engine.plan("auto"), clone.plan("auto")
-        assert (clone_plan.strategy, clone_plan.width) == (plan.strategy, plan.width)
-        assert clone.solutions(graph, method="natural") == engine.solutions(
-            graph, method="natural"
-        )
-
-    def test_warmed_session_engine_still_pickles(self):
-        import pickle
-
-        graph = tprime_data_graph(6, 20, seed=4)
-        session = Session()
-        engine = session.engine(WDPatternForest([tprime_tree(2)]), width_bound=1)
-        mu = sorted(session.solutions(engine, graph), key=repr)[0]
-        # A pebble check caches a ConsistencyKernel (which holds a graph
-        # weakref); pickling must still work — the cache is process-local
-        # state and is dropped from the pickle.
-        session.check(engine, graph, mu, method="pebble", width=1)
-        clone = pickle.loads(pickle.dumps(engine))
-        assert clone.cache is None
-        assert clone.contains(graph, mu, method="pebble", width=1) == engine.contains(
-            graph, mu, method="pebble", width=1
-        )
-
-
-class TestWorkerMode:
-    """The effective mode of the membership pool is introspectable: warm
-    under fork, cold (named by the start method) otherwise."""
-
-    def test_serial_when_no_pool_would_run(self):
-        assert Session().worker_mode() == "serial"
-        assert Session(processes=2).worker_mode(processes=1) == "serial"
-        assert Session().worker_mode(processes=1) == "serial"
-
-    def test_fork_modes(self):
-        import multiprocessing
-
-        if multiprocessing.get_context().get_start_method() != "fork":
-            pytest.skip("needs the fork start method")
-        assert Session(processes=2).worker_mode() == "fork-warm"
-        assert Session().worker_mode(processes=4) == "fork-warm"
-
-    def test_non_fork_reports_start_method(self, monkeypatch):
-        from repro.evaluation import session as session_module
-
-        monkeypatch.setattr(session_module, "_start_method", lambda: "spawn")
-        assert Session(processes=2).worker_mode() == "spawn"
-        assert Session().worker_mode() == "serial"  # still no pool
-
-    def test_repr_shows_worker_mode(self):
-        assert "workers=serial" in repr(Session())
 
 
 class TestCheckIter:
@@ -360,27 +279,6 @@ class TestCheckIter:
         session = Session()
         expected = session.check_many(forest, graph, queries)
         assert list(Session().check_iter(forest, graph, queries)) == expected
-
-    def test_parallel_parity_with_check_many(self, setting):
-        forest, graph, engine, queries = setting
-        expected = Session().check_many(forest, graph, queries)
-        assert list(Session().check_iter(forest, graph, queries, processes=2)) == expected
-
-    def test_parallel_duplicates_follow_input_order(self, setting):
-        forest, graph, engine, queries = setting
-        doubled = queries + list(reversed(queries))
-        iterator = Session().check_iter(forest, graph, doubled, processes=2)
-        assert next(iterator) == engine.contains(graph, doubled[0])
-        assert list(iterator) == [engine.contains(graph, mu) for mu in doubled[1:]]
-
-    def test_abandoned_parallel_stream_stops_its_workers(self, setting):
-        import multiprocessing
-
-        forest, graph, _engine, queries = setting
-        iterator = Session().check_iter(forest, graph, queries, processes=2)
-        next(iterator)
-        iterator.close()
-        assert multiprocessing.active_children() == []
 
     def test_empty_batch(self, setting):
         forest, graph, _engine, _queries = setting
