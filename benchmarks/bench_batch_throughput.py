@@ -74,10 +74,7 @@ def edge_membership_workload(k: int, nodes: int, triples_per_node: int, seed: in
 def fresh_session_check_many(forest, graph, mappings, method: str):
     """:meth:`Session.check_many` on a fresh session, so the timing includes
     building the cache."""
-    session = Session()
-    return session.check_many(
-        session.engine(forest, width_bound=1), graph, mappings, method=method, width=1
-    )
+    return Session().check_many(forest, graph, mappings, method=method, width=1)
 
 
 def _best_of(function, repeat: int) -> Tuple[float, object]:
@@ -100,7 +97,7 @@ def run_throughput(
 ) -> dict:
     """Time both evaluation modes on one workload; returns a result dict."""
     forest, graph, mappings = edge_membership_workload(k, nodes, triples_per_node, seed)
-    engine = Engine(forest=forest, width_bound=1)
+    engine = Engine(forest=forest)
 
     t_single, single = _best_of(
         lambda: [engine.contains(graph, mu, method=method, width=1) for mu in mappings],

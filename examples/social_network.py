@@ -41,7 +41,7 @@ def main(num_people: int = 40) -> None:
     print(f"social network: {num_people} people, {len(graph)} triples\n")
 
     for name, pattern in queries().items():
-        engine = Engine(pattern, width_bound=1)
+        engine = Engine(pattern)
         start = time.perf_counter()
         solutions = engine.solutions(graph, method="natural")
         enumerate_time = time.perf_counter() - start
@@ -51,7 +51,7 @@ def main(num_people: int = 40) -> None:
         natural = [engine.contains(graph, mu, method="natural") for mu in sample]
         natural_time = time.perf_counter() - start
         start = time.perf_counter()
-        pebble = [engine.contains(graph, mu, method="pebble") for mu in sample]
+        pebble = [engine.contains(graph, mu, method="pebble", width=1) for mu in sample]
         pebble_time = time.perf_counter() - start
 
         print(f"query '{name}':  {to_text(pattern)}")

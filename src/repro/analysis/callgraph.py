@@ -15,7 +15,11 @@ module builds the one shared answer machine:
   ``self.method(...)`` (including base classes defined in the project),
   ``self.attr.method(...)`` via attribute-type inference from
   ``self.attr = ClassName(...)`` assignments, and ``local = ClassName(...)``
-  followed by ``local.method(...)``.
+  followed by ``local.method(...)``;
+* a read of a project ``@property`` on a receiver of one of those shapes
+  (``self.prop``, ``self.attr.prop``, ``local.prop``) is an edge to its
+  getter, since the read runs the getter: a lock the getter takes is as
+  visible to the lock rules as one taken by a called method.
 
 The graph is deliberately *unsound where python is dynamic* (no flow
 analysis through containers, no duck typing): a rule that consumes it must
@@ -93,11 +97,12 @@ class ClassInfo:
 
 @dataclass
 class CallEdge:
-    """One resolved call site."""
+    """One resolved call site: a call, or the read of a property."""
 
     caller: FunctionRef
     callee: FunctionRef
-    node: ast.Call
+    #: The ``ast.Call``, or the ``ast.Attribute`` that reads a property.
+    node: ast.expr
     #: True for ``self.m(...)`` calls (and calls from a method into its own
     #: nested defs): caller and callee share the same instance, so a lock
     #: attribute means the same lock object on both sides.  Cross-instance
@@ -357,12 +362,20 @@ class CallGraph:
             if ref.path != file.relpath:
                 continue
             local_types = self._local_constructions(info)
-            for node in own_statements(info.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                for callee, via_self in self._resolve_call(
-                    scope, info, node, local_types
+            nodes = list(own_statements(info.node))
+            called = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+            for node in nodes:
+                if isinstance(node, ast.Call):
+                    resolved = self._resolve_call(scope, info, node, local_types)
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and id(node) not in called
                 ):
+                    resolved = self._resolve_property_read(info, node, local_types)
+                else:
+                    continue
+                for callee, via_self in resolved:
                     edge = CallEdge(
                         caller=ref, callee=callee, node=node, via_self=via_self
                     )
@@ -436,6 +449,29 @@ class CallGraph:
                 return [(candidate, False)]
         return []
 
+    def _receiver_class(
+        self, info: FunctionInfo, value: ast.AST, local_types: Dict[str, str]
+    ) -> Optional[Tuple[str, bool]]:
+        """The project class of the receiver *value*, and whether it is
+        ``self``: ``self`` itself, ``self.attr`` via inferred attribute
+        types, or a local built by ``local = ClassName(...)``."""
+        if isinstance(value, ast.Name) and value.id == "self":
+            return (info.class_name, True) if info.class_name is not None else None
+        if isinstance(value, ast.Name):
+            type_name = local_types.get(value.id)
+        elif (
+            isinstance(value, ast.Attribute)
+            and isinstance(value.value, ast.Name)
+            and value.value.id == "self"
+            and info.class_name is not None
+        ):
+            type_name = self.attr_types.get((info.class_name, value.attr))
+        else:
+            return None
+        if type_name not in self.classes:
+            return None
+        return type_name, False
+
     def _resolve_attribute_call(
         self,
         scope: _FileScope,
@@ -443,41 +479,32 @@ class CallGraph:
         func: ast.Attribute,
         local_types: Dict[str, str],
     ) -> List[Tuple[FunctionRef, bool]]:
-        method = func.attr
         value = func.value
-        # self.method(...)
-        if isinstance(value, ast.Name) and value.id == "self":
-            if info.class_name is not None:
-                target = self.resolve_method(info.class_name, method)
-                if target is not None:
-                    return [(target, True)]
+        # ClassName.method(...) — unbound / static style
+        if isinstance(value, ast.Name) and value.id in scope.classes:
+            target = self.resolve_method(scope.classes[value.id].name, func.attr)
+            if target is not None:
+                return [(target, False)]
+        receiver = self._receiver_class(info, value, local_types)
+        if receiver is None:
             return []
-        # self.attr.method(...) via inferred attribute type
-        if (
-            isinstance(value, ast.Attribute)
-            and isinstance(value.value, ast.Name)
-            and value.value.id == "self"
-            and info.class_name is not None
+        target = self.resolve_method(receiver[0], func.attr)
+        return [(target, receiver[1])] if target is not None else []
+
+    def _resolve_property_read(
+        self, info: FunctionInfo, node: ast.Attribute, local_types: Dict[str, str]
+    ) -> List[Tuple[FunctionRef, bool]]:
+        """``receiver.prop`` as a call of the ``@property`` getter ``prop``."""
+        receiver = self._receiver_class(info, node.value, local_types)
+        if receiver is None:
+            return []
+        target = self.resolve_method(receiver[0], node.attr)
+        if target is None or not any(
+            isinstance(decorator, ast.Name) and decorator.id == "property"
+            for decorator in self.functions[target].node.decorator_list
         ):
-            type_name = self.attr_types.get((info.class_name, value.attr))
-            if type_name is not None and type_name in self.classes:
-                target = self.resolve_method(type_name, method)
-                if target is not None:
-                    return [(target, False)]
             return []
-        if isinstance(value, ast.Name):
-            # ClassName.method(...) — unbound / static style
-            if value.id in scope.classes:
-                target = self.resolve_method(scope.classes[value.id].name, method)
-                if target is not None:
-                    return [(target, False)]
-            # local = ClassName(...); local.method(...)
-            type_name = local_types.get(value.id)
-            if type_name is not None and type_name in self.classes:
-                target = self.resolve_method(type_name, method)
-                if target is not None:
-                    return [(target, False)]
-        return []
+        return [(target, receiver[1])]
 
 
 def project_callgraph(project: Project) -> CallGraph:

@@ -20,9 +20,9 @@ rule flags, inside any ``with self.<lock>:`` region:
 * ``Engine`` / ``Session`` evaluation entry points (``check_many``,
   ``solutions_stream``, ...) on session/engine receivers — a full SPARQL
   evaluation under a lock is the service-level convoy;
-* any call whose transitive callees (via the shared call graph) do one of
-  the above — the finding is reported at the call site under the lock and
-  names the blocking operation it reaches.
+* any call, or property read, whose transitive callees (via the shared
+  call graph) do one of the above — the finding is reported at the site
+  under the lock and names the blocking operation it reaches.
 
 Receivers are classified by inferred attribute type where the call graph
 has one (``self._queue = queue.Queue()``) and by name hints otherwise
@@ -47,15 +47,14 @@ _SOCKET_ALWAYS = {"recv", "recvfrom", "recv_into", "accept", "sendall"}
 _SOCKET_HINTED = {"send", "connect"}
 _POOL_METHODS = {"map", "starmap", "imap", "imap_unordered", "apply", "join"}
 _WAIT_METHODS = {"wait", "wait_for"}
+#: Evaluation methods of ``Session`` and ``Engine`` (each name is defined by
+#: one of the ``_EVAL_TYPES``; ``tests/test_analysis.py`` checks it).
 _EVAL_ENTRYPOINTS = {
-    "check",
     "check_many",
     "check_iter",
     "contains",
     "solutions",
     "solutions_stream",
-    "evaluate",
-    "query",
 }
 _QUEUE_TYPES = {"Queue", "SimpleQueue", "LifoQueue", "PriorityQueue"}
 _POOL_TYPES = {"Pool", "Thread"}
@@ -103,11 +102,17 @@ class HoldWhileBlockingRule(Rule):
                 edges_by_node.setdefault(id(edge.node), []).append(edge)
             reported: Set[int] = set()
             for node, held in iter_with_held(info.node, set(attrs)):
-                if not held or not isinstance(node, ast.Call):
+                # Calls, and attribute reads the call graph resolved to a
+                # property getter (their edges are looked up below).
+                if not held or not isinstance(node, (ast.Call, ast.Attribute)):
                     continue
                 if node.lineno in reported:
                     continue
-                reason = self._blocking_reason(graph, info.class_name, node)
+                reason = (
+                    self._blocking_reason(graph, info.class_name, node)
+                    if isinstance(node, ast.Call)
+                    else None
+                )
                 if reason is not None:
                     # Condition.wait releases the lock it is called on; only
                     # *other* held locks make it a convoy.

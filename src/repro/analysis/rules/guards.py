@@ -2,8 +2,8 @@
 
 PR 9 made one warm :class:`~repro.evaluation.session.Session` shared across
 a thread pool; the attributes that keep that safe (the cache's containers,
-the service's backlog state, the stats samples, the session's resilience
-counters) are each guarded by a specific lock — a contract that previously
+the service's backlog state, the stats samples, the session's engine
+memo) are each guarded by a specific lock — a contract that previously
 lived in docstrings.  This rule makes it checkable:
 
 * a ``# guarded-by: <lock>`` comment on an attribute's assignment line

@@ -97,7 +97,7 @@ class LockOrderRule(Rule):
                                     (ref.path, node.lineno, f"in {ref.qualname}"),
                                 )
                         current.add(acquired)
-                elif isinstance(node, ast.Call) and held:
+                elif held:  # a call, or a property read the call graph resolved
                     for edge in edges_by_node.get(id(node), []):
                         for inner in self._acquired_closure(
                             graph, per_class, edge.callee, set()

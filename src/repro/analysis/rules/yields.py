@@ -4,7 +4,7 @@ A generator that yields while holding a lock suspends with the lock still
 held; it is released only when the *consumer* chooses to resume or close
 the generator — an unbounded time controlled by code that does not know it
 is inside a critical section.  The streaming evaluators
-(``Session.solutions_stream``, ``tree_solutions_stream``) make this an easy
+(``Engine.solutions_stream``, ``tree_solutions_stream``) make this an easy
 trap: snapshot under the lock, release, then yield from the snapshot.
 
 The rule is purely lexical over the shared lock model: any ``yield`` /

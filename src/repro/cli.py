@@ -6,7 +6,7 @@ A small CLI so that the library can be used without writing Python::
     python -m repro check    --graph data.nt --query QUERY --binding x=alice --binding y=bob
     python -m repro batch    --graph data.nt --query QUERY --bindings-file mappings.txt
     python -m repro batch    --graph data.nt --query QUERY --bindings-file mappings.txt --timeout 5
-    python -m repro explain  --query QUERY --width-bound 1
+    python -m repro explain  --query QUERY --width 1
     python -m repro explain  --query QUERY --graph data.nt
     python -m repro classify --query QUERY
     python -m repro validate --query QUERY
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="requested method to resolve (default: auto)",
     )
     explain.add_argument(
-        "--width-bound",
+        "--width",
         type=int,
         default=None,
         help="declared upper bound on the pattern's domination width",
@@ -289,11 +289,11 @@ def _command_batch(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
     mappings = _load_bindings_file(args.bindings_file)
     session = Session()
-    pattern = session.engine(parse_pattern(args.query))
+    engine = session.engine(parse_pattern(args.query))
     timed_out = False
     answers = []
     verdicts = session.check_iter(
-        pattern, graph, mappings, method=args.method, width=args.width, deadline=args.timeout
+        engine, graph, mappings, method=args.method, width=args.width, deadline=args.timeout
     )
     try:
         # Each verdict is printed as it is decided, in input order, so a
@@ -315,9 +315,8 @@ def _command_batch(args: argparse.Namespace) -> int:
         + (" (partial: timed out)" if timed_out else "")
     )
     if args.stats:
-        plan = session.plan(pattern, method=args.method, width=args.width, graph=graph)
+        plan = engine.plan(args.method, args.width, graph=graph)
         print(f"# plan: {plan.summary()}")
-        print(f"# resilience: {session.statistics.resilience_summary()}")
         stats = session.cache.statistics
         print(f"# cache: {stats.hits} hits, {stats.misses} misses ({stats.hit_rate():.0%} hit rate)")
     return 3 if timed_out else 0
@@ -325,11 +324,11 @@ def _command_batch(args: argparse.Namespace) -> int:
 
 def _command_explain(args: argparse.Namespace) -> int:
     pattern = parse_pattern(args.query)
-    engine = Engine(pattern, width_bound=args.width_bound)
+    engine = Engine(pattern)
     if args.compute_width:
         engine.domination_width()
     graph = load_graph(args.graph) if args.graph is not None else None
-    plan = engine.plan(method=args.method, graph=graph)
+    plan = engine.plan(args.method, args.width, graph=graph)
     print(f"query            : {to_text(pattern)}")
     print(plan.explain())
     return 0

@@ -32,7 +32,7 @@ from .plan import (
     strategy_for,
 )
 from .engine import Engine
-from .session import EvaluationStatistics, Session
+from .session import Session
 
 __all__ = [
     "evaluate_pattern",
@@ -49,7 +49,6 @@ __all__ = [
     "tree_solutions_stream",
     "forest_solutions",
     "forest_solutions_stream",
-    "EvaluationStatistics",
     "tree_contains_pebble",
     "forest_contains_pebble",
     "CacheStatistics",

@@ -381,13 +381,6 @@ class EvaluationCache:
 
         return search_and_record()
 
-    def homomorphism_list(
-        self, source: TGraph, graph: RDFGraph
-    ) -> Tuple[Dict[Variable, Term], ...]:
-        """The complete (memoized) homomorphism list — the eager face of
-        :meth:`homomorphisms_stream`."""
-        return tuple(self.homomorphisms_stream(source, graph))
-
     def pebble_kernel(
         self, extended: GeneralizedTGraph, graph: RDFGraph, pebbles: int
     ) -> ConsistencyKernel:

@@ -7,19 +7,23 @@ and exposes the three evaluation strategies side by side:
 * ``method="natural"`` — the wdPF algorithm with exact homomorphism tests
   (the coNP baseline);
 * ``method="pebble"`` — the Theorem 1 algorithm (polynomial; exact when the
-  supplied width bound dominates the pattern's domination width);
-* ``method="auto"`` — pebble with a certified width bound when one was given
-  or can be computed cheaply, otherwise the natural algorithm.
+  per-call ``width`` dominates the pattern's domination width);
+* ``method="auto"`` — pebble when a width is declared on the call or the
+  pattern's domination width has already been computed, otherwise the
+  natural algorithm.
+
+A declared width is an argument of each call (``contains``, ``plan``), the
+same claim the wire, ``repro check`` and ``repro batch`` carry per request;
+the engine itself holds no width.
 
 Method resolution lives in exactly one place: the engine's
 :class:`~repro.evaluation.plan.Planner`.  :meth:`contains` and the
 session's batch loop
 (:meth:`Session.check_iter <repro.evaluation.session.Session.check_iter>`)
-both delegate to it, and :meth:`plan` / :meth:`explain` expose the resolved
-:class:`~repro.evaluation.plan.Plan` — including *why* the pebble strategy
-was (not) chosen.  A check returns its verdict and nothing else; the only
-evaluation counters are the session's resilience counters
-(:attr:`Session.statistics <repro.evaluation.session.Session.statistics>`).
+both delegate to it, and :meth:`plan` exposes the resolved
+:class:`~repro.evaluation.plan.Plan` — ``plan(...).explain()`` says *why*
+the pebble strategy was (not) chosen.  A check returns its verdict and
+nothing else.
 
 The engine also enumerates complete answer sets and exposes the pattern's
 width measures, which is what the examples and the experiment harness use.
@@ -29,7 +33,7 @@ For many patterns / many graphs behind one shared cache, see
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Set
+from typing import Iterator, Optional, Set
 
 from .budget import Budget, budget_from
 from .cache import EvaluationCache
@@ -56,10 +60,6 @@ class Engine:
     forest:
         An already-built :class:`~repro.patterns.forest.WDPatternForest`
         (for example one of the paper's tree-defined families).
-    width_bound:
-        An upper bound on the domination width of the pattern.  When given,
-        ``method="pebble"``/``"auto"`` runs the existential
-        ``(width_bound+1)``-pebble game and is exact if the bound holds.
     cache:
         An optional :class:`~repro.evaluation.cache.EvaluationCache`.  When
         given, the natural membership path memoizes homomorphism tests and
@@ -72,7 +72,6 @@ class Engine:
         self,
         pattern: Optional[GraphPattern] = None,
         forest: Optional[WDPatternForest] = None,
-        width_bound: Optional[int] = None,
         cache: Optional[EvaluationCache] = None,
     ) -> None:
         if pattern is None and forest is None:
@@ -83,11 +82,9 @@ class Engine:
             pattern = pattern_of_forest(forest)
         self._pattern = pattern
         self._forest = forest
-        self._width_bound = width_bound
         self._domination_width: Optional[int] = None
         self._pattern_stats: Optional[PatternStats] = None
         self._planner = Planner(
-            width_bound=width_bound,
             known_width=lambda: self._domination_width,
             width_oracle=self.domination_width,
             pattern_stats=self.pattern_stats,
@@ -104,11 +101,6 @@ class Engine:
     def forest(self) -> WDPatternForest:
         """The wdPF representation used by the structural algorithms."""
         return self._forest
-
-    @property
-    def width_bound(self) -> Optional[int]:
-        """The width bound supplied at construction (if any)."""
-        return self._width_bound
 
     @property
     def cache(self) -> Optional[EvaluationCache]:
@@ -162,16 +154,6 @@ class Engine:
         """
         return self._planner.plan(method, width, graph=graph)
 
-    def explain(
-        self,
-        method: str = "auto",
-        width: Optional[int] = None,
-        graph: Optional[RDFGraph] = None,
-    ) -> str:
-        """Human-readable account of the strategy choice (see :meth:`plan`);
-        with a *graph* the account includes the per-cell cost estimate."""
-        return self.plan(method, width, graph=graph).explain()
-
     # --- membership --------------------------------------------------------------------
     def contains(
         self,
@@ -184,10 +166,11 @@ class Engine:
     ) -> bool:
         """Decide ``µ ∈ ⟦P⟧G``.
 
-        ``width`` overrides the engine's width bound for the pebble method.
-        ``method="auto"`` resolves through the cost model for *graph* (the
-        resolved plan is memoized, so tight loops over one graph pay the
-        planning cost once).  ``deadline`` (seconds) or an explicit
+        ``width`` declares ``dw(P) <= width`` for the pebble method (and lets
+        ``auto`` choose it); without one, pebble uses the domination width,
+        computing it if need be.  ``method="auto"`` resolves through the cost
+        model for *graph* (the resolved plan is memoized, so tight loops over
+        one graph pay the planning cost once).  ``deadline`` (seconds) or an explicit
         ``budget`` bounds the check; a violation raises
         :class:`~repro.exceptions.DeadlineExceeded`.
         """
@@ -197,14 +180,6 @@ class Engine:
         # instance is small enough to finish between amortized ticks.
         context.check_budget()
         return plan.strategy_obj.contains(self._pattern, self._forest, graph, mu, plan, context)
-
-    def contains_all_methods(self, graph: RDFGraph, mu: Mapping) -> Dict[str, bool]:
-        """Run every method on the same instance (used in tests/diagnostics)."""
-        return {
-            "naive": self.contains(graph, mu, method="naive"),
-            "natural": self.contains(graph, mu, method="natural"),
-            "pebble": self.contains(graph, mu, method="pebble"),
-        }
 
     # --- enumeration -------------------------------------------------------------------------
     def solutions(

@@ -15,10 +15,11 @@ instead of a string compared in several places:
   width bound it runs with, whether that bound is *certified* (computed as
   the pattern's true domination width) or merely trusted, and a
   human-readable rationale.  :meth:`Plan.explain` renders the decision.
-* :class:`Planner` — the **single** home of ``method="auto"`` resolution.
+* :class:`Planner` — the **single** home of ``method="auto"`` resolution
+  and the one place a declared width enters (the per-call ``width``).
   :meth:`Engine.contains <repro.evaluation.engine.Engine.contains>`,
   :meth:`Engine.plan <repro.evaluation.engine.Engine.plan>` and the
-  :class:`~repro.evaluation.session.Session` entry points all delegate
+  :class:`~repro.evaluation.session.Session` batch loop all delegate
   here, so the resolution logic can never disagree with itself.
 
 The planner is **cost-based**: when the caller supplies the data graph,
@@ -32,13 +33,12 @@ by :meth:`Plan.explain` (CLI ``explain --graph``).  Without a graph the
 graph-free rules apply:
 
 * ``naive`` / ``natural`` run as requested, no width involved;
-* ``pebble`` uses the per-call ``width``, else the engine's ``width_bound``,
-  else the previously computed domination width, else it *computes* the
-  domination width (exact but potentially expensive);
-* ``auto`` prefers pebble **iff a bound is available for free** (an explicit
-  width, a constructor bound, or an already-computed domination width) and
-  otherwise falls back to the exact natural algorithm rather than pay for a
-  width computation.
+* ``pebble`` uses the per-call ``width``, else the previously computed
+  domination width, else it *computes* the domination width (exact but
+  potentially expensive);
+* ``auto`` prefers pebble **iff a bound is available for free** (a per-call
+  width or an already-computed domination width) and otherwise falls back
+  to the exact natural algorithm rather than pay for a width computation.
 
 Ties in the cost estimates break toward the graph-free preference, so the
 cost-based planner degenerates to those rules when the estimates cannot tell
@@ -532,11 +532,11 @@ _PLAN_MEMO_LIMIT = 256
 class Planner:
     """The single home of ``method=`` resolution (notably ``"auto"``).
 
+    A declared width is never planner state: it arrives as the ``width``
+    argument of each :meth:`plan` call, and a width below 1 is refused.
+
     Parameters
     ----------
-    width_bound:
-        The engine-level declared bound on the pattern's domination width
-        (``Engine(width_bound=...)``), if any.
     known_width:
         Zero-argument callable returning the domination width **iff it has
         already been computed** (else ``None``).  ``auto`` consults this but
@@ -563,14 +563,10 @@ class Planner:
 
     def __init__(
         self,
-        width_bound: Optional[int] = None,
         known_width: Optional[Callable[[], Optional[int]]] = None,
         width_oracle: Optional[Callable[[], int]] = None,
         pattern_stats: Optional[Callable[[], PatternStats]] = None,
     ) -> None:
-        if width_bound is not None and width_bound < 1:
-            raise EvaluationError("width_bound must be at least 1")
-        self._width_bound = width_bound
         self._known_width = known_width if known_width is not None else lambda: None
         self._width_oracle = width_oracle
         self._pattern_stats = pattern_stats
@@ -609,12 +605,6 @@ class Planner:
         """
         if width is not None:
             return width, False, f"the per-call width argument declares dw(P) <= {width}"
-        if self._width_bound is not None:
-            return (
-                self._width_bound,
-                False,
-                f"the engine's width_bound declares dw(P) <= {self._width_bound}",
-            )
         known = self._known_width()
         if known is not None:
             return known, True, f"the domination width dw(P) = {known} was already computed"
@@ -647,6 +637,8 @@ class Planner:
     def _plan_fresh(
         self, method: str, width: Optional[int], graph: Optional[RDFGraph]
     ) -> Plan:
+        if width is not None and width < 1:
+            raise EvaluationError(f"the width must be at least 1, got {width}")
         if method == "auto":
             return self._plan_auto(width, graph)
         strategy = strategy_for(method)

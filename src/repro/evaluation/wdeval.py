@@ -21,7 +21,7 @@ budget; it defaults to the empty context (no cache, no budget).  The module
 also provides solution *enumeration* through Lemma 1 — both as sets and as
 deduplicated generators (:func:`tree_solutions_stream` /
 :func:`forest_solutions_stream`), which is what
-:meth:`~repro.evaluation.session.Session.solutions_stream` exposes.
+:meth:`~repro.evaluation.engine.Engine.solutions_stream` exposes.
 """
 
 from __future__ import annotations
@@ -128,8 +128,7 @@ def tree_solutions_stream(
     compatible extension.  With a caching *context* the homomorphism lists
     and the child extension tests are memoized, and a run that completes
     records the whole answer list per graph version — later enumerations of
-    the same tree (including warm-forked enumeration workers that inherit
-    the cache) replay it straight from memory.  Enumerating many
+    the same tree through the same cache replay it straight from memory.  Enumerating many
     structurally overlapping patterns through one
     :class:`~repro.evaluation.session.Session` therefore shares work at
     every level: index, searches, child tests, and completed answer sets.

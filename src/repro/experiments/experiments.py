@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from .harness import ExperimentResult, register_experiment, time_batched_membership, time_callable
-from ..evaluation import Session, forest_contains, forest_contains_pebble
+from ..evaluation import Engine, forest_contains, forest_contains_pebble
 from ..hom import ctw, tw, maps_to
 from ..patterns import WDPatternForest
 from ..patterns.gtg import gtg
@@ -155,7 +155,6 @@ def experiment_e4_theorem1_scaling(
         claim="the k=1 pebble relaxation is exact on F_k and scales polynomially",
         columns=["k", "|G|", "queries", "agreement", "t_natural (s)", "t_pebble (s)"],
     )
-    session = Session()
     for k in ks:
         forest = fk_forest(k)
         for size in graph_sizes:
@@ -178,7 +177,7 @@ def experiment_e4_theorem1_scaling(
                 }
             )
     result.add_note(
-        f"plan: {session.plan(fk_forest(min(ks)), method='pebble', width=1).summary()} "
+        f"plan: {Engine(forest=fk_forest(min(ks))).plan('pebble', 1).summary()} "
         "(dw(F_k) = 1, so the 2-pebble run is exact)"
     )
     return result
@@ -319,7 +318,6 @@ def experiment_e9_dichotomy_frontier(
         claim="evaluation cost stays flat on bounded-dw queries and grows on unbounded-dw queries",
         columns=["family", "k", "dw/bw", "t_membership (s)"],
     )
-    session = Session()
     for k in bounded_ks:
         forest = fk_forest(k)
         graph = fk_data_graph(graph_size, graph_size * 6, clique_size=k, seed=k)
@@ -328,7 +326,7 @@ def experiment_e9_dichotomy_frontier(
         result.add_row(**{"family": "F_k (dw=1)", "k": k, "dw/bw": 1, "t_membership (s)": elapsed})
         if k == min(bounded_ks):
             result.add_note(
-                f"bounded-side plan: {session.plan(forest, method='pebble', width=1).summary()}"
+                f"bounded-side plan: {Engine(forest=forest).plan('pebble', 1).summary()}"
             )
     for k in unbounded_ks:
         tree = hard_clique_tree(k)

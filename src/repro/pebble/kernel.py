@@ -22,7 +22,7 @@ makes that split explicit:
   state is built lazily on the first solve that needs it, so instances that
   short-circuit (no existential variables, µ violating a distinguished
   triple) stay as cheap as before; :meth:`ConsistencyKernel.prepare` forces
-  it for warm-up;
+  it up front, which the cache does before charging a kernel's size;
 * **solve** (once per mapping ``µ``): restrict the precomputed domains
   under the distinguished bindings and narrow the adjacency of only those
   pairs whose constraints mention a distinguished variable — the
@@ -43,9 +43,9 @@ never serves stale verdicts.  It references its graph **weakly**: a kernel
 outliving its graph (only possible in caches) raises on use instead of
 keeping the graph alive, so the evaluation cache's collect-on-GC store
 eviction keeps working.  :class:`~repro.evaluation.cache.EvaluationCache`
-keeps one kernel per ``(instance structure, pebbles)`` per graph version and
-:class:`~repro.evaluation.session.Session` warms them before fanning a
-batch out, which is where the per-mapping reuse pays off.
+keeps one kernel per ``(instance structure, pebbles)`` per graph version,
+shared by every mapping that reaches the same child instance, which is
+where the per-mapping reuse pays off.
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ class ConsistencyKernel:
             self._reset_graph_state(graph, None)
 
     def prepare(self) -> "ConsistencyKernel":
-        """Force the graph-dependent setup now (warm-up entry point).
+        """Force the graph-dependent setup now, rather than on the first solve.
 
         Builds the sorted domain, the µ-independent base domains and the
         support adjacency for the current graph version; a no-op when already

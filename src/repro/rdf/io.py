@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, TextIO, Tuple, Union
 
 from .graph import RDFGraph
-from .terms import IRI, Literal, Term
+from .terms import IRI, LANGUAGE_TAG, Literal, Term
 from .triples import Triple
 from ..exceptions import ParseError, RDFError
 
@@ -49,9 +49,9 @@ _TERM = r"""
     (?:
         <(?P<iri>{iri})>
       | "(?P<lit>(?:[^"\\]|\\.)*)"
-        (?: @(?P<lang>[A-Za-z][A-Za-z0-9-]*) | \^\^<(?P<dt>{iri})> )?
+        (?: @(?P<lang>{lang}) | \^\^<(?P<dt>{iri})> )?
     )
-""".format(iri=IRI_BODY)
+""".format(iri=IRI_BODY, lang=LANGUAGE_TAG)
 
 _TERM_RE = re.compile(r"\s*" + _TERM, re.VERBOSE)
 

@@ -25,6 +25,11 @@ __all__ = [
 
 _VARIABLE_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
+#: The language tags a literal may carry: the text both readers (N-Triples
+#: and query text) accept after ``@``, so every tagged literal has a text form.
+LANGUAGE_TAG = r"[A-Za-z][A-Za-z0-9-]*"
+_LANGUAGE_TAG_RE = re.compile(LANGUAGE_TAG)
+
 
 class Term:
     """Abstract base class of all RDF/SPARQL terms."""
@@ -107,6 +112,11 @@ class Literal(Term):
             raise TypeError("Literal lexical value must be a string")
         if datatype is not None and language is not None:
             raise ValueError("a literal cannot carry both a datatype and a language tag")
+        if language is not None and not _LANGUAGE_TAG_RE.fullmatch(language):
+            raise ValueError(
+                f"invalid language tag {language!r}: expected a letter followed "
+                "by letters, digits and hyphens"
+            )
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "datatype", datatype)
         object.__setattr__(self, "language", language)

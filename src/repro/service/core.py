@@ -29,7 +29,7 @@ The moving parts:
   against the same allowance; violations come back as typed
   ``DeadlineExceeded`` error responses, never hung clients;
 * **introspection** — per-operation latency percentiles, rejection /
-  deadline / error counters, cache and resilience counters of the
+  deadline / error counters, the cache counters and engine count of the
   underlying session, all in :meth:`QueryService.stats` (the ``stats`` op
   and ``repro serve``'s ``/stats``-style call).
 
@@ -408,8 +408,8 @@ class QueryService:
 
         Service-level counters and latency percentiles
         (:class:`ServiceStats`), the live backlog/inflight gauges, per-graph
-        size and version, and the underlying session's cache and resilience
-        counters.
+        size and version, and the underlying session's cache counters and
+        engine count.
         """
         snapshot = self._stats.snapshot()
         with self._lock:
@@ -424,7 +424,6 @@ class QueryService:
         snapshot["cache"] = {
             **_RETIRED_CACHE_COUNTERS, **self._session.cache.statistics.as_dict()
         }
-        snapshot["resilience"] = self._session.statistics.resilience_summary()
         snapshot["engines"] = self._session.engine_count
         return snapshot
 
@@ -667,9 +666,10 @@ class QueryService:
         pattern = self._pattern(request)
         graph = self._graph(request)
         with self._gate.read(pending.budget):
-            text = self._session.explain(
-                pattern, method=request.method, width=request.width, graph=graph
+            plan = self._session.engine(pattern).plan(
+                request.method, request.width, graph=graph
             )
+            text = plan.explain()
             version = graph.version
         return Response(op="explain", ok=True, result=text, graph_version=version)
 

@@ -28,7 +28,7 @@ from typing import Iterator, List, NamedTuple, Tuple
 from .algebra import And, GraphPattern, Opt, TriplePatternNode, Union
 from ..exceptions import ParseError
 from ..rdf.io import IRI_BODY, parse_term, serialize_term
-from ..rdf.terms import IRI, Literal, Term, Variable
+from ..rdf.terms import IRI, LANGUAGE_TAG, Literal, Term, Variable
 from ..rdf.triples import TriplePattern
 
 __all__ = ["parse_pattern", "to_text"]
@@ -46,10 +46,10 @@ _TOKEN_RE = re.compile(
     | (?P<lparen>\()
     | (?P<rparen>\))
     | (?P<iri_ref><{iri}>)
-    | (?P<string>"(?:[^"\\]|\\.)*"(?:@[A-Za-z][A-Za-z0-9-]*|\^\^<{iri}>)?)
+    | (?P<string>"(?:[^"\\]|\\.)*"(?:@{lang}|\^\^<{iri}>)?)
     | (?P<var>[?$][A-Za-z_][A-Za-z0-9_]*)
     | (?P<word>[A-Za-z_][A-Za-z0-9_:/.#-]*)
-    """.format(iri=IRI_BODY),
+    """.format(iri=IRI_BODY, lang=LANGUAGE_TAG),
     re.VERBOSE,
 )
 

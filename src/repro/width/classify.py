@@ -47,7 +47,7 @@ class TractabilityReport:
     @property
     def recommended_pebble_width(self) -> int:
         """The width bound to pass to the Theorem 1 evaluator
-        (``forest_contains_pebble`` / ``Engine(width_bound=...)``)."""
+        (``forest_contains_pebble``, or ``width=`` on an engine call)."""
         return self.domination_width
 
     def summary(self) -> str:

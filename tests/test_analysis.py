@@ -406,6 +406,44 @@ def test_lockorder_flags_interprocedural_edge():
     assert "via Inner.note" in findings[0].message
 
 
+def test_lockorder_flags_edge_through_property():
+    # Reading a property runs its getter, so a lock the getter takes is
+    # taken under the reader's lock, exactly as through a called method.
+    proj = project(
+        src__repro__gauge="""
+        import threading
+
+        class Memo:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self._items = {}
+
+            @property
+            def size(self):
+                with self._lock:
+                    return len(self._items)
+
+        class Front:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self._memo = Memo()
+
+            def locked_gauge(self):
+                with self._lock:
+                    return self._memo.size
+
+            def unlocked_gauge(self):
+                size = self._memo.size
+                with self._lock:
+                    return size
+        """
+    )
+    findings = rule_findings(LockOrderRule(), proj)
+    assert len(findings) == 1
+    assert "Front._lock -> Memo._lock" in findings[0].message
+    assert "in Front.locked_gauge via Memo.size" in findings[0].message
+
+
 def test_lockorder_accepts_sanctioned_edge_names():
     # The same shape as the live tree's one sanctioned edge: admission
     # bookkeeping (ServiceStats._lock) inside the admission lock.
@@ -579,6 +617,46 @@ def test_hold_rule_flags_evaluation_entry_point_under_lock():
     assert len(findings) == 1
     assert "evaluation entry point .check_many()" in findings[0].message
     assert "FrontDoor._lock" in findings[0].message
+
+
+def test_hold_rule_follows_property_to_blocking_op():
+    proj = project(
+        src__repro__waiter="""
+        import threading
+        import time
+
+        class Slow:
+            @property
+            def value(self):
+                time.sleep(1)
+                return 1
+
+        class Holder:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self._slow = Slow()
+
+            def read(self):
+                with self._lock:
+                    return self._slow.value
+        """
+    )
+    findings = rule_findings(HoldWhileBlockingRule(), proj)
+    assert len(findings) == 1
+    assert "Slow.value" in findings[0].message
+    assert "time.sleep()" in findings[0].message
+
+
+def test_hold_rule_entry_points_are_live_methods():
+    """Every evaluation entry point RP-HOLD names is a method of one of the
+    evaluation types it names, so no entry in the list is dead."""
+    from repro.analysis.rules.blocking import _EVAL_ENTRYPOINTS, _EVAL_TYPES
+    from repro.evaluation import Engine, Session
+
+    types = {"Session": Session, "Engine": Engine}
+    assert set(types) == _EVAL_TYPES
+    for name in sorted(_EVAL_ENTRYPOINTS):
+        assert any(callable(getattr(cls, name, None)) for cls in types.values()), name
 
 
 # --- RP-YIELD -----------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.patterns import WDPatternForest
 def setting():
     forest = fk_forest(2)
     graph = fk_data_graph(6, 30, clique_size=2, seed=2)
-    engine = Engine(forest=forest, width_bound=1)
+    engine = Engine(forest=forest)
     solutions = sorted(engine.solutions(graph, method="natural"), key=repr)[:6]
     queries = list(solutions)
     for mu in solutions[:3]:
@@ -53,7 +53,7 @@ class TestContainsMany:
         monkeypatch.setattr(naive_module, "evaluate_pattern", counting)
         monkeypatch.setattr(plan_module, "evaluate_pattern", counting)
         session = Session()
-        handle = session.engine(forest, width_bound=1)
+        handle = session.engine(forest)
         assert session.check_many(handle, graph, batch, method="naive") == expected
         assert calls.count(handle.pattern) == 1
         calls.clear()
@@ -75,7 +75,9 @@ class TestManyPatterns:
         assert solutions, "workload generated no membership queries"
         mu = solutions[0]
         session = Session()
-        answers = [session.check(pattern, graph, mu, method="natural") for pattern in patterns]
+        answers = [
+            session.engine(pattern).contains(graph, mu, method="natural") for pattern in patterns
+        ]
         expected = [
             Engine(forest=patterns[0]).contains(graph, mu, method="natural"),
             Engine(forest=patterns[1]).contains(graph, mu, method="natural"),
@@ -86,7 +88,8 @@ class TestManyPatterns:
     def test_check_many_row_per_pattern_matches_engine(self):
         """One row of ``check_many`` answers per pattern over one graph through
         one session: each row equals per-pattern :meth:`Engine.contains`, each
-        cell equals ``check``, and the session cache records hits."""
+        cell equals the session engine's ``contains``, and the session cache
+        records hits."""
         forest2, forest3 = WDPatternForest([tprime_tree(2)]), WDPatternForest([tprime_tree(3)])
         text = parse_pattern("(?x p ?y)")
         graph = tprime_data_graph(8, 30, seed=4)
@@ -104,7 +107,8 @@ class TestManyPatterns:
             matrix, patterns, (Engine(forest=forest2), Engine(forest=forest3), Engine(text))
         ):
             assert row == [engine.contains(graph, mu, method="natural") for mu in mus]
-            assert row == [session.check(pattern, graph, mu, method="natural") for mu in mus]
+            handle = session.engine(pattern)
+            assert row == [handle.contains(graph, mu, method="natural") for mu in mus]
         assert session.cache.statistics.hom_hits > 0
 
 

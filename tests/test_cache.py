@@ -69,9 +69,9 @@ class TestCachedAnswersIdentical:
         forest = fk_forest(2)
         graph = fk_data_graph(6, 30, clique_size=2, seed=5)
         cache = EvaluationCache()
-        first = Engine(forest=forest, width_bound=1, cache=cache)
-        second = Engine(forest=forest, width_bound=1, cache=cache)
-        plain = Engine(forest=forest, width_bound=1)
+        first = Engine(forest=forest, cache=cache)
+        second = Engine(forest=forest, cache=cache)
+        plain = Engine(forest=forest)
         queries = _membership_workload(fk_forest(2), graph, random.Random(5))
         queries += _edge_mappings(graph, limit=8)
         for mu in queries:
@@ -85,11 +85,11 @@ class TestCachedAnswersIdentical:
         forest = fk_forest(2)
         graph = fk_data_graph(6, 36, clique_size=2, seed=9)
         session = Session()
-        handle = session.engine(forest, width_bound=1)
+        handle = session.engine(forest)
         queries = _membership_workload(forest, graph, random.Random(9))
-        session.check_many(handle, graph, queries, method="pebble")
+        session.check_many(handle, graph, queries, method="pebble", width=1)
         misses_after_cold = session.cache.statistics.misses
-        session.check_many(handle, graph, queries, method="pebble")
+        session.check_many(handle, graph, queries, method="pebble", width=1)
         # The warm run must answer entirely from the cache.
         assert session.cache.statistics.misses == misses_after_cold
         assert session.cache.statistics.hits > 0
@@ -101,20 +101,20 @@ class TestInvalidationOnMutation:
         forest = fk_forest(2)
         graph = fk_data_graph(6, 36, clique_size=2, seed=3)
         session = Session()
-        handle = session.engine(forest, width_bound=1)
+        handle = session.engine(forest)
         queries = _membership_workload(forest, graph, random.Random(3))
         queries += _edge_mappings(graph, limit=8)
-        before = session.check_many(handle, graph, queries, method=method)
+        before = session.check_many(handle, graph, queries, method=method, width=1)
 
         removed = sorted(graph, key=repr)[: len(graph) // 2]
         for t in removed:
             graph.discard(t)
-        fresh = [Engine(forest=forest, width_bound=1).contains(graph, mu, method=method) for mu in queries]
-        assert session.check_many(handle, graph, queries, method=method) == fresh
+        fresh = [Engine(forest=forest).contains(graph, mu, method=method, width=1) for mu in queries]
+        assert session.check_many(handle, graph, queries, method=method, width=1) == fresh
 
         for t in removed:
             graph.add(t)
-        assert session.check_many(handle, graph, queries, method=method) == before
+        assert session.check_many(handle, graph, queries, method=method, width=1) == before
         assert session.cache.statistics.invalidations >= 2
 
     def test_added_triple_changes_answer(self):
@@ -136,7 +136,7 @@ class TestInvalidationOnMutation:
         forest = fk_forest(2)
         graph = fk_data_graph(5, 25, clique_size=2, seed=1)
         cache = EvaluationCache()
-        engine = Engine(forest=forest, width_bound=1, cache=cache)
+        engine = Engine(forest=forest, cache=cache)
         mu = Mapping({Variable("x"): EX.term("nowhere"), Variable("y"): EX.term("nowhere")})
         engine.contains(graph, mu, method="natural")
         cache.invalidate(graph)
@@ -169,7 +169,7 @@ class TestNoPerMappingEntries:
             graph.add(Triple(hub, p, leaf))
             hubs.append(Mapping({x: hub, y: leaf}))
         session = Session()
-        handle = session.engine(forest, width_bound=1)
+        handle = session.engine(forest)
         # Warm up through first checks: every other edge mapping (members and
         # non-members, so every root child's kernel gets built) and one hub.
         session.check_many(handle, graph, edges[::2], method="pebble", width=1)
@@ -192,15 +192,15 @@ class TestNoPerMappingEntries:
 
 
 class TestEnumerationMemos:
-    def test_homomorphism_list_matches_direct_search(self):
+    def test_homomorphism_stream_matches_direct_search(self):
         cache = EvaluationCache()
         graph = random_graph(6, 25, seed=3)
         source = TGraph(list(fk_forest(2))[0].pat(list(fk_forest(2))[0].root))
-        cached = cache.homomorphism_list(source, graph)
+        cached = tuple(cache.homomorphisms_stream(source, graph))
         direct = list(all_homomorphisms(source, graph))
         assert sorted(map(repr, cached)) == sorted(map(repr, direct))
         before = cache.statistics.enum_hits
-        assert cache.homomorphism_list(source, graph) == cached
+        assert tuple(cache.homomorphisms_stream(source, graph)) == cached
         assert cache.statistics.enum_hits == before + 1
 
     def test_homomorphism_stream_lazy_records_only_on_completion(self):
@@ -219,7 +219,7 @@ class TestEnumerationMemos:
         assert cache.statistics.enum_hits == 1
         assert replayed == full
 
-    def test_homomorphism_list_invalidated_by_mutation(self):
+    def test_homomorphism_stream_invalidated_by_mutation(self):
         from repro.sparql import parse_pattern
         from repro.patterns.build import wdpf
 
@@ -229,10 +229,10 @@ class TestEnumerationMemos:
         )
         tree = list(wdpf(parse_pattern("(?x <http://example.org/p> ?y)")))[0]
         source = tree.pat(tree.root)
-        first = cache.homomorphism_list(source, graph)
+        first = tuple(cache.homomorphisms_stream(source, graph))
         assert len(first) == 1
         graph.add(Triple.of("http://example.org/c", "http://example.org/p", "http://example.org/d"))
-        second = cache.homomorphism_list(source, graph)
+        second = tuple(cache.homomorphisms_stream(source, graph))
         assert len(second) == 2
 
     def test_homomorphism_stream_mutation_after_creation_never_poisons(self):
@@ -250,7 +250,7 @@ class TestEnumerationMemos:
         stream = cache.homomorphisms_stream(source, graph)
         graph.add(Triple.of("http://example.org/c", "http://example.org/p", "http://example.org/d"))
         list(stream)  # consumed after the mutation: must not be recorded
-        fresh = cache.homomorphism_list(source, graph)
+        fresh = tuple(cache.homomorphisms_stream(source, graph))
         assert len(fresh) == 2  # the post-mutation truth, not a stale replay
 
     def test_tree_solution_list_roundtrip_and_eviction(self):
@@ -352,18 +352,18 @@ class TestCacheInternals:
         graph = fk_data_graph(6, 36, clique_size=2, seed=9)
         unbounded = EvaluationCache()
         first = _edge_mappings(graph, limit=1)[0]
-        Engine(forest=forest, width_bound=1, cache=unbounded).contains(graph, first, method="pebble")
+        Engine(forest=forest, cache=unbounded).contains(graph, first, method="pebble", width=1)
         assert unbounded.statistics.kernel_misses >= 1
         # A tiny budget cannot hold a kernel's precomputed state plus a
         # stream of other entries: eviction must kick in, answers stay right.
         bounded = EvaluationCache(max_entries_per_graph=5)
-        engine = Engine(forest=forest, width_bound=1, cache=bounded)
-        plain = Engine(forest=forest, width_bound=1)
+        engine = Engine(forest=forest, cache=bounded)
+        plain = Engine(forest=forest)
         queries = _membership_workload(forest, graph, random.Random(9), limit=5)
         queries += _edge_mappings(graph, limit=5)
         for mu in queries:
-            assert engine.contains(graph, mu, method="pebble") == plain.contains(
-                graph, mu, method="pebble"
+            assert engine.contains(graph, mu, method="pebble", width=1) == plain.contains(
+                graph, mu, method="pebble", width=1
             )
         assert bounded.statistics.evictions > 0
 
@@ -403,11 +403,11 @@ class TestSizeAccounting:
     def _store(self, cache, graph):
         return cache._graphs[id(graph)]
 
-    def test_homomorphism_list_charged_one_plus_length(self):
+    def test_homomorphism_stream_charged_one_plus_length(self):
         cache = EvaluationCache()
         graph = random_graph(6, 25, seed=3)
         source = TGraph(list(fk_forest(2))[0].pat(list(fk_forest(2))[0].root))
-        homs = cache.homomorphism_list(source, graph)
+        homs = tuple(cache.homomorphisms_stream(source, graph))
         assert len(homs) > 1  # the charge must actually exceed a plain entry
         key = ("homlist", (source.triples(),))
         assert self._store(cache, graph).costs[key] == 1 + len(homs)

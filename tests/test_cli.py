@@ -270,7 +270,7 @@ class TestExplainCommand:
         assert "rationale" in out
 
     def test_width_bound_chooses_pebble_trusted(self, capsys):
-        exit_code = main(["explain", "--query", QUERY, "--width-bound", "1"])
+        exit_code = main(["explain", "--query", QUERY, "--width", "1"])
         out = capsys.readouterr().out
         assert exit_code == 0
         assert "chosen strategy  : pebble" in out
@@ -311,7 +311,7 @@ class TestExplainCommand:
 
     def test_cost_with_width_bound_admits_pebble(self, graph_file, capsys):
         exit_code = main(
-            ["explain", "--query", QUERY, "--graph", graph_file, "--width-bound", "1"]
+            ["explain", "--query", QUERY, "--graph", graph_file, "--width", "1"]
         )
         out = capsys.readouterr().out
         assert exit_code == 0
@@ -339,15 +339,15 @@ class TestBatchStream:
         assert exit_code == 2
         assert "error: " in capsys.readouterr().err
 
-    def test_stats_reports_plan_resilience_and_cache(self, graph_file, bindings_file, capsys):
+    def test_stats_reports_plan_and_cache(self, graph_file, bindings_file, capsys):
         argv = [
             "batch", "--graph", graph_file, "--query", QUERY,
             "--bindings-file", bindings_file, "--stats",
         ]
         assert main(argv) == 0
         stats = [line for line in capsys.readouterr().out.splitlines() if line.startswith("# ")]
-        assert [line.split(":")[0] for line in stats[1:]] == ["# plan", "# resilience", "# cache"]
-        assert stats[2] == "# resilience: 0 deadline trip(s)"
+        assert [line.split(":")[0] for line in stats[1:]] == ["# plan", "# cache"]
+        assert stats[1] == "# plan: natural"
 
 
 class TestClassifyAndValidate:

@@ -135,11 +135,32 @@ def test_memoized_table_lists_the_store_kinds():
     edge = min((t for t in graph if t.predicate == EX.term("p")), key=repr)
     mu = Mapping.of(x=edge.subject.value, y=edge.object.value)
     session = Session()
-    session.check(forest, graph, mu, method="natural")
+    session.check_many(forest, graph, [mu], method="natural")
     session.solutions(forest, graph)
-    session.check(forest, graph, mu, method="pebble", width=1)
+    session.check_many(forest, graph, [mu], method="pebble", width=1)
     store = session.cache._graphs[id(graph)]
     held = {kind for kind, _key in store.entries}
     if store.index is not None:
         held.add("index")
     assert documented == held
+
+
+def test_stats_keys_match_their_documentation():
+    """docs/service.md's `stats` paragraphs list the reply's top-level keys
+    and its `cache` keys; both lists equal what the service returns."""
+    import re
+
+    from repro.rdf import RDFGraph, Triple
+    from repro.service import QueryService
+
+    text = (ROOT / "docs" / "service.md").read_text(encoding="utf-8")
+    top = text.split("The `stats` reply is one JSON object.", 1)[1].split("\n\n", 1)[0]
+    cache = text.split("The `stats` reply's `cache` object holds", 1)[1].split("\n\n", 1)[0]
+
+    def names(paragraph):
+        return set(re.findall(r"`([a-z][a-z0-9_]*)`", paragraph))
+
+    with QueryService(RDFGraph([Triple.of("a", "knows", "b")])) as service:
+        snapshot = service.stats()
+    assert names(top) == set(snapshot)
+    assert names(cache) == set(snapshot["cache"])

@@ -28,17 +28,25 @@ class TestConstruction:
         assert len(engine.forest) == 3
 
     def test_invalid_width_bound(self):
+        engine = Engine(parse_pattern("(?x p ?y)"))
+        for method in ("auto", "pebble", "natural"):
+            with pytest.raises(EvaluationError):
+                engine.plan(method, width=0)
         with pytest.raises(EvaluationError):
-            Engine(parse_pattern("(?x p ?y)"), width_bound=0)
+            engine.contains(RDFGraph(), Mapping.EMPTY, width=0)
 
     def test_domination_width_cached(self):
         engine = Engine(forest=fk_forest(2))
         assert engine.domination_width() == 1
         assert engine.domination_width() == 1  # cached path
 
-    def test_width_bound_property(self):
-        engine = Engine(forest=fk_forest(2), width_bound=1)
-        assert engine.width_bound == 1
+
+def every_method(engine, graph, mu):
+    """The verdict of each strategy on one instance (pebble at k = 1)."""
+    return {
+        method: engine.contains(graph, mu, method=method, width=1)
+        for method in ("naive", "natural", "pebble")
+    }
 
 
 class TestMembershipMethods:
@@ -46,20 +54,21 @@ class TestMembershipMethods:
     def setting(self):
         forest = fk_forest(2)
         graph = fk_data_graph(5, 25, clique_size=2, seed=1)
-        engine = Engine(forest=forest, width_bound=1)
+        engine = Engine(forest=forest)
         solutions = engine.solutions(graph, method="natural")
         return engine, graph, solutions
 
     def test_methods_agree_on_solutions(self, setting):
         engine, graph, solutions = setting
         for mu in sorted(solutions, key=repr)[:4]:
-            answers = engine.contains_all_methods(graph, mu)
+            answers = every_method(engine, graph, mu)
             assert answers == {"naive": True, "natural": True, "pebble": True}
 
     def test_auto_uses_pebble_with_bound(self, setting):
         engine, graph, solutions = setting
+        assert engine.plan("auto", width=1, graph=graph).strategy == "pebble"
         for mu in sorted(solutions, key=repr)[:2]:
-            assert engine.contains(graph, mu, method="auto")
+            assert engine.contains(graph, mu, method="auto", width=1)
 
     def test_auto_without_bound_falls_back_to_natural(self):
         engine = Engine(forest=fk_forest(2))
@@ -81,7 +90,7 @@ class TestMembershipMethods:
     def test_non_solution_rejected_by_all_methods(self, setting):
         engine, graph, _ = setting
         mu = Mapping({Variable("x"): EX.term("nowhere"), Variable("y"): EX.term("nowhere2")})
-        assert engine.contains_all_methods(graph, mu) == {
+        assert every_method(engine, graph, mu) == {
             "naive": False,
             "natural": False,
             "pebble": False,
@@ -89,9 +98,9 @@ class TestMembershipMethods:
 
     def test_engine_with_cache_matches_plain(self, setting):
         engine, graph, solutions = setting
-        cached = Engine(forest=engine.forest, width_bound=1, cache=EvaluationCache())
+        cached = Engine(forest=engine.forest, cache=EvaluationCache())
         for mu in sorted(solutions, key=repr)[:4]:
-            assert cached.contains_all_methods(graph, mu) == engine.contains_all_methods(graph, mu)
+            assert every_method(cached, graph, mu) == every_method(engine, graph, mu)
         assert cached.cache.statistics.hits + cached.cache.statistics.misses > 0
 
 

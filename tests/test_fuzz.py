@@ -1,5 +1,6 @@
 """Fuzzing the three readers of untrusted input: wire lines, SPARQL text and
-N-Triples, and the round trip of any IRI through the last two.
+N-Triples, and the round trip of any IRI and any language tag through the
+last two.
 
 Each reader may refuse its input only with a typed
 :class:`~repro.exceptions.ReproError`; anything else that escapes (a
@@ -25,6 +26,8 @@ from repro.rdf import (
     parse_ntriples,
     serialize_ntriples,
 )
+from repro.rdf.io import parse_term, save_graph, serialize_term
+from repro.rdf.terms import LANGUAGE_TAG
 from repro.service.core import OPERATIONS
 from repro.service.protocol import decode_line, request_from_wire
 from repro.sparql import parse_pattern, to_text
@@ -163,4 +166,20 @@ def test_any_iri_round_trips_through_ntriples_and_query_text(value):
     graph = RDFGraph([Triple(iri, iri, Literal("v", datatype=iri))])
     assert RDFGraph(parse_ntriples(serialize_ntriples(graph))) == graph
     pattern = TriplePatternNode(TriplePattern(Variable("x"), iri, iri))
+    assert parse_pattern(to_text(pattern)) == pattern
+
+
+# --- language tags ----------------------------------------------------------------
+
+
+@FUZZ
+@given(st.from_regex(LANGUAGE_TAG, fullmatch=True), st.text(max_size=10))
+def test_any_language_tag_round_trips(tmp_path_factory, tag, value):
+    literal = Literal(value, language=tag)
+    assert parse_term(serialize_term(literal)) == literal
+    path = tmp_path_factory.getbasetemp() / "tagged.nt"
+    graph = RDFGraph([Triple(IRI("s"), IRI("p"), literal)])
+    save_graph(graph, path)
+    assert load_graph(path) == graph
+    pattern = TriplePatternNode(TriplePattern(Variable("x"), IRI("p"), literal))
     assert parse_pattern(to_text(pattern)) == pattern

@@ -237,17 +237,21 @@ class TestSessionAgainstNaive:
     def test_cold_warm_and_mutated_enumeration(self, seed):
         rng, graph, pattern = seeded_case(seed)
         session = Session()
-        cold = list(session.solutions_stream(pattern, graph))
+
+        def stream(through):
+            return list(through.engine(pattern).solutions_stream(graph, "auto"))
+
+        cold = stream(session)
         assert len(cold) == len(set(cold))
         assert set(cold) == evaluate_pattern(pattern, graph)
-        assert list(session.solutions_stream(pattern, graph)) == cold
-        assert list(Session().solutions_stream(pattern, graph)) == cold
+        assert stream(session) == cold
+        assert stream(Session()) == cold
         assert session.solutions(pattern, graph) == set(cold)
 
         mutate(graph, rng)
-        after = list(session.solutions_stream(pattern, graph))
+        after = stream(session)
         assert set(after) == evaluate_pattern(pattern, graph)
-        assert list(Session().solutions_stream(pattern, graph)) == after
+        assert stream(Session()) == after
         assert session.solutions(pattern, graph) == set(after)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -263,7 +267,8 @@ class TestSessionAgainstNaive:
                 kwargs = {"method": method, "width": bound}
                 assert session.check_many(pattern, graph, mappings, **kwargs) == expected
                 assert list(session.check_iter(pattern, graph, mappings, **kwargs)) == expected
-                assert [session.check(pattern, graph, mu, **kwargs) for mu in mappings] == expected
+                engine = session.engine(pattern)
+                assert [engine.contains(graph, mu, **kwargs) for mu in mappings] == expected
             relaxed = session.check_many(pattern, graph, mappings, method="pebble", width=1)
             assert not any(accepted and not member for accepted, member in zip(relaxed, expected))
 
@@ -292,11 +297,11 @@ class TestWidthGap:
         graph = clique_query_data_graph(host)
         dw = Engine(forest=forest).domination_width()
         assert dw == k - 1
-        session = Session()
+        engine = Session().engine(forest)
         member = ANCHOR_MAPPING in evaluate_pattern(hard_clique_pattern(k), graph)
-        assert session.check(forest, graph, ANCHOR_MAPPING, method="natural") == member
+        assert engine.contains(graph, ANCHOR_MAPPING, method="natural") == member
         pebble = [
-            session.check(forest, graph, ANCHOR_MAPPING, method="pebble", width=width)
+            engine.contains(graph, ANCHOR_MAPPING, method="pebble", width=width)
             for width in range(1, dw + 1)
         ]
         assert pebble[-1] == member

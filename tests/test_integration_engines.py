@@ -43,17 +43,17 @@ class TestSocialNetworkWorkload:
 
     def test_engines_agree_on_full_answer_sets(self, network):
         for pattern in self.queries():
-            engine = Engine(pattern, width_bound=1)
+            engine = Engine(pattern)
             assert engine.solutions(network, method="naive") == engine.solutions(
                 network, method="natural"
             )
 
     def test_membership_consistency_on_samples(self, network):
         for pattern in self.queries():
-            engine = Engine(pattern, width_bound=1)
+            engine = Engine(pattern)
             solutions = sorted(engine.solutions(network, method="natural"), key=repr)
             for mu in solutions[:3]:
-                assert engine.contains(network, mu, method="pebble")
+                assert engine.contains(network, mu, method="pebble", width=1)
                 assert engine.contains(network, mu, method="natural")
 
     def test_optional_maximality_on_network(self, network):
@@ -74,7 +74,7 @@ class TestExample2Pipeline:
         pattern = example2_pattern(2)
         forest = wdpf(pattern)
         graph = fk_data_graph(6, 30, clique_size=2, seed=4)
-        engine = Engine(pattern, width_bound=1)
+        engine = Engine(pattern)
         solutions = engine.solutions(graph, method="natural")
         assert solutions == engine.solutions(graph, method="naive")
         for mu in sorted(solutions, key=repr)[:3]:

@@ -72,11 +72,11 @@ class TestSection32Family:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_evaluation_is_exact_with_two_pebbles(self, k):
-        engine = Engine(tprime_pattern(k), width_bound=1)
+        engine = Engine(tprime_pattern(k))
         graph = tprime_data_graph(8, 25, seed=k)
         for mu in sorted(engine.solutions(graph, method="naive"), key=repr)[:4]:
-            answers = engine.contains_all_methods(graph, mu)
-            assert all(answers.values())
+            for method in ("naive", "natural", "pebble"):
+                assert engine.contains(graph, mu, method=method, width=1)
 
 
 class TestTheorem3Dichotomy:
@@ -94,11 +94,11 @@ class TestTheorem3Dichotomy:
     @pytest.mark.parametrize("k", [2, 3])
     def test_pebble_engine_agrees_with_reference_on_fk(self, k):
         pattern = fk_pattern(k)
-        engine = Engine(pattern, width_bound=1)
+        engine = Engine(pattern)
         graph = fk_data_graph(6, 36, clique_size=k, seed=k)
         reference = engine.solutions(graph, method="naive")
         for mu in sorted(reference, key=repr)[:5]:
-            assert engine.contains(graph, mu, method="pebble")
+            assert engine.contains(graph, mu, method="pebble", width=1)
 
 
 class TestLocalTractabilityGap:

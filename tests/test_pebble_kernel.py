@@ -234,11 +234,11 @@ class TestRefreshOnMutation:
 
         forest = fk_forest(2)
         cache = EvaluationCache()
-        engine = Engine(forest=forest, width_bound=1, cache=cache)
+        engine = Engine(forest=forest, cache=cache)
         graph = fk_data_graph(5, 20, clique_size=2, seed=1)
         edge = min((t for t in graph if t.predicate == EX.term("p")), key=repr)
         mu = Mapping({Variable("x"): edge.subject, Variable("y"): edge.object})
-        engine.contains(graph, mu, method="pebble")
+        engine.contains(graph, mu, method="pebble", width=1)
         assert len(cache._graphs) == 1
         assert any(kind == "kernel" for kind, _ in cache._graphs[id(graph)].entries)
         del graph, edge
@@ -251,8 +251,8 @@ class TestCacheIntegration:
         forest = fk_forest(2)
         graph = fk_data_graph(6, 36, clique_size=2, seed=9)
         cache = EvaluationCache()
-        engine = Engine(forest=forest, width_bound=1, cache=cache)
-        plain = Engine(forest=forest, width_bound=1)
+        engine = Engine(forest=forest, cache=cache)
+        plain = Engine(forest=forest)
         x, y = Variable("x"), Variable("y")
         p = EX.term("p")
         mappings = sorted(
@@ -261,8 +261,8 @@ class TestCacheIntegration:
         )
         assert len(mappings) > 2
         for mu in mappings:
-            assert engine.contains(graph, mu, method="pebble") == plain.contains(
-                graph, mu, method="pebble"
+            assert engine.contains(graph, mu, method="pebble", width=1) == plain.contains(
+                graph, mu, method="pebble", width=1
             )
         stats = cache.statistics
         # Distinct mappings share the per-structure kernels: far fewer kernel

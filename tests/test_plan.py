@@ -40,7 +40,7 @@ class TestPlanner:
             assert not plan.certified
 
     def test_pebble_per_call_width_wins_over_bound(self):
-        planner = Planner(width_bound=1)
+        planner = Planner(known_width=lambda: 1)
         for method in ("pebble", "auto"):
             plan = planner.plan(method, width=3)
             assert (plan.strategy, plan.width, plan.certified) == ("pebble", 3, False)
@@ -55,7 +55,7 @@ class TestPlanner:
         assert (plan.strategy, plan.width, plan.certified) == ("pebble", 2, True)
 
     def test_auto_prefers_free_bound(self):
-        plan = Planner(width_bound=1).plan("auto")
+        plan = Planner().plan("auto", width=1)
         assert (plan.strategy, plan.width, plan.certified) == ("pebble", 1, False)
 
     def test_auto_uses_known_width_but_never_computes(self):
@@ -69,20 +69,21 @@ class TestPlanner:
         assert (plan.strategy, plan.width, plan.certified) == ("pebble", 2, True)
 
     def test_invalid_width_bound(self):
-        with pytest.raises(EvaluationError):
-            Planner(width_bound=0)
+        for method in ("auto", "pebble", "naive"):
+            with pytest.raises(EvaluationError):
+                Planner().plan(method, width=0)
 
     def test_unknown_method(self):
         with pytest.raises(EvaluationError):
             Planner().plan("quantum")
 
     def test_enumeration_auto_is_natural(self):
-        plan = Planner(width_bound=1).plan_enumeration("auto")
+        plan = Planner(known_width=lambda: 1).plan_enumeration("auto")
         assert plan.strategy == "natural"
 
     def test_enumeration_rejects_pebble(self):
         with pytest.raises(EvaluationError):
-            Planner(width_bound=1).plan_enumeration("pebble")
+            Planner(known_width=lambda: 1).plan_enumeration("pebble")
 
     def test_plan_is_frozen(self):
         plan = Planner().plan("natural")
@@ -91,16 +92,18 @@ class TestPlanner:
 
     def test_summary(self):
         assert Planner().plan("natural").summary() == "natural"
-        assert Planner(width_bound=2).plan("auto").summary() == "pebble(k=2, trusted)"
+        assert Planner().plan("auto", width=2).summary() == "pebble(k=2, trusted)"
         assert Planner(known_width=lambda: 1).plan("auto").summary() == "pebble(k=1, certified)"
 
 
 class TestEngineAgreement:
     """Regression: `contains` runs the plan `Engine.plan` reports, so the two
-    must agree on every method × width-bound combination."""
+    must agree on every method × declared-width combination.  A caller's
+    *declared* width for the pattern is what it passes when a call names no
+    *width* of its own."""
 
     METHODS = ("auto", "naive", "natural", "pebble")
-    WIDTH_BOUNDS = (None, 1, 2)
+    DECLARED = (None, 1, 2)
     WIDTHS = (None, 2)
 
     @pytest.fixture(scope="class")
@@ -114,14 +117,15 @@ class TestEngineAgreement:
         return forest, graph, queries
 
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("width_bound", WIDTH_BOUNDS)
+    @pytest.mark.parametrize("declared", DECLARED)
     @pytest.mark.parametrize("width", WIDTHS)
-    def test_contains_matches_resolved_plan(self, workload, method, width_bound, width):
+    def test_contains_matches_resolved_plan(self, workload, method, declared, width):
         forest, graph, queries = workload
-        engine = Engine(forest=forest, width_bound=width_bound)
-        plan = engine.plan(method, width)
+        engine = Engine(forest=forest)
+        passed = width if width is not None else declared
+        plan = engine.plan(method, passed)
         for mu in queries:
-            assert engine.contains(graph, mu, method=method, width=width) == engine.contains(
+            assert engine.contains(graph, mu, method=method, width=passed) == engine.contains(
                 graph, mu, method=plan.strategy, width=plan.width
             )
 
@@ -229,8 +233,8 @@ class TestCostModel:
         stats = lambda: self._stats()  # noqa: E731
         graph = random_graph(6, 20, seed=1)
         # Membership with a free bound: PR 3 chose pebble; so does a tie.
-        tied = Planner(width_bound=1, pattern_stats=stats)
-        assert tied.plan("auto", graph=graph).strategy == "pebble"
+        tied = Planner(pattern_stats=stats)
+        assert tied.plan("auto", width=1, graph=graph).strategy == "pebble"
         # Membership without any bound: PR 3 chose natural; so does a tie.
         unbound = Planner(pattern_stats=stats)
         assert unbound.plan("auto", graph=graph).strategy == "natural"
@@ -250,9 +254,9 @@ class TestCostModel:
         assert plan.cost.cost_of("pebble") is None
 
     def test_graph_aware_plan_carries_estimate_in_explain(self):
-        engine = Engine(forest=fk_forest(2), width_bound=1)
+        engine = Engine(forest=fk_forest(2))
         graph = fk_data_graph(5, 25, clique_size=2, seed=3)
-        explained = engine.explain("auto", graph=graph)
+        explained = engine.plan("auto", width=1, graph=graph).explain()
         assert "cost estimate    :" in explained
         assert "cost inputs      : |G| = " in explained
 
@@ -262,25 +266,25 @@ class TestCostModel:
         queries = sorted(
             Engine(forest=forest).solutions(graph, method="natural"), key=repr
         )[:3]
-        engine = Engine(forest=forest, width_bound=1)
+        engine = Engine(forest=forest)
         for mu in queries:
-            assert engine.contains(graph, mu, method="auto") == engine.contains(
+            assert engine.contains(graph, mu, method="auto", width=1) == engine.contains(
                 graph, mu, method="natural"
             )
 
 
 class TestPlanMemoization:
     def test_graph_free_plans_are_shared(self):
-        engine = Engine(forest=fk_forest(2), width_bound=1)
-        assert engine.plan("auto") is engine.plan("auto")
+        engine = Engine(forest=fk_forest(2))
+        assert engine.plan("auto", width=1) is engine.plan("auto", width=1)
         assert engine.plan("natural") is engine.plan("natural")
         assert engine.plan("pebble", width=2) is engine.plan("pebble", width=2)
         assert engine.plan("auto") is not engine.plan("natural")
 
     def test_graph_aware_plans_are_shared_per_graph_stats(self):
-        engine = Engine(forest=fk_forest(2), width_bound=1)
+        engine = Engine(forest=fk_forest(2))
         graph = fk_data_graph(5, 25, clique_size=2, seed=3)
-        assert engine.plan("auto", graph=graph) is engine.plan("auto", graph=graph)
+        assert engine.plan("auto", 1, graph=graph) is engine.plan("auto", 1, graph=graph)
 
     def test_memo_invalidated_by_width_computation(self):
         engine = Engine(forest=fk_forest(2))
@@ -308,14 +312,14 @@ class TestPlanMemoization:
 
 class TestExplainSnapshots:
     def test_uncertified_bound(self):
-        engine = Engine(forest=fk_forest(2), width_bound=1)
-        assert engine.explain("auto") == (
+        engine = Engine(forest=fk_forest(2))
+        assert engine.plan("auto", width=1).explain() == (
             "requested method : auto\n"
             "chosen strategy  : pebble — Theorem 1: natural evaluation with the "
             "existential (k+1)-pebble relaxation\n"
             "width bound      : k = 1 (trusted: supplied bound, not verified)\n"
             "pebble game      : existential 2-pebble game\n"
-            "rationale        : the engine's width_bound declares dw(P) <= 1, so "
+            "rationale        : the per-call width argument declares dw(P) <= 1, so "
             "the polynomial pebble relaxation runs with k = 1; it is exact if the "
             "bound holds (dw(P) <= 1), and sound for every input"
         )
@@ -323,7 +327,7 @@ class TestExplainSnapshots:
     def test_certified_bound(self):
         engine = Engine(forest=fk_forest(2))
         engine.domination_width()
-        assert engine.explain("auto") == (
+        assert engine.plan("auto").explain() == (
             "requested method : auto\n"
             "chosen strategy  : pebble — Theorem 1: natural evaluation with the "
             "existential (k+1)-pebble relaxation\n"
@@ -336,7 +340,7 @@ class TestExplainSnapshots:
 
     def test_natural_fallback(self):
         engine = Engine(forest=fk_forest(2))
-        assert engine.explain("auto") == (
+        assert engine.plan("auto").explain() == (
             "requested method : auto\n"
             "chosen strategy  : natural — exact wdPF evaluation (Lemma 1) with "
             "full homomorphism child tests\n"

@@ -156,7 +156,7 @@ class TestLargeGraphSmoke:
         x, y = Variable("x"), Variable("y")
         present = Mapping({x: t.subject, y: t.object})
         absent = Mapping({x: EX.term("nowhere"), y: t.object})
-        session = Session()
+        engine = Session().engine(pattern)
         for method in ("natural", "pebble", "auto"):
-            assert session.check(pattern, g, present, method=method) is True
-            assert session.check(pattern, g, absent, method=method) is False
+            assert engine.contains(g, present, method=method) is True
+            assert engine.contains(g, absent, method=method) is False

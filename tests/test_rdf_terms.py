@@ -46,6 +46,13 @@ class TestLiteral:
         with pytest.raises(ValueError):
             Literal("x", datatype=IRI("http://www.w3.org/2001/XMLSchema#string"), language="en")
 
+    @pytest.mark.parametrize("tag", ["en us", "1x", "-en", "en_US", ""])
+    def test_rejects_a_tag_no_reader_accepts(self, tag):
+        # Such a tag would be written as `"x"@en us`, a term neither the
+        # N-Triples nor the query-text reader can read back.
+        with pytest.raises(ValueError):
+            Literal("x", language=tag)
+
     def test_language_tag_distinguishes(self):
         assert Literal("chat", language="en") != Literal("chat", language="fr")
 

@@ -18,7 +18,7 @@ from repro.workloads.random_patterns import random_wd_tree
 def setting():
     forest = fk_forest(2)
     graph = fk_data_graph(6, 30, clique_size=2, seed=2)
-    engine = Engine(forest=forest, width_bound=1)
+    engine = Engine(forest=forest)
     solutions = sorted(engine.solutions(graph, method="natural"), key=repr)[:5]
     queries = list(solutions)
     for mu in solutions[:2]:
@@ -51,11 +51,11 @@ class TestEngines:
 
     def test_foreign_engine_rewired_onto_session_cache(self):
         session = Session()
-        foreign = Engine(parse_pattern("(?x p ?y)"), width_bound=1)
+        foreign = Engine(parse_pattern("(?x p ?y)"))
         adopted = session.engine(foreign)
         assert adopted is not foreign
         assert adopted.cache is session.cache
-        assert adopted.width_bound == 1
+        assert adopted.pattern is foreign.pattern and adopted.forest is foreign.forest
         assert session.engine(foreign) is adopted
 
     def test_supplied_cache_is_shared(self):
@@ -103,34 +103,33 @@ class TestCheckMany:
     @pytest.mark.parametrize("method", ["naive", "natural", "pebble", "auto"])
     def test_identical_to_single_shot(self, setting, method):
         forest, graph, engine, queries = setting
-        expected = [engine.contains(graph, mu, method=method) for mu in queries]
+        expected = [engine.contains(graph, mu, method=method, width=1) for mu in queries]
         session = Session()
-        handle = session.engine(forest, width_bound=1)
-        assert session.check_many(handle, graph, queries, method=method) == expected
+        handle = session.engine(forest)
+        assert session.check_many(handle, graph, queries, method=method, width=1) == expected
 
     def test_order_duplicates_and_empty(self, setting):
         forest, graph, engine, queries = setting
         session = Session()
-        handle = session.engine(forest, width_bound=1)
+        handle = session.engine(forest)
         doubled = queries + list(reversed(queries))
-        answers = session.check_many(handle, graph, doubled)
-        assert answers == [engine.contains(graph, mu) for mu in doubled]
+        answers = session.check_many(handle, graph, doubled, width=1)
+        assert answers == [engine.contains(graph, mu, width=1) for mu in doubled]
         assert session.check_many(handle, graph, []) == []
 
     def test_check_single(self, setting):
+        """One mapping at a time through the session engine, whose cache is
+        the session's, answers like a plain engine."""
         forest, graph, engine, queries = setting
-        session = Session()
-        handle = session.engine(forest, width_bound=1)
+        handle = Session().engine(forest)
         for mu in queries:
-            assert session.check(handle, graph, mu) == engine.contains(graph, mu)
+            assert handle.contains(graph, mu, width=1) == engine.contains(graph, mu, width=1)
 
     def test_plan_and_explain(self, setting):
         forest, _graph, _engine, _queries = setting
-        session = Session()
-        handle = session.engine(forest, width_bound=1)
-        plan = session.plan(handle)
+        plan = Session().engine(forest).plan(width=1)
         assert (plan.strategy, plan.width) == ("pebble", 1)
-        assert "chosen strategy" in session.explain(handle)
+        assert "chosen strategy" in plan.explain()
 
 
 class TestStreaming:
@@ -138,7 +137,7 @@ class TestStreaming:
         session = Session()
         forest = WDPatternForest([tprime_tree(2)])
         graph = tprime_data_graph(6, 20, seed=4)
-        stream = session.solutions_stream(forest, graph)
+        stream = session.engine(forest).solutions_stream(graph, "auto")
         first = next(stream, None)  # the stream is lazy and resumable
         rest = set(stream)
         expected = Engine(forest=forest).solutions(graph, method="natural")
@@ -148,7 +147,7 @@ class TestStreaming:
         session = Session()
         forest = fk_forest(2)
         graph = fk_data_graph(5, 25, clique_size=2, seed=1)
-        streamed = list(session.solutions_stream(forest, graph))
+        streamed = list(session.engine(forest).solutions_stream(graph, "auto"))
         assert len(streamed) == len(set(streamed))
         assert set(streamed) == Engine(forest=forest).solutions(graph, method="natural")
 
@@ -228,13 +227,14 @@ class TestSolutions:
 
 class TestSolutionsStream:
     def test_serial_first_occurrence_streams_lazily(self):
-        """Session.solutions_stream yields its first solution before the
-        enumeration is complete (nothing is recorded in the cache yet)."""
+        """A session engine's solutions_stream yields its first solution
+        before the enumeration is complete (nothing is recorded in the cache
+        yet)."""
         session = Session()
         graph = tprime_data_graph(6, 20, seed=11)
         forest = WDPatternForest([tprime_tree(2)])
         (tree,) = list(forest)
-        stream = session.solutions_stream(forest, graph, method="natural")
+        stream = session.engine(forest).solutions_stream(graph, method="natural")
         mu = next(stream)
         assert mu in Engine(forest=forest).solutions(graph, method="naive")
         assert session.cache.tree_solution_list(tree, graph) is None
@@ -249,7 +249,7 @@ class TestSolutionsAutoBugfix:
 
     def test_engine_solutions_auto(self):
         graph = tprime_data_graph(6, 20, seed=2)
-        engine = Engine(forest=WDPatternForest([tprime_tree(2)]), width_bound=1)
+        engine = Engine(forest=WDPatternForest([tprime_tree(2)]))
         assert engine.solutions(graph, method="auto") == engine.solutions(
             graph, method="natural"
         )
@@ -257,7 +257,7 @@ class TestSolutionsAutoBugfix:
     def test_session_solutions_auto(self):
         graph = tprime_data_graph(6, 20, seed=2)
         session = Session()
-        handle = session.engine(WDPatternForest([tprime_tree(2)]), width_bound=1)
+        handle = session.engine(WDPatternForest([tprime_tree(2)]))
         assert session.solutions(handle, graph, method="auto") == session.solutions(
             handle, graph, method="natural"
         )
@@ -300,12 +300,12 @@ class TestMutationSafety:
         return Engine(forest=forest).solutions(graph, method="natural")
 
     def test_serial_solutions_stream_mutation_between_cells(self):
-        """A mutation between two patterns' Session.solutions_stream runs."""
+        """A mutation between two patterns' streamed enumerations."""
         graph = tprime_data_graph(6, 20, seed=25)
         patterns = [WDPatternForest([tprime_tree(2)]), WDPatternForest([tprime_tree(3)])]
         session = Session()
-        assert set(session.solutions_stream(patterns[0], graph))
-        second = session.solutions_stream(patterns[1], graph)
+        assert set(session.engine(patterns[0]).solutions_stream(graph, "auto"))
+        second = session.engine(patterns[1]).solutions_stream(graph, "auto")
         next(second)
         # First solution of the second pattern: mutate before draining.
         self._mutate(graph)
@@ -317,11 +317,11 @@ class TestMutationSafety:
             assert session.solutions(forest, graph) == self._fresh_answers(forest, graph)
 
     def test_serial_solutions_stream_mutation_mid_cell_does_not_poison(self):
-        """An add mid-way through a Session.solutions_stream."""
+        """An add mid-way through a streamed enumeration."""
         graph = tprime_data_graph(6, 20, seed=25)
         forest = WDPatternForest([tprime_tree(2)])
         session = Session()
-        stream = session.solutions_stream(forest, graph)
+        stream = session.engine(forest).solutions_stream(graph, "auto")
         next(stream)
         self._mutate(graph)  # mid-stream: the stream's recording must be aborted
         for _ in stream:
@@ -338,14 +338,14 @@ class TestMutationSafety:
         )
 
     def test_serial_solutions_stream_bulk_mutation_mid_cell_does_not_poison(self):
-        """An add_all mid-way through a Session.solutions_stream: incremental
+        """An add_all mid-way through a streamed enumeration: incremental
         index maintenance must not weaken the version fence — the batch
         aborts the stream's recording exactly like a chain of single adds
         used to."""
         graph = tprime_data_graph(6, 20, seed=25)
         forest = WDPatternForest([tprime_tree(2)])
         session = Session()
-        stream = session.solutions_stream(forest, graph)
+        stream = session.engine(forest).solutions_stream(graph, "auto")
         next(stream)
         version = graph.version
         self._mutate_bulk(graph)
