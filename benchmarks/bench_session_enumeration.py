@@ -11,9 +11,11 @@ The gain is **cache replay of repeated patterns**: the first enumeration of
 a pattern records its answer list in the session cache, and every later
 instance of that pattern over the unchanged graph replays it instead of
 enumerating again.  (Distinct patterns drawn from the same vocabulary also
-share the graph's target index and the memoized child extension tests of
-Lemma 1, a smaller effect.)  The number therefore measures how much a
-log's repeats are worth, not a faster enumeration algorithm.
+share the graph's target index and the homomorphism lists of common root
+patterns, a smaller effect; child extensions are searched once per
+enumeration and shared with no other pattern.)  The number therefore
+measures how much a log's repeats are worth, not a faster enumeration
+algorithm.
 
 Run as a script::
 

@@ -9,13 +9,14 @@ search.  :class:`EvaluationCache` memoizes the graph-dependent part of it
 and the per-child instances — are memoized on the pattern tree itself, see
 :class:`~repro.patterns.tree.Subtree`):
 
-* **homomorphism tests** — keyed on the canonicalized instance
-  ``(triples, fixed-bindings)``, where the fixed bindings are ``µ``
-  restricted to the variables the triples actually mention, so distinct
-  mappings that induce the same sub-instance share one search;
+* **homomorphism tests** — the child tests of natural membership, keyed on
+  the canonicalized instance ``(triples, fixed-bindings)``, where the fixed
+  bindings are ``µ`` restricted to the variables the triples actually
+  mention, so distinct mappings that induce the same sub-instance share one
+  search;
 * **homomorphism lists** — the full (µ-independent) answer list of one
-  subtree pattern against the graph, which is what solution enumeration
-  iterates; repeated enumerations replay from memory;
+  tree's root pattern against the graph, which solution enumeration extends
+  top-down; repeated enumerations replay from memory;
 * **tree solution lists** — the complete enumerated answer list ``⟦T⟧G`` of
   one pattern tree, recorded when an enumeration runs to completion, so
   steady-state sessions replay whole answer sets instead of re-deriving
@@ -337,9 +338,9 @@ class EvaluationCache:
     ) -> Iterator[Dict[Variable, Term]]:
         """All homomorphisms from *source* into *graph*, lazily, memoized.
 
-        This is the µ-independent search of solution enumeration (Lemma 1
-        iterates the homomorphisms of every subtree pattern), keyed on the
-        source triples per graph version.  A recorded list replays from
+        This is the µ-independent search of solution enumeration (each
+        answer extends a homomorphism of a tree's root pattern), keyed on
+        the source triples per graph version.  A recorded list replays from
         memory; otherwise the indexed search streams **lazily** (first
         results cost no more than the direct search) and the complete list
         is recorded only when the consumer exhausts the generator without

@@ -191,8 +191,8 @@ class Engine:
     ) -> Set[Mapping]:
         """Enumerate the full answer set ``⟦P⟧G``.
 
-        ``method="auto"`` cost-picks between the naive and natural strategies
-        for this graph (the pebble relaxation decides membership only and is
+        ``method="auto"`` resolves to the natural strategy, as the default
+        does (the pebble relaxation decides membership only and is
         rejected).  A violated ``deadline``/``budget`` raises
         :class:`~repro.exceptions.DeadlineExceeded` whose ``partial``
         attribute holds the solutions found before the trip.
@@ -214,10 +214,10 @@ class Engine:
         budget: Optional[Budget] = None,
     ) -> Iterator[Mapping]:
         """Stream ``⟦P⟧G`` as a deduplicated generator (same methods as
-        :meth:`solutions`; ``method="auto"`` cost-picks naive vs natural for
-        this graph).  A violated ``deadline``/``budget`` raises
+        :meth:`solutions`; ``method="auto"`` is natural).  A violated
+        ``deadline``/``budget`` raises
         :class:`~repro.exceptions.DeadlineExceeded` mid-stream."""
-        plan = self._planner.plan_enumeration(method, graph=graph)
+        plan = self._planner.plan_enumeration(method)
         context = self._context.with_budget(budget_from(deadline, budget))
         context.check_budget()  # pre-expired budgets trip before streaming
         return plan.strategy_obj.solutions_stream(

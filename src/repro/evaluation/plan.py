@@ -43,12 +43,11 @@ graph-free rules apply:
 Ties in the cost estimates break toward the graph-free preference, so the
 cost-based planner degenerates to those rules when the estimates cannot tell
 the strategies apart.  The cost model never proposes a strategy whose
-precondition fails: pebble needs a free width bound, and only the naive and
-natural strategies can enumerate.
+precondition fails: pebble needs a free width bound.
 
-For enumeration (:meth:`Planner.plan_enumeration`) ``auto`` resolves to
-``natural`` by default and cost-picks between ``naive`` and ``natural`` when
-the graph is known — the pebble relaxation decides membership only.
+For enumeration (:meth:`Planner.plan_enumeration`) ``auto`` always resolves
+to ``natural``, the top-down enumeration of every tree; ``naive`` runs when
+asked, and the pebble relaxation decides membership only.
 
 Resolved plans are memoized per ``(method, width, known domination width)``
 — plus the graph's size statistics for graph-aware plans — so the unbatched
@@ -233,47 +232,33 @@ class PatternStats:
 
     Attributes
     ----------
-    trees / nodes / opt_children:
-        Forest shape: member trees, total wdPT nodes, and non-root nodes
-        (each non-root node is one OPT child somewhere, i.e. one NP-hard
-        child test of the natural algorithm).
+    nodes / opt_children:
+        Forest shape: total wdPT nodes, and non-root nodes (each non-root
+        node is one OPT child somewhere, i.e. one NP-hard child test of the
+        natural algorithm).
     triples:
         Total triple patterns across all nodes.
-    variables:
-        ``|vars(P)|`` over the whole forest.
     max_new_vars:
         The largest number of variables any single node introduces over its
         ancestors — the branching factor of one indexed homomorphism search.
     max_branch_vars:
         The largest variable count accumulated along one root-to-leaf
         branch — what a bottom-up (naive) materialisation has to hold.
-    subtree_bound:
-        Upper bound on the number of subtrees containing a root (capped) —
-        the iteration space of natural *enumeration*.
     """
 
-    trees: int
     nodes: int
     opt_children: int
     triples: int
-    variables: int
     max_new_vars: int
     max_branch_vars: int
-    subtree_bound: float
-
-    #: Cap for the subtree-count product (keeps the walk overflow-free).
-    _SUBTREE_CAP = 1e12
 
     @classmethod
     def of(cls, forest: WDPatternForest) -> "PatternStats":
         """Compute the statistics of *forest* in one walk per tree."""
-        trees = nodes = opt_children = triples = 0
-        variables: set = set()
+        nodes = opt_children = triples = 0
         max_new_vars = 0
         max_branch_vars = 0
-        subtree_bound = 0.0
         for tree in forest:
-            trees += 1
             order: List[int] = []
             stack = [tree.root]
             while stack:  # parents always precede their children
@@ -285,7 +270,6 @@ class PatternStats:
                 nodes += 1
                 triples += len(tree.pat(node).triples())
                 node_vars = tree.vars(node)
-                variables |= node_vars
                 parent = tree.parent_of(node)
                 inherited = branch_vars[parent] if parent is not None else frozenset()
                 if parent is not None:
@@ -293,23 +277,12 @@ class PatternStats:
                 max_new_vars = max(max_new_vars, len(node_vars - inherited))
                 branch_vars[node] = inherited | node_vars
                 max_branch_vars = max(max_branch_vars, len(branch_vars[node]))
-            # Rooted-subtree count: g(n) = prod over children c of (1 + g(c)).
-            counts: Dict[int, float] = {}
-            for node in reversed(order):  # children before parents
-                product = 1.0
-                for child in tree.children_of(node):
-                    product = min(cls._SUBTREE_CAP, product * (1.0 + counts[child]))
-                counts[node] = product
-            subtree_bound = min(cls._SUBTREE_CAP, subtree_bound + counts[tree.root])
         return cls(
-            trees=trees,
             nodes=nodes,
             opt_children=opt_children,
             triples=triples,
-            variables=len(variables),
             max_new_vars=max_new_vars,
             max_branch_vars=max_branch_vars,
-            subtree_bound=subtree_bound,
         )
 
 
@@ -323,7 +296,6 @@ class CostEstimate:
     first); :meth:`cheapest` is the strategy the planner picks.
     """
 
-    task: str  # "membership" | "enumeration"
     costs: Tuple[Tuple[str, float], ...]
     graph_triples: int
     graph_domain: int
@@ -378,8 +350,6 @@ class CostModel:
       intermediate answer sets of up to ``|G| ** max_branch_vars`` rows;
     * **natural membership** finds the witness subtree (linear in the
       pattern) and runs one search per OPT child;
-    * **natural enumeration** repeats that search for *every* subtree —
-      ``subtree_bound`` many, exponential in the OPT-children fan-out;
     * **pebble membership** replaces each child search with the polynomial
       ``(k+1)``-pebble game over ``|dom(G)| ** (k+1)`` positions.
 
@@ -396,17 +366,13 @@ class CostModel:
         graph_triples: int,
         graph_domain: int,
         width: Optional[int],
-        task: str = "membership",
     ) -> CostEstimate:
-        """The per-strategy estimates for one cell.
+        """The per-strategy membership estimates for one cell.
 
         *width* is the **free** width bound (``None`` when none is available
         — the pebble strategy is then inadmissible and gets no estimate, so
         the planner can never pick a strategy whose precondition fails).
-        For ``task="enumeration"`` pebble is always inadmissible.
         """
-        if task not in ("membership", "enumeration"):
-            raise EvaluationError(f"unknown cost task {task!r}")
         n = float(max(2, graph_triples))
         d = float(max(2, graph_domain))
         pattern_work = pattern.nodes * max(1, pattern.triples)
@@ -416,28 +382,19 @@ class CostModel:
             pattern.nodes * search + self._power(n, pattern.max_branch_vars),
         )
         costs: List[Tuple[str, float]] = []
-        if task == "membership":
-            if width is not None:
-                pebble = min(
-                    _COST_CEILING,
-                    pattern_work
-                    + pattern.opt_children
-                    * max(1, pattern.triples)
-                    * self._power(d, width + 1),
-                )
-                costs.append((PEBBLE.name, pebble))
-            natural = min(_COST_CEILING, pattern_work + pattern.opt_children * search)
-            costs.append((NATURAL.name, natural))
-            costs.append((NAIVE.name, materialise))
-        else:
-            natural = min(
+        if width is not None:
+            pebble = min(
                 _COST_CEILING,
-                pattern.subtree_bound * (search + 1.0 + pattern.opt_children),
+                pattern_work
+                + pattern.opt_children
+                * max(1, pattern.triples)
+                * self._power(d, width + 1),
             )
-            costs.append((NATURAL.name, natural))
-            costs.append((NAIVE.name, materialise))
+            costs.append((PEBBLE.name, pebble))
+        natural = min(_COST_CEILING, pattern_work + pattern.opt_children * search)
+        costs.append((NATURAL.name, natural))
+        costs.append((NAIVE.name, materialise))
         return CostEstimate(
-            task=task,
             costs=tuple(costs),
             graph_triples=graph_triples,
             graph_domain=graph_domain,
@@ -515,7 +472,7 @@ class Plan:
         else:
             lines.append("width bound      : n/a (width-free strategy)")
         if self.cost is not None:
-            lines.append(f"cost estimate    : {self.cost.render()} ({self.cost.task})")
+            lines.append(f"cost estimate    : {self.cost.render()}")
             lines.append(f"cost inputs      : {self.cost.render_inputs()}")
         lines.append(f"rationale        : {self.rationale}")
         return "\n".join(lines)
@@ -583,17 +540,13 @@ class Planner:
         return plan
 
     def _cell_estimate(
-        self, graph: Optional[RDFGraph], width: Optional[int], task: str
+        self, graph: Optional[RDFGraph], width: Optional[int]
     ) -> Optional[CostEstimate]:
         """The cost estimate for this cell, or ``None`` without graph/stats."""
         if graph is None or self._pattern_stats is None:
             return None
         return _COST_MODEL.estimate(
-            self._pattern_stats(),
-            len(graph),
-            len(graph.sorted_domain()),
-            width,
-            task=task,
+            self._pattern_stats(), len(graph), len(graph.sorted_domain()), width
         )
 
     # --- bound resolution ------------------------------------------------------
@@ -649,7 +602,7 @@ class Planner:
                 width=None,
                 certified=False,
                 rationale=f"the {strategy.name} strategy was requested explicitly",
-                cost=self._cell_estimate(graph, self._free_bound(width)[0], "membership"),
+                cost=self._cell_estimate(graph, self._free_bound(width)[0]),
             )
         bound, certified, source = self._free_bound(width)
         if bound is None:
@@ -671,12 +624,12 @@ class Planner:
             width=bound,
             certified=certified,
             rationale=f"the pebble strategy was requested explicitly; {source}; {exactness}",
-            cost=self._cell_estimate(graph, bound, "membership"),
+            cost=self._cell_estimate(graph, bound),
         )
 
     def _plan_auto(self, width: Optional[int], graph: Optional[RDFGraph]) -> Plan:
         bound, certified, source = self._free_bound(width)
-        estimate = self._cell_estimate(graph, bound, "membership")
+        estimate = self._cell_estimate(graph, bound)
         if estimate is not None:
             chosen = estimate.cheapest()
             if chosen != PEBBLE.name:
@@ -734,41 +687,17 @@ class Planner:
         )
 
     # --- enumeration planning -------------------------------------------------------
-    def plan_enumeration(
-        self, method: str = "auto", graph: Optional[RDFGraph] = None
-    ) -> Plan:
+    def plan_enumeration(self, method: str = "auto") -> Plan:
         """Resolve a ``method=`` for full answer-set enumeration.
 
-        ``auto`` resolves to the natural strategy by default; with a *graph*
-        (and pattern statistics) the cost model picks between the naive and
-        natural strategies per cell — naive wins when the subtree iteration
-        space of natural enumeration dwarfs a bottom-up materialisation.
-        The pebble relaxation decides membership only and is never eligible.
+        ``auto`` resolves to the natural strategy; ``naive`` and ``natural``
+        run as requested.  The pebble relaxation decides membership only and
+        is refused.
         """
-        known = self._known_width()
-        cost_aware = graph is not None and self._pattern_stats is not None
-        if cost_aware:
-            key = ("enum", method, known, len(graph), len(graph.sorted_domain()))
-        else:
-            key = ("enum", method, known)
-        return self._memoized(key, lambda: self._plan_enumeration_fresh(method, graph))
+        return self._memoized(("enum", method), lambda: self._plan_enumeration_fresh(method))
 
-    def _plan_enumeration_fresh(self, method: str, graph: Optional[RDFGraph]) -> Plan:
-        estimate = self._cell_estimate(graph, None, "enumeration")
+    def _plan_enumeration_fresh(self, method: str) -> Plan:
         if method == "auto":
-            if estimate is not None:
-                chosen = estimate.cheapest()
-                return Plan(
-                    requested="auto",
-                    strategy=chosen,
-                    width=None,
-                    certified=False,
-                    rationale=f"the cost model compared {estimate.render()} for "
-                    f"enumeration over this graph and chose the {chosen} strategy "
-                    "(both candidates enumerate ⟦P⟧G exactly; the pebble "
-                    "relaxation decides membership only and is not eligible)",
-                    cost=estimate,
-                )
             return Plan(
                 requested="auto",
                 strategy=NATURAL.name,
@@ -793,5 +722,4 @@ class Planner:
             width=None,
             certified=False,
             rationale=f"the {strategy.name} strategy was requested explicitly for enumeration",
-            cost=estimate,
         )

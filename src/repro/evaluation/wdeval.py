@@ -18,15 +18,15 @@ baseline that the Theorem 1 algorithm relaxes.
 Every function takes a trailing
 :class:`~repro.evaluation.context.EvalContext` bundling the cache and the
 budget; it defaults to the empty context (no cache, no budget).  The module
-also provides solution *enumeration* through Lemma 1 — both as sets and as
-deduplicated generators (:func:`tree_solutions_stream` /
+also provides solution *enumeration*, top-down from each root homomorphism —
+both as sets and as deduplicated generators (:func:`tree_solutions_stream` /
 :func:`forest_solutions_stream`), which is what
 :meth:`~repro.evaluation.engine.Engine.solutions_stream` exposes.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .context import EvalContext
 from ..patterns.forest import WDPatternForest
@@ -121,38 +121,68 @@ def forest_contains(
 def tree_solutions_stream(
     tree: WDPatternTree, graph: RDFGraph, context: EvalContext = _PLAIN_CONTEXT
 ) -> Iterator[Mapping]:
-    """Stream ``⟦T⟧G`` through Lemma 1, deduplicated, in discovery order.
+    """Stream ``⟦T⟧G`` top-down, deduplicated, in discovery order.
 
-    For every subtree ``T'`` and every homomorphism ``µ`` from ``pat(T')``
-    into the graph, ``µ`` is a solution iff no child of ``T'`` admits a
-    compatible extension.  With a caching *context* the homomorphism lists
-    and the child extension tests are memoized, and a run that completes
-    records the whole answer list per graph version — later enumerations of
-    the same tree through the same cache replay it straight from memory.  Enumerating many
-    structurally overlapping patterns through one
-    :class:`~repro.evaluation.session.Session` therefore shares work at
-    every level: index, searches, child tests, and completed answer sets.
+    Each homomorphism ``µ`` of the root's pattern grows into answers node by
+    node: a child joins with every homomorphism of its pattern that agrees
+    with ``µ`` on the variables it shares with its parent, and stays out
+    when there is none.  By well-designedness a variable that two siblings
+    share occurs in their parent, so siblings are independent once their
+    parent is bound.  The walk is depth-first and yields each answer as soon
+    as every node is decided; the product over the children is never built.
+    A child's extensions are searched once per call for each binding of its
+    shared variables.  With a caching *context* the root's homomorphism list
+    is memoized, the child searches use the cache's target index, and a run
+    that completes records the whole answer list per graph version — later
+    enumerations of the same tree through the same cache replay it straight
+    from memory.
     """
     replay = context.tree_solutions_list(tree, graph)
     if replay is not None:
         yield from replay
         return
+    # Imported at call time, so a wrapper installed on the module attribute
+    # (bench/tracer.py) sees the child searches.
+    from ..hom.homomorphism import all_homomorphisms, target_index
+
     version = graph.version
     recorded: Optional[list] = [] if context.cache is not None else None
     seen: Set[Mapping] = set()
-    for subtree in tree.subtrees():
+    index = context.cache.target_index(graph) if context.cache is not None else target_index(graph)
+    shared = {
+        node: tuple(tree.vars(node) & tree.vars(tree.parent_of(node)))
+        for node in tree.node_ids()
+        if node != tree.root
+    }
+    extensions: Dict[Tuple, List[dict]] = {}
+    for root_hom in context.homomorphisms(tree.pat(tree.root), graph):
         context.tick()
-        child_pats = [tree.pat(child) for child in subtree.children()]
-        for hom in context.homomorphisms(subtree.pat(), graph):
+        # Partial answers, each with the nodes still to decide.
+        stack = [(root_hom, tree.children_of(tree.root))]
+        while stack:
             context.tick()
-            mu = Mapping(hom)
-            if mu in seen:
+            mu, pending = stack.pop()
+            if not pending:
+                answer = Mapping(mu)
+                if answer not in seen:
+                    seen.add(answer)
+                    if recorded is not None:
+                        recorded.append(answer)
+                    yield answer
                 continue
-            if all(not context.extension_exists(pat, graph, mu) for pat in child_pats):
-                seen.add(mu)
-                if recorded is not None:
-                    recorded.append(mu)
-                yield mu
+            child, rest = pending[0], pending[1:]
+            key = (child, tuple(mu[var] for var in shared[child]))
+            found = extensions.get(key)
+            if found is None:
+                fixed = dict(zip(shared[child], key[1]))
+                found = extensions[key] = list(
+                    all_homomorphisms(tree.pat(child), graph, fixed, index, context.budget)
+                )
+            if found:
+                grown = rest + tree.children_of(child)
+                stack.extend(({**mu, **ext}, grown) for ext in reversed(found))
+            else:
+                stack.append((mu, rest))
     # Record only complete, mutation-free enumerations: an abandoned
     # generator never reaches this line, and a mid-stream graph mutation
     # would make the recorded list stale for the new version.

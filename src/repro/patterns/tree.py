@@ -294,9 +294,9 @@ class WDPatternTree:
         meant for the small trees of queries.  Each subtree is yielded as
         soon as it is built, so a caller that stops early, or whose deadline
         trips, pays only for the subtrees it took.  Callers return the first
-        witness or solution they meet, so the order is part of the contract:
-        the root alone, then for each child in turn every subtree so far
-        extended by each subtree of that child.
+        witness they meet, so the order is part of the contract: the root
+        alone, then for each child in turn every subtree so far extended by
+        each subtree of that child.
         """
         def expand(node: int) -> Iterator[FrozenSet[int]]:
             """All node sets of subtrees of the subtree rooted at *node* that

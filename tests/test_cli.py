@@ -302,7 +302,7 @@ class TestExplainCommand:
             "chosen strategy  : natural — exact wdPF evaluation (Lemma 1) with "
             "full homomorphism child tests\n"
             "width bound      : n/a (width-free strategy)\n"
-            "cost estimate    : natural ~8.0e+00 · naive ~1.6e+01 (membership)\n"
+            "cost estimate    : natural ~8.0e+00 · naive ~1.6e+01\n"
             "cost inputs      : |G| = 2 triples, |dom(G)| = 5, 2 node(s), 1 OPT child(ren)\n"
             "rationale        : the cost model compared natural ~8.0e+00 · "
             "naive ~1.6e+01 for this graph and the natural strategy is the "

@@ -1,11 +1,13 @@
-"""Unit tests for the natural wdPF evaluation algorithm (Lemma 1) and the
-Lemma 1 based solution enumeration."""
+"""Unit tests for the natural wdPF evaluation algorithm (Lemma 1) and its
+top-down solution enumeration."""
 
 import itertools
 
 import pytest
 
 from repro.evaluation import (
+    Budget,
+    Engine,
     evaluate_pattern,
     find_mu_subtree,
     forest_contains,
@@ -17,7 +19,7 @@ from repro.patterns import wdpf
 from repro.rdf import RDFGraph, Triple
 from repro.rdf.namespace import EX
 from repro.rdf.terms import Variable
-from repro.sparql import Mapping
+from repro.sparql import Mapping, parse_pattern
 from repro.workloads.families import (
     P_PRED,
     Q_PRED,
@@ -123,3 +125,14 @@ class TestAgainstNaiveSemantics:
             {Variable("x"): EX.a, Variable("y"): EX.b, Variable("z"): EX.c}
         ) not in solutions
         assert any(Variable("o1") in mu for mu in solutions)
+
+
+class TestTopDownEnumeration:
+    def test_wide_star_enumerates_within_a_thousand_steps(self):
+        # A root with 16 OPT children has 2^16 rooted subtrees, and one
+        # answer here; extending the root's match child by child searches
+        # each child once.
+        pattern = parse_pattern("(?x p ?y)" + "".join(f" OPT (?y q ?z{i})" for i in range(16)))
+        graph = RDFGraph([Triple.of("a", "p", "b"), Triple.of("b", "q", "c")])
+        solutions = Engine(pattern).solutions(graph, budget=Budget(steps=1000))
+        assert solutions == evaluate_pattern(pattern, graph)

@@ -140,16 +140,19 @@ class TestDeadlines:
             Session().solutions(pattern, dense_graph(12), method="naive", deadline=0.05)
         assert time.monotonic() - started < 0.5
 
-    def test_natural_solutions_trip_before_every_subtree_is_built(self):
-        # The tree of this 20-triple OPT chain is a root with 19 children,
-        # so it has 2^19 rooted subtrees; building all of them before the
-        # first tick took about 1.7 s.
+    def test_natural_solutions_yield_before_the_child_product_is_built(self):
+        # The tree of this 20-triple OPT chain is a root with 19 children.
+        # Over two p-edges every node has two extensions, so there are 2^20
+        # answers.  Each must stream as soon as it is complete: building the
+        # product over the children before the first yield would trip the
+        # deadline with no answer to show.
         pattern = parse_pattern(" OPT ".join(f"(?x{i} p ?y{i})" for i in range(20)))
-        graph = RDFGraph([Triple.of("a", "p", "b")])
+        graph = RDFGraph([Triple.of("a", "p", "b"), Triple.of("c", "p", "d")])
         started = time.monotonic()
-        with pytest.raises(DeadlineExceeded):
+        with pytest.raises(DeadlineExceeded) as raised:
             Session().solutions(pattern, graph, method="natural", deadline=0.2)
         assert time.monotonic() - started < 1.0
+        assert raised.value.partial, "answers must stream before the trip"
 
     def test_solutions_stream_serial_raises_within_bound(self):
         """Acceptance: a session engine's solutions_stream yields partial

@@ -11,7 +11,8 @@ against definitions instead, on small seeded random instances:
   target never interned (a :class:`Variable` image among them);
 * ``Session`` enumeration — cold, warm and after a mutation — against the
   reference semantics of :func:`repro.evaluation.naive.evaluate_pattern` on
-  random wdPTs, with two runs yielding the same order;
+  random wdPTs, stars with 6–12 OPT children and random UNION forests, with
+  two runs yielding the same order;
 * ``Session`` membership — ``check_many``, ``check_iter`` and ``check``
   under every method, cold, warm and after a mutation — against membership
   in that reference answer set: exact for ``naive``, ``natural``, ``auto``
@@ -52,7 +53,7 @@ from repro.workloads.families import (
     hard_clique_pattern,
     hard_clique_tree,
 )
-from repro.workloads.random_patterns import random_wd_pattern
+from repro.workloads.random_patterns import random_union_pattern, random_wd_pattern
 
 NODES = [EX.term(f"n{i}") for i in range(4)]
 PREDS = [EX.term("p"), EX.term("q")]
@@ -222,18 +223,39 @@ def membership_candidates(answers, rng):
     return mappings + mappings[:3]
 
 
+#: Seeds past the ten random wdPTs: stars whose root has ``seed − 4`` OPT
+#: children, then random UNION forests.
+STAR_SEEDS = range(10, 17)
+UNION_SEEDS = range(17, 22)
+
+
 def seeded_case(seed):
-    """The seeded (rng, graph, pattern) instance of the oracle classes below."""
+    """The seeded (rng, graph, pattern) instance of the oracle classes below:
+    a random wdPT for seeds 0–9, a star for :data:`STAR_SEEDS` (over a
+    sparser graph, which keeps the reference's product over the children
+    small) and a UNION of 2–3 random trees for :data:`UNION_SEEDS`."""
     rng = random.Random(seed)
+    predicates = tuple(p.value for p in PREDS)
+    if seed in STAR_SEEDS:
+        p, q = predicates
+        text = f"(?x <{p}> ?y)" + "".join(f" OPT (?y <{q}> ?z{i})" for i in range(seed - 4))
+        graph = random_graph(6, 12, predicates=("p", "q"), seed=seed)
+        return rng, graph, parse_pattern(text)
     graph = random_graph(6, 24, predicates=("p", "q"), seed=seed)
-    pattern = random_wd_pattern(
-        num_nodes=rng.randint(1, 4), seed=seed, predicates=tuple(p.value for p in PREDS)
-    )
+    if seed in UNION_SEEDS:
+        pattern = random_union_pattern(
+            num_trees=rng.randint(2, 3),
+            num_nodes=rng.randint(1, 4),
+            seed=seed,
+            predicates=predicates,
+        )
+    else:
+        pattern = random_wd_pattern(num_nodes=rng.randint(1, 4), seed=seed, predicates=predicates)
     return rng, graph, pattern
 
 
 class TestSessionAgainstNaive:
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", [*range(10), *STAR_SEEDS, *UNION_SEEDS])
     def test_cold_warm_and_mutated_enumeration(self, seed):
         rng, graph, pattern = seeded_case(seed)
         session = Session()

@@ -145,19 +145,14 @@ class TestEngineAgreement:
 class TestPatternStats:
     def test_single_node_pattern(self):
         stats = PatternStats.of(wdpf(parse_pattern("(?x p ?y)")))
-        assert (stats.trees, stats.nodes, stats.opt_children) == (1, 1, 0)
-        assert stats.variables == 2
+        assert (stats.nodes, stats.opt_children) == (1, 0)
         assert stats.max_new_vars == 2
         assert stats.max_branch_vars == 2
-        assert stats.subtree_bound == 1.0
 
     def test_opt_children_counted(self):
         pattern = parse_pattern("(((?x p ?y) OPT (?y q ?z)) OPT (?x r ?w))")
         stats = PatternStats.of(wdpf(pattern))
         assert stats.opt_children == 2
-        # Two independent OPT children of the root: {root}, {root,a},
-        # {root,b}, {root,a,b}.
-        assert stats.subtree_bound == 4.0
         # Each child introduces exactly one fresh variable over the root.
         assert stats.max_new_vars == 2  # the root itself introduces ?x ?y
         assert stats.max_branch_vars == 3
@@ -169,16 +164,7 @@ class TestPatternStats:
 
 class TestCostModel:
     def _stats(self, **overrides):
-        base = dict(
-            trees=1,
-            nodes=3,
-            opt_children=2,
-            triples=3,
-            variables=4,
-            max_new_vars=2,
-            max_branch_vars=4,
-            subtree_bound=4.0,
-        )
+        base = dict(nodes=3, opt_children=2, triples=3, max_new_vars=2, max_branch_vars=4)
         base.update(overrides)
         return PatternStats(**base)
 
@@ -187,11 +173,6 @@ class TestCostModel:
         assert estimate.cost_of("pebble") is None
         assert estimate.cheapest() in ("naive", "natural")
 
-    def test_pebble_inadmissible_for_enumeration(self):
-        estimate = CostModel().estimate(self._stats(), 100, 20, 1, task="enumeration")
-        assert estimate.cost_of("pebble") is None
-        assert set(name for name, _ in estimate.costs) == {"naive", "natural"}
-
     def test_membership_prefers_pebble_under_bounded_width(self):
         # Many fresh variables per child: the n^new_vars child search dwarfs
         # the d^(k+1) pebble game (the Theorem 1 regime).
@@ -199,29 +180,12 @@ class TestCostModel:
         estimate = CostModel().estimate(stats, 1000, 100, 1)
         assert estimate.cheapest() == "pebble"
 
-    def test_enumeration_naive_wins_on_wide_flat_patterns(self):
-        # 2^20 subtrees: natural enumeration explodes, bottom-up naive does
-        # one pass per node.
-        stats = self._stats(nodes=21, opt_children=20, subtree_bound=2.0**20)
-        estimate = CostModel().estimate(stats, 50, 15, None, task="enumeration")
-        assert estimate.cheapest() == "naive"
-
-    def test_enumeration_natural_wins_on_deep_chains(self):
-        # A chain accumulates variables: the naive materialisation pays
-        # n^branch_vars while natural only ever searches fresh variables.
-        stats = self._stats(
-            nodes=5, opt_children=4, subtree_bound=5.0, max_new_vars=1, max_branch_vars=6
-        )
-        estimate = CostModel().estimate(stats, 50, 15, None, task="enumeration")
-        assert estimate.cheapest() == "natural"
-
     def test_ties_break_toward_preference_order(self, monkeypatch):
         class FlatModel(CostModel):
-            def estimate(self, pattern, graph_triples, graph_domain, width, task="membership"):
-                estimate = super().estimate(pattern, graph_triples, graph_domain, width, task)
+            def estimate(self, pattern, graph_triples, graph_domain, width):
+                estimate = super().estimate(pattern, graph_triples, graph_domain, width)
                 flat = tuple((name, 1.0) for name, _ in estimate.costs)
                 return type(estimate)(
-                    task=estimate.task,
                     costs=flat,
                     graph_triples=estimate.graph_triples,
                     graph_domain=estimate.graph_domain,
@@ -238,12 +202,6 @@ class TestCostModel:
         # Membership without any bound: PR 3 chose natural; so does a tie.
         unbound = Planner(pattern_stats=stats)
         assert unbound.plan("auto", graph=graph).strategy == "natural"
-        # Enumeration: PR 3 always chose natural; so does a tie.
-        assert tied.plan_enumeration("auto", graph=graph).strategy == "natural"
-
-    def test_unknown_task_rejected(self):
-        with pytest.raises(EvaluationError):
-            CostModel().estimate(self._stats(), 10, 5, None, task="sorting")
 
     def test_graph_aware_auto_never_picks_pebble_without_bound(self):
         engine = Engine(forest=fk_forest(2))
